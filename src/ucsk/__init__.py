@@ -79,7 +79,6 @@ from .optimizer import (
     OptimizerConfig,
     design_constellation,
     dmin_upper_bound,
-    objective_and_constraints,
 )
 from .presets import (
     BLUE_TARGETS,

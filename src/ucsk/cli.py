@@ -85,6 +85,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _config(cls, **kwargs):
+    """Build a validated config; a rejected value is a usage error."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
 def _parse_center(text: str) -> ChromaticityPoint:
     parts = text.split(",")
     if len(parts) != 2:
@@ -155,7 +163,7 @@ def _cmd_design(args) -> int:
         raise _UsageError(
             "give --preset or both --target-center and --target-radius"
         )
-    cfg = OptimizerConfig(multistart_count=args.starts, rng_seed=args.seed)
+    cfg = _config(OptimizerConfig, multistart_count=args.starts, rng_seed=args.seed)
     gamut = _gamut_for(args.gamut)
     try:
         result = design_constellation(target, cfg, gamut)
@@ -276,7 +284,7 @@ def _cmd_ser(args) -> int:
     except (OSError, WaterTableError) as exc:
         print(f"cannot read water table: {exc}", file=sys.stderr)
         return EXIT_IO
-    link = LinkConfig(water=water, distance_m=args.distance)
+    link = _config(LinkConfig, water=water, distance_m=args.distance)
     sha = config_digest(
         _curve_payload(doc, water_inputs, args, {"symbols": args.symbols, "kind": "ser"})
     )
@@ -332,7 +340,7 @@ def _cmd_rate(args) -> int:
     except (OSError, WaterTableError) as exc:
         print(f"cannot read water table: {exc}", file=sys.stderr)
         return EXIT_IO
-    link = LinkConfig(water=water, distance_m=args.distance)
+    link = _config(LinkConfig, water=water, distance_m=args.distance)
     doc = None
     const_inputs: dict[str, str] = {}
     try:
@@ -424,7 +432,11 @@ def _cmd_reproduce(args) -> int:
         print(f"cannot write to {out_dir}: {exc}", file=sys.stderr)
         return EXIT_IO
     water = seawater()
-    designs = _reproduce_designs(out_dir)
+    try:
+        designs = _reproduce_designs(out_dir)
+    except (InfeasibleTargetError, ConvergenceError) as exc:
+        print(f"design failed: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     params: dict = {
         "figure": args.figure,
         "design_seed": REPRODUCE_DESIGN_SEED,
@@ -479,7 +491,7 @@ def _cmd_reproduce(args) -> int:
                     hypotheses, sigma, _REPRODUCE_RATE_SAMPLES,
                     REPRODUCE_SIM_SEED, stream=i,
                 )
-                values.append(1e8 * mi)
+                values.append(link10.bandwidth_hz * mi)
             write_curve_csv(
                 out_dir / name,
                 Curve(tuple(grid), tuple(values), REPRODUCE_SIM_SEED,
