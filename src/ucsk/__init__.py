@@ -7,13 +7,11 @@ rates plus achievable rates against an OOK baseline.
 """
 
 from .channel import (
-    PathLossResult,
     WaterProperties,
     WaterTableError,
     WavelengthRangeError,
     attenuation_coefficient,
     effective_range,
-    evaluate_path_loss,
     load_water_csv,
     path_loss,
     seawater,
@@ -40,11 +38,9 @@ from .constellation import (
     FIXED_BLUE,
     BlueTarget,
     Constellation4,
-    SymbolMap,
     TargetReport,
     build_constellation,
     constellation_document,
-    default_symbol_map,
     document_to_constellation,
     min_distance,
     read_constellation_json,
@@ -56,16 +52,15 @@ from .linksim import (
     HypothesisSet,
     InfeasibleConstellationError,
     LinkConfig,
-    Primary,
-    achievable_rate,
     build_hypotheses,
-    default_primaries,
     detect_ml,
     mutual_information,
     noise_sigma,
     ook_hypotheses,
     qfunc,
+    rate_curve,
     read_curve_csv,
+    ser_curves,
     simulate_ser,
     simulate_ser_hypotheses,
     union_bound_from_hypotheses,

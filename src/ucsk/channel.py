@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
@@ -18,12 +18,10 @@ import numpy as np
 
 __all__ = [
     "WaterProperties",
-    "PathLossResult",
     "WavelengthRangeError",
     "WaterTableError",
     "attenuation_coefficient",
     "path_loss",
-    "evaluate_path_loss",
     "effective_range",
     "load_water_csv",
     "seawater",
@@ -79,21 +77,6 @@ class WaterProperties:
         return float(np.interp(wavelength, self.wavelength_nm, self.scattering))
 
 
-@dataclass(frozen=True)
-class PathLossResult:
-    """Beer-Lambert evaluation at one wavelength and distance."""
-
-    wavelength_nm: float
-    attenuation: float
-    distance_m: float
-    loss_factor: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "loss_factor", path_loss(self.attenuation, self.distance_m)
-        )
-
-
 def attenuation_coefficient(w: WaterProperties, wavelength_nm: float) -> float:
     """c = a + b at the given wavelength (1/m), interpolated linearly."""
     return w.a(wavelength_nm) + w.b(wavelength_nm)
@@ -106,13 +89,6 @@ def path_loss(c: float, d: float) -> float:
     if d < 0:
         raise ValueError(f"distance must be >= 0, got {d}")
     return math.exp(-c * d)
-
-
-def evaluate_path_loss(
-    w: WaterProperties, wavelength_nm: float, d: float
-) -> PathLossResult:
-    """Convenience wrapper returning the full evaluation record."""
-    return PathLossResult(wavelength_nm, attenuation_coefficient(w, wavelength_nm), d)
 
 
 def effective_range(c: float, loss_threshold: float) -> float:

@@ -6,10 +6,12 @@ symbol error rate plus union bound), ``rate`` (achievable-rate curves for
 UCSK or OOK), and ``reproduce`` (fixed-seed CSV bundles for the standard
 SER and rate figures).
 
-Every invocation writes a run manifest next to its outputs; identical
-arguments and inputs reproduce outputs byte for byte.  Exit codes:
-0 success, 1 usage error, 2 infeasible target or constellation,
-3 I/O or file-format error.
+Every invocation but ``validate`` writes a run manifest next to its
+outputs, a JSON object with exactly the keys ``subcommand``,
+``parameters``, ``inputs`` (input name to SHA-256), ``tool_version`` and
+``seed``.  Identical arguments and inputs reproduce outputs byte for
+byte.  Exit codes: 0 success, 1 usage error, 2 infeasible target or
+constellation, 3 I/O or file-format error.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import argparse
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 
@@ -40,16 +43,13 @@ from .constellation import (
     write_constellation_json,
 )
 from .linksim import (
-    Curve,
     InfeasibleConstellationError,
     LinkConfig,
     build_hypotheses,
     config_digest,
-    mutual_information,
-    noise_sigma,
     ook_hypotheses,
-    simulate_ser,
-    union_bound_ser,
+    rate_curve,
+    ser_curves,
     write_curve_csv,
 )
 from .optimizer import (
@@ -75,45 +75,61 @@ _REPRODUCE_RATE_SAMPLES = 50_000
 
 _OOK_WAVELENGTHS = {"red": 700.0, "green": 550.0, "blue": 460.0}
 
+# Failures that exit 2: a design that cannot be met, or a constellation
+# that the link cannot render.
+_DESIGN_FAILED = (InfeasibleTargetError, ConvergenceError)
+_UNRENDERABLE = (InfeasibleConstellationError, OutOfGamutError)
 
-class _UsageError(Exception):
-    pass
+
+class _Failure(Exception):
+    """A failed run: ``main`` prints the message and exits with the code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+def _usage(message: str) -> _Failure:
+    return _Failure(EXIT_USAGE, f"usage error: {message}")
+
+
+@contextmanager
+def _failing(code: int, prefix: str, *errors: type[Exception]):
+    """Turn any of ``errors`` raised in the block into a ``_Failure``."""
+    try:
+        yield
+    except errors as exc:
+        raise _Failure(code, f"{prefix}: {exc}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; usage errors are 1
-        raise _UsageError(message)
+        raise _usage(message)
 
 
 def _config(cls, **kwargs):
     """Build a validated config; a rejected value is a usage error."""
-    try:
+    with _failing(EXIT_USAGE, "usage error", ValueError):
         return cls(**kwargs)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
 
 
 def _parse_center(text: str) -> ChromaticityPoint:
     parts = text.split(",")
     if len(parts) != 2:
-        raise _UsageError(f"--target-center expects 'x,y', got {text!r}")
-    try:
+        raise _usage(f"--target-center expects 'x,y', got {text!r}")
+    with _failing(EXIT_USAGE, f"usage error: bad --target-center {text!r}", ValueError):
         return ChromaticityPoint(float(parts[0]), float(parts[1]))
-    except ValueError as exc:
-        raise _UsageError(f"bad --target-center {text!r}: {exc}")
 
 
 def parse_snr_grid(text: str) -> list[float]:
     """Parse LO:STEP:HI (dB, inclusive ends)."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise _UsageError(f"--snr expects LO:STEP:HI, got {text!r}")
-    try:
+        raise _usage(f"--snr expects LO:STEP:HI, got {text!r}")
+    with _failing(EXIT_USAGE, f"usage error: bad --snr {text!r}", ValueError):
         lo, step, hi = (float(p) for p in parts)
-    except ValueError as exc:
-        raise _UsageError(f"bad --snr {text!r}: {exc}")
     if step <= 0 or hi < lo:
-        raise _UsageError(f"--snr needs STEP > 0 and HI >= LO, got {text!r}")
+        raise _usage(f"--snr needs STEP > 0 and HI >= LO, got {text!r}")
     count = int((hi - lo) / step + 1e-9) + 1
     return [lo + i * step for i in range(count)]
 
@@ -129,10 +145,11 @@ def _bundled_digest(name: str) -> str:
 
 
 def _load_water(spec: str) -> tuple[WaterProperties, dict[str, str]]:
-    if spec == "seawater":
-        return seawater(), {"seawater (bundled)": _bundled_digest("seawater.csv")}
-    path = Path(spec)
-    return load_water_csv(path), {str(path): _sha256(path)}
+    with _failing(EXIT_IO, "cannot read water table", OSError, WaterTableError):
+        if spec == "seawater":
+            return seawater(), {"seawater (bundled)": _bundled_digest("seawater.csv")}
+        path = Path(spec)
+        return load_water_csv(path), {str(path): _sha256(path)}
 
 
 def _write_manifest(
@@ -152,31 +169,26 @@ def _gamut_for(name: str):
     return spectral_locus() if name == "horseshoe" else led_triangle_gamut()
 
 
-def _cmd_design(args) -> int:
+def _cmd_design(args) -> None:
     if args.preset is not None:
         target = blue_target_preset(args.preset)
     elif args.target_center and args.target_radius is not None:
         if args.target_radius < 0:
-            raise _UsageError("--target-radius must be >= 0")
+            raise _usage("--target-radius must be >= 0")
         target = BlueTarget(_parse_center(args.target_center), args.target_radius)
     else:
-        raise _UsageError(
-            "give --preset or both --target-center and --target-radius"
-        )
+        raise _usage("give --preset or both --target-center and --target-radius")
     cfg = _config(OptimizerConfig, multistart_count=args.starts, rng_seed=args.seed)
     gamut = _gamut_for(args.gamut)
-    try:
+    with _failing(EXIT_INFEASIBLE, "design failed", *_DESIGN_FAILED):
         result = design_constellation(target, cfg, gamut)
-    except (InfeasibleTargetError, ConvergenceError) as exc:
-        print(f"design failed: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     report = validate_against_target(result.constellation, target, gamut)
     provenance = (
         f"ucsk design seed={args.seed} starts={args.starts} gamut={args.gamut}"
     )
     doc = constellation_document(result.constellation, target, provenance)
     out = Path(args.out)
-    try:
+    with _failing(EXIT_IO, "cannot write output", OSError):
         write_constellation_json(out, doc)
         _write_manifest(
             Path(str(out) + ".manifest.json"),
@@ -192,13 +204,9 @@ def _cmd_design(args) -> int:
             {},
             args.seed,
         )
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
     print(f"achieved d_min: {result.achieved_dmin:.6f}")
     print(f"constraint margin: {report.margin:+.6f} (inside={report.inside})")
     print(f"wrote {out}")
-    return EXIT_OK
 
 
 def _load_constellation_arg(spec: str):
@@ -211,17 +219,14 @@ def _load_constellation_arg(spec: str):
         )
         return c, doc, fx.target_id, {f"fixture:{spec}": ""}
     path = Path(spec)
-    doc = read_constellation_json(path)
-    c = document_to_constellation(doc)
-    return c, doc, None, {str(path): _sha256(path)}
+    with _failing(EXIT_IO, "cannot read constellation", OSError, ValueError):
+        doc = read_constellation_json(path)
+        c = document_to_constellation(doc)
+        return c, doc, None, {str(path): _sha256(path)}
 
 
-def _cmd_validate(args) -> int:
-    try:
-        c, doc, fixture_target, _ = _load_constellation_arg(args.constellation)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read constellation: {exc}", file=sys.stderr)
-        return EXIT_IO
+def _cmd_validate(args) -> None:
+    c, doc, fixture_target, _ = _load_constellation_arg(args.constellation)
     preset = args.preset if args.preset is not None else fixture_target
     target = None
     if preset is not None:
@@ -249,7 +254,6 @@ def _cmd_validate(args) -> int:
         )
     else:
         print("blue target: none given; disk check skipped")
-    return EXIT_OK
 
 
 def _curve_payload(doc, water_digests, args, extra) -> dict:
@@ -270,38 +274,20 @@ def _ub_path(out: Path) -> Path:
     return Path(str(out) + ".ub.csv")
 
 
-def _cmd_ser(args) -> int:
+def _cmd_ser(args) -> None:
     grid = parse_snr_grid(args.snr)
     if args.symbols < 10_000:
-        raise _UsageError("--symbols must be >= 10000")
-    try:
-        c, doc, _, const_inputs = _load_constellation_arg(args.constellation)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read constellation: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        water, water_inputs = _load_water(args.water)
-    except (OSError, WaterTableError) as exc:
-        print(f"cannot read water table: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise _usage("--symbols must be >= 10000")
+    c, doc, _, const_inputs = _load_constellation_arg(args.constellation)
+    water, water_inputs = _load_water(args.water)
     link = _config(LinkConfig, water=water, distance_m=args.distance)
     sha = config_digest(
         _curve_payload(doc, water_inputs, args, {"symbols": args.symbols, "kind": "ser"})
     )
-    try:
-        curve = simulate_ser(c, link, grid, args.symbols, args.seed).with_digest(sha)
-        bound = Curve(
-            tuple(grid),
-            tuple(union_bound_ser(c, link, s) for s in grid),
-            seed=args.seed,
-            n=args.symbols,
-            config_sha=sha,
-        )
-    except (InfeasibleConstellationError, OutOfGamutError) as exc:
-        print(f"infeasible constellation: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    with _failing(EXIT_INFEASIBLE, "infeasible constellation", *_UNRENDERABLE):
+        curve, bound = ser_curves(c, link, grid, args.symbols, args.seed, sha)
     out = Path(args.out)
-    try:
+    with _failing(EXIT_IO, "cannot write output", OSError):
         write_curve_csv(out, curve)
         write_curve_csv(_ub_path(out), bound)
         _write_manifest(
@@ -320,42 +306,28 @@ def _cmd_ser(args) -> int:
             {**const_inputs, **water_inputs},
             args.seed,
         )
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
     print(f"wrote {out} and {_ub_path(out)}")
-    return EXIT_OK
 
 
-def _cmd_rate(args) -> int:
+def _cmd_rate(args) -> None:
     grid = parse_snr_grid(args.snr)
     if args.samples < 10_000:
-        raise _UsageError("--samples must be >= 10000")
+        raise _usage("--samples must be >= 10000")
     if args.scheme == "ook" and args.wavelength is None:
-        raise _UsageError("--scheme ook requires --wavelength")
+        raise _usage("--scheme ook requires --wavelength")
     if args.scheme == "ucsk" and not args.constellation:
-        raise _UsageError("--scheme ucsk requires --constellation")
-    try:
-        water, water_inputs = _load_water(args.water)
-    except (OSError, WaterTableError) as exc:
-        print(f"cannot read water table: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise _usage("--scheme ucsk requires --constellation")
+    water, water_inputs = _load_water(args.water)
     link = _config(LinkConfig, water=water, distance_m=args.distance)
     doc = None
     const_inputs: dict[str, str] = {}
-    try:
+    if args.scheme == "ucsk":
+        c, doc, _, const_inputs = _load_constellation_arg(args.constellation)
+    with _failing(EXIT_INFEASIBLE, "infeasible configuration", ValueError):
         if args.scheme == "ucsk":
-            try:
-                c, doc, _, const_inputs = _load_constellation_arg(args.constellation)
-            except (OSError, ValueError) as exc:
-                print(f"cannot read constellation: {exc}", file=sys.stderr)
-                return EXIT_IO
             hypotheses = build_hypotheses(c, link)
         else:
             hypotheses = ook_hypotheses(args.wavelength, link)
-    except (InfeasibleConstellationError, OutOfGamutError, ValueError) as exc:
-        print(f"infeasible configuration: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     sha = config_digest(
         _curve_payload(
             doc,
@@ -369,16 +341,9 @@ def _cmd_rate(args) -> int:
             },
         )
     )
-    # Rate curves reference the SNR knob to transmit power, so path loss
-    # shows up as the color- and distance-dependent penalty it is.
-    values = []
-    for i, snr in enumerate(grid):
-        sigma = noise_sigma(hypotheses, snr, "transmit")
-        mi = mutual_information(hypotheses, sigma, args.samples, args.seed, stream=i)
-        values.append(link.bandwidth_hz * mi)
-    curve = Curve(tuple(grid), tuple(values), args.seed, args.samples, sha)
+    curve = rate_curve(hypotheses, grid, args.samples, args.seed, sha)
     out = Path(args.out)
-    try:
+    with _failing(EXIT_IO, "cannot write output", OSError):
         write_curve_csv(out, curve)
         _write_manifest(
             Path(str(out) + ".manifest.json"),
@@ -397,46 +362,69 @@ def _cmd_rate(args) -> int:
             {**const_inputs, **water_inputs},
             args.seed,
         )
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
     print(f"wrote {out}")
-    return EXIT_OK
 
 
-def _reproduce_designs(out_dir: Path) -> dict[int, object]:
-    cfg = OptimizerConfig(rng_seed=REPRODUCE_DESIGN_SEED)
-    gamut = led_triangle_gamut()
-    designs = {}
-    for tid in (1, 2, 3):
-        target = blue_target_preset(tid)
-        result = design_constellation(target, cfg, gamut)
-        designs[tid] = result.constellation
-        doc = constellation_document(
-            result.constellation,
-            target,
-            f"ucsk reproduce preset {tid} seed={REPRODUCE_DESIGN_SEED} gamut=led-triangle",
+def _figure_4a(designs, params: dict) -> dict:
+    """SER and union-bound curves of the designs at 10 m, by file name.
+    Adds the figure's settings to ``params``, which every digest covers."""
+    grid = parse_snr_grid(_REPRODUCE_SER_GRID)
+    params.update(
+        {"snr": _REPRODUCE_SER_GRID, "symbols": _REPRODUCE_SER_SYMBOLS,
+         "distance_m": 10.0}
+    )
+    link = LinkConfig(water=seawater(), distance_m=10.0)
+    curves = {}
+    for tid, c in designs.items():
+        sha = config_digest({"figure": "4a", "target": tid, "params": params})
+        curves[f"ser-target{tid}.csv"], curves[f"ser-target{tid}.ub.csv"] = ser_curves(
+            c, link, grid, _REPRODUCE_SER_SYMBOLS, REPRODUCE_SIM_SEED, sha
         )
-        write_constellation_json(out_dir / f"design-target{tid}.json", doc)
-    return designs
+    return curves
 
 
-def _cmd_reproduce(args) -> int:
+def _figure_4b(designs, params: dict) -> dict:
+    """Rate curves of the designs and of OOK per color, by file name.
+    Adds the figure's settings to ``params``, which every digest covers."""
+    grid = parse_snr_grid(_REPRODUCE_RATE_GRID)
+    params.update({"snr": _REPRODUCE_RATE_GRID, "samples": _REPRODUCE_RATE_SAMPLES})
+    link10 = LinkConfig(water=seawater(), distance_m=10.0)
+    link50 = LinkConfig(water=seawater(), distance_m=50.0)
+    jobs = [
+        (f"rate-ucsk-target{tid}-10m.csv", build_hypotheses(c, link10))
+        for tid, c in designs.items()
+    ]
+    jobs += [
+        (f"rate-ook-{color}-10m.csv", ook_hypotheses(wl, link10))
+        for color, wl in _OOK_WAVELENGTHS.items()
+    ]
+    jobs.append(("rate-ook-blue-50m.csv", ook_hypotheses(460.0, link50)))
+    return {
+        name: rate_curve(
+            h,
+            grid,
+            _REPRODUCE_RATE_SAMPLES,
+            REPRODUCE_SIM_SEED,
+            config_digest({"figure": "4b", "curve": name, "params": params}),
+        )
+        for name, h in jobs
+    }
+
+
+def _cmd_reproduce(args) -> None:
     out_dir = Path(args.out)
-    try:
+    with _failing(EXIT_IO, f"cannot write to {out_dir}", OSError):
         out_dir.mkdir(parents=True, exist_ok=True)
         probe = out_dir / ".write-probe"
         probe.write_text("")
         probe.unlink()
-    except OSError as exc:
-        print(f"cannot write to {out_dir}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    water = seawater()
-    try:
-        designs = _reproduce_designs(out_dir)
-    except (InfeasibleTargetError, ConvergenceError) as exc:
-        print(f"design failed: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    cfg = OptimizerConfig(rng_seed=REPRODUCE_DESIGN_SEED)
+    gamut = led_triangle_gamut()
+    with _failing(EXIT_INFEASIBLE, "design failed", *_DESIGN_FAILED):
+        designs = {
+            tid: design_constellation(blue_target_preset(tid), cfg, gamut).constellation
+            for tid in (1, 2, 3)
+        }
     params: dict = {
         "figure": args.figure,
         "design_seed": REPRODUCE_DESIGN_SEED,
@@ -444,64 +432,28 @@ def _cmd_reproduce(args) -> int:
         "gamut": "led-triangle",
         "water": "seawater",
     }
-    inputs = {"seawater (bundled)": _bundled_digest("seawater.csv")}
-    if args.figure == "4a":
-        grid = parse_snr_grid(_REPRODUCE_SER_GRID)
-        link = LinkConfig(water=water, distance_m=10.0)
-        params.update(
-            {"snr": _REPRODUCE_SER_GRID, "symbols": _REPRODUCE_SER_SYMBOLS,
-             "distance_m": 10.0}
-        )
+    figure = _figure_4a if args.figure == "4a" else _figure_4b
+    with _failing(EXIT_INFEASIBLE, "infeasible constellation", *_UNRENDERABLE):
+        curves = figure(designs, params)
+    with _failing(EXIT_IO, "cannot write output", OSError):
         for tid, c in designs.items():
-            sha = config_digest({"figure": "4a", "target": tid, "params": params})
-            curve = simulate_ser(
-                c, link, grid, _REPRODUCE_SER_SYMBOLS, REPRODUCE_SIM_SEED
-            ).with_digest(sha)
-            bound = Curve(
-                tuple(grid),
-                tuple(union_bound_ser(c, link, s) for s in grid),
-                REPRODUCE_SIM_SEED,
-                _REPRODUCE_SER_SYMBOLS,
-                sha,
+            doc = constellation_document(
+                c,
+                blue_target_preset(tid),
+                f"ucsk reproduce preset {tid} seed={REPRODUCE_DESIGN_SEED} "
+                "gamut=led-triangle",
             )
-            write_curve_csv(out_dir / f"ser-target{tid}.csv", curve)
-            write_curve_csv(out_dir / f"ser-target{tid}.ub.csv", bound)
-    else:
-        grid = parse_snr_grid(_REPRODUCE_RATE_GRID)
-        params.update(
-            {"snr": _REPRODUCE_RATE_GRID, "samples": _REPRODUCE_RATE_SAMPLES}
+            write_constellation_json(out_dir / f"design-target{tid}.json", doc)
+        for name, curve in curves.items():
+            write_curve_csv(out_dir / name, curve)
+        _write_manifest(
+            out_dir / "manifest.json",
+            "reproduce",
+            params,
+            {"seawater (bundled)": _bundled_digest("seawater.csv")},
+            REPRODUCE_SIM_SEED,
         )
-        link10 = LinkConfig(water=water, distance_m=10.0)
-        link50 = LinkConfig(water=water, distance_m=50.0)
-        jobs = [
-            (f"rate-ucsk-target{tid}-10m.csv", build_hypotheses(designs[tid], link10))
-            for tid in (1, 2, 3)
-        ]
-        jobs += [
-            (f"rate-ook-{color}-10m.csv", ook_hypotheses(wl, link10))
-            for color, wl in _OOK_WAVELENGTHS.items()
-        ]
-        jobs.append(("rate-ook-blue-50m.csv", ook_hypotheses(460.0, link50)))
-        for name, hypotheses in jobs:
-            sha = config_digest({"figure": "4b", "curve": name, "params": params})
-            values = []
-            for i, snr in enumerate(grid):
-                sigma = noise_sigma(hypotheses, snr, "transmit")
-                mi = mutual_information(
-                    hypotheses, sigma, _REPRODUCE_RATE_SAMPLES,
-                    REPRODUCE_SIM_SEED, stream=i,
-                )
-                values.append(link10.bandwidth_hz * mi)
-            write_curve_csv(
-                out_dir / name,
-                Curve(tuple(grid), tuple(values), REPRODUCE_SIM_SEED,
-                      _REPRODUCE_RATE_SAMPLES, sha),
-            )
-    _write_manifest(
-        out_dir / "manifest.json", "reproduce", params, inputs, REPRODUCE_SIM_SEED
-    )
     print(f"wrote bundle to {out_dir}")
-    return EXIT_OK
 
 
 def _build_parser() -> _Parser:
@@ -520,12 +472,17 @@ def _build_parser() -> _Parser:
         choices=("horseshoe", "led-triangle"),
         default="horseshoe",
         help="design inside the full visible gamut or the LED source "
-        "triangle (required for link simulation)",
+        "triangle; ser and rate can simulate only LED-triangle designs "
+        "(the default horseshoe designs exit 2 there)",
     )
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_design)
 
-    p = sub.add_parser("validate", help="report on a constellation file or fixture")
+    p = sub.add_parser(
+        "validate",
+        help="report on a constellation file or fixture; gamut membership "
+        "is checked against the horseshoe",
+    )
     p.add_argument("--constellation", required=True,
                    help="JSON file or bundled fixture name (e.g. table1-t3o1)")
     p.add_argument("--preset", type=int, choices=(1, 2, 3))
@@ -561,13 +518,13 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        args = _build_parser().parse_args(argv)
+        args.func(args)
+    except _Failure as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -298,37 +298,12 @@ def load_locus_csv(path) -> GamutPolygon:
 
 
 @lru_cache(maxsize=1)
-def _locus_table() -> tuple[tuple[float, float, float], ...]:
-    ref = resources.files("ucsk.data").joinpath("cie1931_locus_5nm.csv")
-    with resources.as_file(ref) as path:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            return tuple((float(w), float(x), float(y)) for w, x, y in reader)
-
-
-@lru_cache(maxsize=1)
 def spectral_locus() -> GamutPolygon:
     """The bundled CIE 1931 2-degree spectral locus, 380-700 nm at 5 nm,
     closed by the purple line."""
-    return GamutPolygon(
-        ChromaticityPoint(x, y) for _, x, y in _locus_table()
-    )
-
-
-def locus_chromaticity(wavelength_nm: float) -> ChromaticityPoint:
-    """Chromaticity of the monochromatic locus at ``wavelength_nm``
-    (linear interpolation between the bundled 5 nm samples)."""
-    table = _locus_table()
-    wl = np.array([r[0] for r in table])
-    if not (wl[0] <= wavelength_nm <= wl[-1]):
-        raise ValueError(
-            f"wavelength {wavelength_nm} nm outside locus table "
-            f"[{wl[0]}, {wl[-1]}]"
-        )
-    x = float(np.interp(wavelength_nm, wl, [r[1] for r in table]))
-    y = float(np.interp(wavelength_nm, wl, [r[2] for r in table]))
-    return ChromaticityPoint(x, y)
+    ref = resources.files("ucsk.data").joinpath("cie1931_locus_5nm.csv")
+    with resources.as_file(ref) as path:
+        return load_locus_csv(path)
 
 
 @lru_cache(maxsize=1)

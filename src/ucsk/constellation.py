@@ -29,12 +29,11 @@ __all__ = [
     "FIXED_BLUE",
     "BlueTarget",
     "Constellation4",
-    "SymbolMap",
+    "SYMBOL_LABELS",
     "TargetReport",
     "min_distance",
     "build_constellation",
     "validate_against_target",
-    "default_symbol_map",
     "constellation_document",
     "write_constellation_json",
     "read_constellation_json",
@@ -44,6 +43,7 @@ __all__ = [
 # The primary blue is the same in every design; only R and G move.
 FIXED_BLUE = ChromaticityPoint(0.1355, 0.03988)
 
+# Symbol i carries the two bits of i: 00->B, 01->G, 10->R, 11->X.
 SYMBOL_LABELS = ("B", "G", "R", "X")
 
 _CENTROID_TOL = 1e-9
@@ -179,31 +179,6 @@ def validate_against_target(
         d_min_pair=pair,
         centroid_offset=xy_distance(c.x, true_x),
     )
-
-
-@dataclass(frozen=True)
-class SymbolMap:
-    """Bijection between 2-bit symbols and constellation point labels."""
-
-    bits_to_label: Mapping[str, str]
-
-    def label_for(self, bits: str) -> str:
-        return self.bits_to_label[bits]
-
-    def bits_for(self, label: str) -> str:
-        for bits, lab in self.bits_to_label.items():
-            if lab == label:
-                return bits
-        raise KeyError(label)
-
-    def labels_in_symbol_order(self) -> tuple[str, ...]:
-        return tuple(self.bits_to_label[b] for b in sorted(self.bits_to_label))
-
-
-def default_symbol_map(c: Constellation4) -> SymbolMap:
-    """The fixed convention 00->B, 01->G, 10->R, 11->X."""
-    del c  # mapping does not depend on coordinates
-    return SymbolMap({"00": "B", "01": "G", "10": "R", "11": "X"})
 
 
 def constellation_document(

@@ -28,22 +28,15 @@ import numpy as np
 from scipy.special import erfc, logsumexp, ndtri
 
 from .channel import WaterProperties, attenuation_coefficient, path_loss
-from .colorimetry import (
-    ChromaticityPoint,
-    OutOfGamutError,
-    photopic_efficacy,
-    solve_fluxes,
-)
-from .constellation import Constellation4, default_symbol_map
+from .colorimetry import OutOfGamutError, photopic_efficacy, solve_fluxes
+from .constellation import SYMBOL_LABELS, Constellation4
 from .presets import DEFAULT_PRIMARY_CHROMATICITIES, DEFAULT_PRIMARY_WAVELENGTHS
 
 __all__ = [
-    "Primary",
     "LinkConfig",
     "HypothesisSet",
     "Curve",
     "InfeasibleConstellationError",
-    "default_primaries",
     "build_hypotheses",
     "ook_hypotheses",
     "average_symbol_power",
@@ -53,8 +46,9 @@ __all__ = [
     "simulate_ser_hypotheses",
     "union_bound_ser",
     "union_bound_from_hypotheses",
+    "ser_curves",
     "mutual_information",
-    "achievable_rate",
+    "rate_curve",
     "write_curve_csv",
     "read_curve_csv",
     "config_digest",
@@ -64,6 +58,14 @@ __all__ = [
 # Luminous-to-radiant conversion: 683 lm/W at the photopic peak.
 LUMENS_PER_WATT_PEAK = 683.0
 
+# The fixed link budget.  The LEDs are the default primaries of
+# ``presets``; every symbol emits the same total luminous flux.
+TOTAL_LUMINOUS_FLUX_LM = 12.0
+RESPONSIVITY_A_PER_W = 0.85
+ELECTRO_OPTIC_FACTOR = 0.55
+# Rates count one symbol per hertz of bandwidth.
+BANDWIDTH_HZ = 1e8
+
 _CHUNK = 1 << 16
 
 
@@ -72,53 +74,15 @@ class InfeasibleConstellationError(ValueError):
 
 
 @dataclass(frozen=True)
-class Primary:
-    """One LED: channel wavelength plus emitted chromaticity."""
-
-    wavelength_nm: float
-    chromaticity: ChromaticityPoint
-
-
-def default_primaries() -> tuple[Primary, Primary, Primary]:
-    """Red/green/blue LEDs at 700/550/460 nm; red and green sit on the
-    spectral locus, blue keeps the fixed design chromaticity."""
-    return tuple(
-        Primary(wl, xy)
-        for wl, xy in zip(DEFAULT_PRIMARY_WAVELENGTHS, DEFAULT_PRIMARY_CHROMATICITIES)
-    )
-
-
-@dataclass(frozen=True)
 class LinkConfig:
-    """End-to-end link parameters."""
+    """The water and range of a link; the rest of the budget is fixed."""
 
     water: WaterProperties
     distance_m: float
-    primaries: tuple[Primary, Primary, Primary] = None  # type: ignore[assignment]
-    total_luminous_flux_lm: float = 12.0
-    responsivity_a_per_w: float = 0.85
-    electro_optic_factor: float = 0.55
-    bandwidth_hz: float = 1e8
-    luminous_efficacy: tuple[float, float, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.primaries is None:
-            object.__setattr__(self, "primaries", default_primaries())
         if self.distance_m < 0:
             raise ValueError("distance must be >= 0")
-        for name in (
-            "total_luminous_flux_lm",
-            "responsivity_a_per_w",
-            "electro_optic_factor",
-            "bandwidth_hz",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-
-    def efficacies(self) -> tuple[float, ...]:
-        if self.luminous_efficacy is not None:
-            return self.luminous_efficacy
-        return tuple(photopic_efficacy(p.wavelength_nm) for p in self.primaries)
 
 
 @dataclass(frozen=True)
@@ -157,33 +121,28 @@ class HypothesisSet:
 def build_hypotheses(c: Constellation4, cfg: LinkConfig) -> HypothesisSet:
     """Map a constellation to noiseless received 3-vectors.
 
-    Per symbol: fluxes solve the color-mixing system at the configured
+    Per symbol: fluxes solve the color-mixing system at the default
     primaries for the total flux; optical power applies the transmit
     electro-optic scale and the photopic conversion; the received
     amplitude applies responsivity and per-band Beer-Lambert loss.
     """
-    prim_xy = [p.chromaticity for p in cfg.primaries]
-    efficacy = cfg.efficacies()
+    efficacy = [photopic_efficacy(wl) for wl in DEFAULT_PRIMARY_WAVELENGTHS]
     losses = np.array(
         [
-            path_loss(
-                attenuation_coefficient(cfg.water, p.wavelength_nm), cfg.distance_m
-            )
-            for p in cfg.primaries
+            path_loss(attenuation_coefficient(cfg.water, wl), cfg.distance_m)
+            for wl in DEFAULT_PRIMARY_WAVELENGTHS
         ]
     )
-    symbol_map = default_symbol_map(c)
-    labels = symbol_map.labels_in_symbol_order()
-    fluxes = np.zeros((len(labels), 3))
-    for i, label in enumerate(labels):
+    fluxes = np.zeros((len(SYMBOL_LABELS), 3))
+    for i, label in enumerate(SYMBOL_LABELS):
         point = c.point(label)
         try:
             # Designs may graze the triangle boundary within the gamut
             # tolerance; an LED driven fractionally negative floors at 0.
             fluxes[i] = solve_fluxes(
-                prim_xy,
+                DEFAULT_PRIMARY_CHROMATICITIES,
                 point,
-                cfg.total_luminous_flux_lm,
+                TOTAL_LUMINOUS_FLUX_LM,
                 negative_flux_tol=1e-3,
             )
         except OutOfGamutError as exc:
@@ -192,15 +151,13 @@ def build_hypotheses(c: Constellation4, cfg: LinkConfig) -> HypothesisSet:
                 "source triangle of the configured primaries"
             ) from exc
     powers = (
-        cfg.electro_optic_factor
-        * fluxes
-        / (LUMENS_PER_WATT_PEAK * np.asarray(efficacy))
+        ELECTRO_OPTIC_FACTOR * fluxes / (LUMENS_PER_WATT_PEAK * np.asarray(efficacy))
     )
-    vectors = cfg.responsivity_a_per_w * powers * losses
+    vectors = RESPONSIVITY_A_PER_W * powers * losses
     return HypothesisSet(
         vectors=vectors,
-        labels=labels,
-        band_wavelengths_nm=tuple(p.wavelength_nm for p in cfg.primaries),
+        labels=SYMBOL_LABELS,
+        band_wavelengths_nm=DEFAULT_PRIMARY_WAVELENGTHS,
         loss_factors=losses,
         fluxes_lm=fluxes,
         optical_powers_w=powers,
@@ -212,13 +169,10 @@ def ook_hypotheses(wavelength_nm: float, cfg: LinkConfig) -> HypothesisSet:
     loss = path_loss(
         attenuation_coefficient(cfg.water, wavelength_nm), cfg.distance_m
     )
-    flux = cfg.total_luminous_flux_lm
-    power = (
-        cfg.electro_optic_factor
-        * flux
-        / (LUMENS_PER_WATT_PEAK * photopic_efficacy(wavelength_nm))
-    )
-    amplitude = cfg.responsivity_a_per_w * power * loss
+    flux = TOTAL_LUMINOUS_FLUX_LM
+    efficacy = photopic_efficacy(wavelength_nm)
+    power = ELECTRO_OPTIC_FACTOR * flux / (LUMENS_PER_WATT_PEAK * efficacy)
+    amplitude = RESPONSIVITY_A_PER_W * power * loss
     return HypothesisSet(
         vectors=np.array([[0.0], [amplitude]]),
         labels=("off", "on"),
@@ -311,12 +265,7 @@ def _draw_symbols_noise(
 
 
 def simulate_ser_hypotheses(
-    h: HypothesisSet,
-    snr_db_grid,
-    n_symbols: int,
-    seed: int,
-    *,
-    snr_reference: str = "received",
+    h: HypothesisSet, snr_db_grid, n_symbols: int, seed: int
 ) -> "Curve":
     """Monte Carlo symbol error rate over an SNR grid.
 
@@ -333,7 +282,7 @@ def simulate_ser_hypotheses(
         raise ValueError("n_symbols must be >= 1")
     values = []
     for stream, snr_db in enumerate(grid):
-        sigma = noise_sigma(h, snr_db, snr_reference)
+        sigma = noise_sigma(h, snr_db)
 
         def worker(a: int, b: int) -> int:
             symbols, received = _draw_symbols_noise(h, sigma, seed, stream, a, b)
@@ -374,10 +323,32 @@ def union_bound_from_hypotheses(h: HypothesisSet, sigma: float) -> float:
     return float(q.sum()) / h.m
 
 
-def union_bound_ser(c: Constellation4, cfg: LinkConfig, snr_db: float) -> float:
-    """Union bound at one SNR for a constellation over the configured link."""
+def union_bound_ser(
+    c: Constellation4, cfg: LinkConfig, snr_db_grid
+) -> tuple[float, ...]:
+    """Union bound over an SNR grid for a constellation over the link."""
     h = build_hypotheses(c, cfg)
-    return union_bound_from_hypotheses(h, noise_sigma(h, snr_db))
+    return tuple(
+        union_bound_from_hypotheses(h, noise_sigma(h, s)) for s in snr_db_grid
+    )
+
+
+def ser_curves(
+    c: Constellation4,
+    cfg: LinkConfig,
+    grid,
+    n_symbols: int,
+    seed: int,
+    config_sha: str = "",
+) -> tuple["Curve", "Curve"]:
+    """The Monte Carlo SER curve of a constellation and its union-bound
+    curve, both stamped with ``config_sha``."""
+    ser = simulate_ser(c, cfg, grid, n_symbols, seed)
+    bound = union_bound_ser(c, cfg, grid)
+    return (
+        replace(ser, config_sha=config_sha),
+        Curve(ser.snr_db, bound, seed, n_symbols, config_sha),
+    )
 
 
 def mutual_information(
@@ -414,19 +385,24 @@ def mutual_information(
     return min(max(total / n_samples, 0.0), log2_m)
 
 
-def achievable_rate(
-    h: HypothesisSet,
-    sigma: float,
-    bandwidth_hz: float,
-    n_samples: int = 100_000,
-    seed: int = 0,
-    *,
-    stream: int = 0,
-) -> float:
-    """bits/s at one symbol per hertz: bandwidth times mutual information."""
-    return bandwidth_hz * mutual_information(
-        h, sigma, n_samples, seed, stream=stream
-    )
+def rate_curve(
+    h: HypothesisSet, grid, n_samples: int, seed: int, config_sha: str = ""
+) -> "Curve":
+    """Achievable rate in bits/s over an SNR grid: the bandwidth times the
+    mutual information, at one symbol per hertz.
+
+    The SNR is referenced to transmit power, so path loss shows up as the
+    color- and distance-dependent penalty it is.  Grid point i draws from
+    Philox stream i.
+    """
+
+    def rate(i: int, snr: float) -> float:
+        sigma = noise_sigma(h, snr, "transmit")
+        return BANDWIDTH_HZ * mutual_information(h, sigma, n_samples, seed, stream=i)
+
+    snr_db = tuple(float(s) for s in grid)
+    values = tuple(rate(i, snr) for i, snr in enumerate(snr_db))
+    return Curve(snr_db, values, seed, n_samples, config_sha)
 
 
 @dataclass(frozen=True)
@@ -438,9 +414,6 @@ class Curve:
     seed: int
     n: int
     config_sha: str = ""
-
-    def with_digest(self, sha: str) -> "Curve":
-        return replace(self, config_sha=sha)
 
 
 def config_digest(payload) -> str:

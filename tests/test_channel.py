@@ -10,7 +10,6 @@ from ucsk.channel import (
     WavelengthRangeError,
     attenuation_coefficient,
     effective_range,
-    evaluate_path_loss,
     load_water_csv,
     path_loss,
     seawater,
@@ -77,9 +76,10 @@ class TestPathLoss:
         )
 
     def test_result_record(self, water):
-        res = evaluate_path_loss(water, 460.0, 50.0)
-        assert res.attenuation == pytest.approx(0.0196, rel=1e-12)
-        assert res.loss_factor == pytest.approx(math.exp(-0.98), rel=1e-12)
+        attenuation = attenuation_coefficient(water, 460.0)
+        assert attenuation == pytest.approx(0.0196, rel=1e-12)
+        loss = path_loss(attenuation, 50.0)
+        assert loss == pytest.approx(math.exp(-0.98), rel=1e-12)
 
 
 class TestEffectiveRange:

@@ -1,21 +1,68 @@
 """The command-line contract: exit codes 0/1/2/3 without tracebacks,
-byte-identical reruns, and outputs that do not depend on UCSK_THREADS."""
+byte-identical reruns, outputs that do not depend on UCSK_THREADS, curve
+bytes pinned by digest, and manifests with exactly the documented keys."""
 
+import hashlib
 import json
 
 import pytest
 
-from ucsk import cli
+from ucsk import cli, linksim
 from ucsk.cli import EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from ucsk.colorimetry import ChromaticityPoint, in_gamut
+from ucsk.constellation import (
+    build_constellation,
+    constellation_document,
+    write_constellation_json,
+)
+from ucsk.linksim import InfeasibleConstellationError
 from ucsk.optimizer import ConvergenceError
 from ucsk.presets import led_triangle_gamut
+
+MANIFEST_KEYS = {"subcommand", "parameters", "inputs", "tool_version", "seed"}
+
+# SHA-256 of the small curves written by ``_small_curves``.  For a fixed
+# seed the output bytes must not move; a change in the Monte Carlo
+# streams, the SNR convention or the CSV text shows up here.
+GOLDEN_SHA256 = {
+    "ser.csv": "c50f16e551f18e4de5bdb0d4ba6d32873b5f50858befcb6c028469ad2d506293",
+    "ser.ub.csv": "8a1932eed52596f8557b56e8320238cb8bdde8fdd059e0f855cab81bf9cbe022",
+    "rate-ucsk.csv": "bf88fde422d996009a07be19afd2428eff1524ac0be2383767042959e13bd7fc",
+    "rate-ook.csv": "7fa36dc9d92c69afd04627191f26be8e587180d844db7a150ac627edfd252c88",
+}
 
 
 def _design(tmp_path, name, *extra):
     out = tmp_path / name
     code = main(["design", "--preset", "1", "--starts", "2", "--out", str(out), *extra])
     return code, out
+
+
+def _renderable_design(path):
+    """Write a constellation strictly inside the LED triangle."""
+    r, g = ChromaticityPoint(0.45, 0.30), ChromaticityPoint(0.30, 0.55)
+    c = build_constellation(r, g)
+    write_constellation_json(path, constellation_document(c))
+    return path
+
+
+def _small_curves(tmp_path):
+    """Run ser and both rate schemes at 10k symbols; name -> SHA-256."""
+    design = _renderable_design(tmp_path / "c.json")
+    link = ["--water", "seawater", "--distance", "10", "--snr", "0:5:30", "--seed", "7"]
+    runs = {
+        "ser.csv": ["ser", "--constellation", str(design), "--symbols", "10000"],
+        "rate-ucsk.csv": ["rate", "--scheme", "ucsk", "--constellation", str(design),
+                          "--samples", "10000"],
+        "rate-ook.csv": ["rate", "--scheme", "ook", "--wavelength", "460",
+                         "--samples", "10000"],
+    }
+    for name, argv in runs.items():
+        assert main([*argv, *link, "--out", str(tmp_path / name)]) == EXIT_OK
+    return {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GOLDEN_SHA256
+    }
 
 
 def _ser_args(constellation, out, distance="10"):
@@ -75,6 +122,32 @@ class TestExitCodes:
         assert "design failed: no start converged" in capsys.readouterr().err
         assert not (tmp_path / "b" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("figure", ["4a", "4b"])
+    def test_reproduce_curve_failure_is_infeasible(
+        self, tmp_path, capsys, monkeypatch, figure
+    ):
+        def fail(*args, **kwargs):
+            raise InfeasibleConstellationError("symbol G is outside")
+
+        monkeypatch.setattr(linksim, "build_hypotheses", fail)
+        monkeypatch.setattr(cli, "build_hypotheses", fail)
+        out = tmp_path / figure
+        code = main(["reproduce", "--figure", figure, "--out", str(out)])
+        assert code == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert "infeasible constellation: symbol G is outside" in err
+        assert not (out / "manifest.json").exists()
+
+    def test_reproduce_write_failure_is_io_error(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_curve_csv", fail)
+        out = tmp_path / "a"
+        assert main(["reproduce", "--figure", "4a", "--out", str(out)]) == EXIT_IO
+        assert "cannot write output: disk full" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     def test_unreadable_constellation_is_io_error(self, tmp_path, capsys):
         argv = _ser_args(tmp_path / "missing.json", tmp_path / "ser.csv")
         assert main(argv) == EXIT_IO
@@ -103,3 +176,24 @@ class TestReproducibility:
             )
         assert len(bundles[0]) == 10
         assert bundles[0] == bundles[1]
+
+    def test_small_curves_match_recorded_digests(self, tmp_path):
+        assert _small_curves(tmp_path) == GOLDEN_SHA256
+
+
+class TestManifest:
+    def test_documented_keys(self, tmp_path):
+        assert _design(tmp_path, "d.json", "--gamut", "led-triangle")[0] == EXIT_OK
+        _small_curves(tmp_path)
+        argv = ["reproduce", "--figure", "4a", "--out", str(tmp_path / "r")]
+        assert main(argv) == EXIT_OK
+        manifests = {
+            "design": tmp_path / "d.json.manifest.json",
+            "ser": tmp_path / "ser.csv.manifest.json",
+            "rate": tmp_path / "rate-ucsk.csv.manifest.json",
+            "reproduce": tmp_path / "r" / "manifest.json",
+        }
+        for subcommand, path in manifests.items():
+            manifest = json.loads(path.read_text())
+            assert set(manifest) == MANIFEST_KEYS
+            assert manifest["subcommand"] == subcommand

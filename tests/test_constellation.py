@@ -9,7 +9,6 @@ from ucsk.constellation import (
     BlueTarget,
     build_constellation,
     constellation_document,
-    default_symbol_map,
     document_to_constellation,
     min_distance,
     read_constellation_json,
@@ -138,24 +137,6 @@ class TestValidate:
     def test_radius_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             BlueTarget(FIXED_BLUE, -0.1)
-
-
-class TestSymbolMap:
-    def test_fixed_convention(self, locus):
-        c = fixture_constellation("table1-t1o1", locus)
-        m = default_symbol_map(c)
-        assert m.label_for("00") == "B"
-        assert m.label_for("01") == "G"
-        assert m.label_for("10") == "R"
-        assert m.label_for("11") == "X"
-
-    def test_bijection_and_round_trip(self, locus):
-        c = fixture_constellation("table1-t2o2", locus)
-        m = default_symbol_map(c)
-        labels = m.labels_in_symbol_order()
-        assert sorted(labels) == ["B", "G", "R", "X"]
-        for bits in ("00", "01", "10", "11"):
-            assert m.bits_for(m.label_for(bits)) == bits
 
 
 class TestJsonRoundTrip:

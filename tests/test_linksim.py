@@ -8,27 +8,32 @@ from ucsk.channel import attenuation_coefficient, path_loss
 from ucsk.colorimetry import ChromaticityPoint, photopic_efficacy
 from ucsk.constellation import build_constellation
 from ucsk.linksim import (
+    BANDWIDTH_HZ,
     Curve,
     HypothesisSet,
     InfeasibleConstellationError,
     LinkConfig,
     average_symbol_power,
     build_hypotheses,
-    achievable_rate,
-    default_primaries,
     detect_ml,
     mutual_information,
     noise_sigma,
     ook_hypotheses,
     qfunc,
+    rate_curve,
     read_curve_csv,
+    ser_curves,
     simulate_ser,
     simulate_ser_hypotheses,
     union_bound_from_hypotheses,
     union_bound_ser,
     write_curve_csv,
 )
-from ucsk.presets import TABLE1_FIXTURES
+from ucsk.presets import (
+    DEFAULT_PRIMARY_CHROMATICITIES,
+    DEFAULT_PRIMARY_WAVELENGTHS,
+    TABLE1_FIXTURES,
+)
 
 
 @pytest.fixture(scope="module")
@@ -82,14 +87,11 @@ class TestBuildHypotheses:
         from ucsk.colorimetry import solve_fluxes
 
         h = build_hypotheses(renderable, link10)
-        prim = default_primaries()
         i = h.labels.index("X")
-        fluxes = solve_fluxes(
-            [p.chromaticity for p in prim], renderable.x, 12.0
-        )
-        for k, p in enumerate(prim):
-            power = 0.55 * fluxes[k] / (683.0 * photopic_efficacy(p.wavelength_nm))
-            loss = path_loss(attenuation_coefficient(water, p.wavelength_nm), 10.0)
+        fluxes = solve_fluxes(DEFAULT_PRIMARY_CHROMATICITIES, renderable.x, 12.0)
+        for k, wl in enumerate(DEFAULT_PRIMARY_WAVELENGTHS):
+            power = 0.55 * fluxes[k] / (683.0 * photopic_efficacy(wl))
+            loss = path_loss(attenuation_coefficient(water, wl), 10.0)
             assert h.vectors[i, k] == pytest.approx(0.85 * power * loss, rel=1e-12)
 
     def test_infeasible_point_raises(self, water, link10, locus):
@@ -99,6 +101,7 @@ class TestBuildHypotheses:
             build_hypotheses(c, link10)
 
     def test_symbol_order_matches_map(self, renderable, link10):
+        # Symbol i carries the bits of i: 00->B, 01->G, 10->R, 11->X.
         h = build_hypotheses(renderable, link10)
         assert h.labels == ("B", "G", "R", "X")
 
@@ -201,9 +204,8 @@ class TestSimulateSer:
 
 class TestUnionBound:
     def test_vanishes_without_noise(self, renderable, link10):
-        assert union_bound_ser(renderable, link10, 200.0) == pytest.approx(
-            0.0, abs=1e-12
-        )
+        (bound,) = union_bound_ser(renderable, link10, [200.0])
+        assert bound == pytest.approx(0.0, abs=1e-12)
 
     def test_coincident_pair_floor(self):
         h = HypothesisSet(
@@ -219,8 +221,8 @@ class TestUnionBound:
     def test_bounds_simulation(self, renderable, link10):
         grid = [6.0, 12.0, 18.0]
         curve = simulate_ser(renderable, link10, grid, 100_000, seed=4)
-        for snr, sim in zip(grid, curve.values):
-            ub = union_bound_ser(renderable, link10, snr)
+        bounds = union_bound_ser(renderable, link10, grid)
+        for sim, ub in zip(curve.values, bounds):
             se = math.sqrt(max(sim * (1 - sim), 1e-12) / 100_000)
             assert sim <= ub + 3 * se
 
@@ -257,19 +259,37 @@ class TestMutualInformation:
             mutual_information(binary_set(1.0), 0.0, 10_000, 0)
 
 
+class TestSerCurves:
+    def test_curve_and_bound_match_their_engines(self, renderable, link10):
+        grid = [6.0, 12.0]
+        curve, bound = ser_curves(renderable, link10, grid, 20_000, 4, "ab")
+        sim = simulate_ser(renderable, link10, grid, 20_000, 4)
+        assert (curve.snr_db, curve.values) == (sim.snr_db, sim.values)
+        assert bound.values == union_bound_ser(renderable, link10, grid)
+        assert bound.snr_db == curve.snr_db
+        for c in (curve, bound):
+            assert (c.seed, c.n, c.config_sha) == (4, 20_000, "ab")
+
+
 class TestRates:
     def test_rate_is_bandwidth_times_mi(self, renderable, link10):
         h = build_hypotheses(renderable, link10)
-        rate = achievable_rate(h, 1e-6, 1e8, n_samples=20_000, seed=0)
-        assert rate == pytest.approx(2e8, rel=1e-5)
+        curve = rate_curve(h, [10.0, 200.0], 20_000, 0, "ff")
+        assert curve.snr_db == (10.0, 200.0)
+        assert (curve.seed, curve.n, curve.config_sha) == (0, 20_000, "ff")
+        for i, snr in enumerate(curve.snr_db):
+            sigma = noise_sigma(h, snr, "transmit")
+            mi = mutual_information(h, sigma, 20_000, 0, stream=i)
+            assert curve.values[i] == BANDWIDTH_HZ * mi
+        assert curve.values[1] == pytest.approx(2 * BANDWIDTH_HZ, rel=1e-5)
 
     def test_ook_off_symbol_and_cap(self, water):
         cfg = LinkConfig(water=water, distance_m=10.0)
         h = ook_hypotheses(460.0, cfg)
         assert h.vectors[0, 0] == 0.0
         assert h.m == 2 and h.bands == 1
-        rate = achievable_rate(h, noise_sigma(h, 60.0), 1e8, 20_000, 0)
-        assert rate <= 1e8 + 1e-6
+        (rate,) = rate_curve(h, [60.0], 20_000, 0).values
+        assert rate <= BANDWIDTH_HZ + 1e-6
 
 
 class TestCurveCsv:
