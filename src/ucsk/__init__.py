@@ -62,7 +62,6 @@ from .linksim import (
     read_curve_csv,
     ser_curves,
     simulate_ser,
-    simulate_ser_hypotheses,
     union_bound_from_hypotheses,
     union_bound_ser,
     write_curve_csv,

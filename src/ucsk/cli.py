@@ -113,6 +113,17 @@ def _config(cls, **kwargs):
         return cls(**kwargs)
 
 
+def _seed(text: str) -> int:
+    """A --seed value: an integer in [0, 2**64), one word of a Philox key."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {value}")
+    return value
+
+
 def _parse_center(text: str) -> ChromaticityPoint:
     parts = text.split(",")
     if len(parts) != 2:
@@ -284,8 +295,9 @@ def _cmd_ser(args) -> None:
     sha = config_digest(
         _curve_payload(doc, water_inputs, args, {"symbols": args.symbols, "kind": "ser"})
     )
-    with _failing(EXIT_INFEASIBLE, "infeasible constellation", *_UNRENDERABLE):
-        curve, bound = ser_curves(c, link, grid, args.symbols, args.seed, sha)
+    with _failing(EXIT_INFEASIBLE, "infeasible constellation", ValueError):
+        hypotheses = build_hypotheses(c, link)
+    ((curve, bound),) = ser_curves([hypotheses], grid, args.symbols, args.seed, [sha])
     out = Path(args.out)
     with _failing(EXIT_IO, "cannot write output", OSError):
         write_curve_csv(out, curve)
@@ -341,7 +353,7 @@ def _cmd_rate(args) -> None:
             },
         )
     )
-    curve = rate_curve(hypotheses, grid, args.samples, args.seed, sha)
+    (curve,) = rate_curve([hypotheses], grid, args.samples, args.seed, [sha])
     out = Path(args.out)
     with _failing(EXIT_IO, "cannot write output", OSError):
         write_curve_csv(out, curve)
@@ -374,12 +386,18 @@ def _figure_4a(designs, params: dict) -> dict:
          "distance_m": 10.0}
     )
     link = LinkConfig(water=seawater(), distance_m=10.0)
+    pairs = ser_curves(
+        [build_hypotheses(c, link) for c in designs.values()],
+        grid,
+        _REPRODUCE_SER_SYMBOLS,
+        REPRODUCE_SIM_SEED,
+        [config_digest({"figure": "4a", "target": tid, "params": params})
+         for tid in designs],
+    )
     curves = {}
-    for tid, c in designs.items():
-        sha = config_digest({"figure": "4a", "target": tid, "params": params})
-        curves[f"ser-target{tid}.csv"], curves[f"ser-target{tid}.ub.csv"] = ser_curves(
-            c, link, grid, _REPRODUCE_SER_SYMBOLS, REPRODUCE_SIM_SEED, sha
-        )
+    for tid, (curve, bound) in zip(designs, pairs):
+        curves[f"ser-target{tid}.csv"] = curve
+        curves[f"ser-target{tid}.ub.csv"] = bound
     return curves
 
 
@@ -399,16 +417,16 @@ def _figure_4b(designs, params: dict) -> dict:
         for color, wl in _OOK_WAVELENGTHS.items()
     ]
     jobs.append(("rate-ook-blue-50m.csv", ook_hypotheses(460.0, link50)))
-    return {
-        name: rate_curve(
-            h,
-            grid,
-            _REPRODUCE_RATE_SAMPLES,
-            REPRODUCE_SIM_SEED,
-            config_digest({"figure": "4b", "curve": name, "params": params}),
-        )
-        for name, h in jobs
-    }
+    names = [name for name, _ in jobs]
+    curves = rate_curve(
+        [h for _, h in jobs],
+        grid,
+        _REPRODUCE_RATE_SAMPLES,
+        REPRODUCE_SIM_SEED,
+        [config_digest({"figure": "4b", "curve": name, "params": params})
+         for name in names],
+    )
+    return dict(zip(names, curves))
 
 
 def _cmd_reproduce(args) -> None:
@@ -465,7 +483,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--preset", type=int, choices=(1, 2, 3))
     p.add_argument("--target-center", help="disk center as 'x,y'")
     p.add_argument("--target-radius", type=float)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--starts", type=int, default=32)
     p.add_argument(
         "--gamut",
@@ -494,7 +512,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--distance", type=float, required=True)
     p.add_argument("--snr", required=True, help="LO:STEP:HI in dB")
     p.add_argument("--symbols", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ser)
 
@@ -506,7 +524,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--distance", type=float, required=True)
     p.add_argument("--snr", required=True, help="LO:STEP:HI in dB")
     p.add_argument("--samples", type=int, default=50_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_rate)
 

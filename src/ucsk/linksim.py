@@ -11,6 +11,10 @@ Reproducibility contract: all random draws come from a counter-based
 Philox stream keyed by (seed, stream index) in which symbol n consumes
 exactly one counter block.  Results are therefore bit-identical for a
 fixed seed regardless of chunking or of the UCSK_THREADS worker count.
+The Monte Carlo entry points take a batch of hypothesis sets and draw
+each chunk once for the whole batch; a set reads only the uniforms and
+noise columns it would draw alone, so a curve's bytes do not depend on
+which other curves share its draws.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erfc, logsumexp, ndtri
+from scipy.special import erfc, ndtri
 
 from .channel import WaterProperties, attenuation_coefficient, path_loss
 from .colorimetry import OutOfGamutError, photopic_efficacy, solve_fluxes
@@ -43,11 +47,11 @@ __all__ = [
     "noise_sigma",
     "detect_ml",
     "simulate_ser",
-    "simulate_ser_hypotheses",
     "union_bound_ser",
     "union_bound_from_hypotheses",
     "ser_curves",
     "mutual_information",
+    "logsumexp",
     "rate_curve",
     "write_curve_csv",
     "read_curve_csv",
@@ -237,11 +241,13 @@ def _threads() -> int:
 
 
 def _uniform_blocks(seed: int, stream: int, start: int, count: int) -> np.ndarray:
-    """(count, 4) doubles in (0, 1); symbol n maps to counter block n."""
+    """(count, 4) doubles in (0, 1); symbol n maps to counter block n.
+
+    Each double is (53 high bits of one raw Philox word) * 2**-53 + 2**-54.
+    """
     key = np.array([seed, stream], dtype=np.uint64)
-    bg = np.random.Philox(key=key, counter=start)
-    raw = bg.random_raw(4 * count).reshape(count, 4)
-    return (raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54
+    gen = np.random.Generator(np.random.Philox(key=key, counter=start))
+    return gen.random((count, 4)) + 2.0**-54
 
 
 def _map_chunks(worker, n: int):
@@ -255,24 +261,60 @@ def _map_chunks(worker, n: int):
         return list(pool.map(lambda s: worker(*s), spans))
 
 
-def _draw_symbols_noise(
-    h: HypothesisSet, sigma: float, seed: int, stream: int, start: int, stop: int
-) -> tuple[np.ndarray, np.ndarray]:
-    u = _uniform_blocks(seed, stream, start, stop - start)
-    symbols = np.minimum((u[:, 0] * h.m).astype(np.int64), h.m - 1)
-    noise = ndtri(u[:, 1 : 1 + h.bands]) * sigma
-    return symbols, h.vectors[symbols] + noise
+def _map_shared_draws(hs, sigmas, seed: int, stream: int, n: int, score):
+    """Per hypothesis set, ``score(h, sigma, symbols, received)`` of every
+    chunk of the (seed, stream) draws, in chunk order.
+
+    A chunk's uniforms and Gaussian noise are drawn once for the whole
+    batch.  Set h takes its symbols from the first uniform and its noise
+    from the next ``h.bands`` ones, exactly as if it were drawn alone.
+    """
+    bands = max(h.bands for h in hs)
+
+    def worker(a: int, b: int) -> list:
+        u = _uniform_blocks(seed, stream, a, b - a)
+        z = ndtri(u[:, 1 : 1 + bands])
+        out = []
+        for h, sigma in zip(hs, sigmas):
+            symbols = np.minimum((u[:, 0] * h.m).astype(np.int64), h.m - 1)
+            received = h.vectors[symbols] + z[:, : h.bands] * sigma
+            out.append(score(h, sigma, symbols, received))
+        return out
+
+    return list(zip(*_map_chunks(worker, n)))
 
 
-def simulate_ser_hypotheses(
-    h: HypothesisSet, snr_db_grid, n_symbols: int, seed: int
-) -> "Curve":
-    """Monte Carlo symbol error rate over an SNR grid.
+def _batch(hypothesis_sets) -> tuple[HypothesisSet, ...]:
+    hs = tuple(hypothesis_sets)
+    if not hs:
+        raise ValueError("no hypothesis sets given")
+    if any(h.bands > 3 for h in hs):
+        raise ValueError("a symbol draws noise for at most 3 bands")
+    return hs
+
+
+def _shas(config_shas, count: int) -> tuple[str, ...]:
+    shas = ("",) * count if config_shas is None else tuple(config_shas)
+    if len(shas) != count:
+        raise ValueError("need one config_sha per hypothesis set")
+    return shas
+
+
+def _symbol_errors(h, sigma, symbols, received) -> int:
+    return int(np.count_nonzero(detect_ml(received, h) != symbols))
+
+
+def simulate_ser(
+    hypothesis_sets, snr_db_grid, n_symbols: int, seed: int
+) -> tuple["Curve", ...]:
+    """Monte Carlo symbol error rate over an SNR grid, one curve per
+    hypothesis set.
 
     Noise for symbol n of grid point i comes from the (seed, i) Philox
-    stream at counter n, so the curve is reproducible bit-for-bit for any
-    chunking or worker count.
+    stream at counter n, so each curve is reproducible bit-for-bit for any
+    chunking, worker count or batch it is simulated in.
     """
+    hs = _batch(hypothesis_sets)
     grid = [float(s) for s in snr_db_grid]
     if not grid:
         raise ValueError("empty SNR grid")
@@ -280,30 +322,14 @@ def simulate_ser_hypotheses(
         raise ValueError("SNR grid must be strictly increasing")
     if n_symbols < 1:
         raise ValueError("n_symbols must be >= 1")
-    values = []
+    values = [[] for _ in hs]
     for stream, snr_db in enumerate(grid):
-        sigma = noise_sigma(h, snr_db)
-
-        def worker(a: int, b: int) -> int:
-            symbols, received = _draw_symbols_noise(h, sigma, seed, stream, a, b)
-            detected = detect_ml(received, h)
-            return int(np.count_nonzero(detected != symbols))
-
-        errors = sum(_map_chunks(worker, n_symbols))
-        values.append(errors / n_symbols)
-    return Curve(tuple(grid), tuple(values), seed=seed, n=n_symbols)
-
-
-def simulate_ser(
-    c: Constellation4,
-    cfg: LinkConfig,
-    snr_db_grid,
-    n_symbols: int,
-    seed: int,
-) -> "Curve":
-    """Monte Carlo SER of a 4-UCSK constellation over the configured link."""
-    return simulate_ser_hypotheses(
-        build_hypotheses(c, cfg), snr_db_grid, n_symbols, seed
+        sigmas = [noise_sigma(h, snr_db) for h in hs]
+        errors = _map_shared_draws(hs, sigmas, seed, stream, n_symbols, _symbol_errors)
+        for curve, counts in zip(values, errors):
+            curve.append(sum(counts) / n_symbols)
+    return tuple(
+        Curve(tuple(grid), tuple(v), seed=seed, n=n_symbols) for v in values
     )
 
 
@@ -323,86 +349,118 @@ def union_bound_from_hypotheses(h: HypothesisSet, sigma: float) -> float:
     return float(q.sum()) / h.m
 
 
-def union_bound_ser(
-    c: Constellation4, cfg: LinkConfig, snr_db_grid
-) -> tuple[float, ...]:
-    """Union bound over an SNR grid for a constellation over the link."""
-    h = build_hypotheses(c, cfg)
+def union_bound_ser(h: HypothesisSet, snr_db_grid) -> tuple[float, ...]:
+    """Union bound of a hypothesis set over an SNR grid."""
     return tuple(
         union_bound_from_hypotheses(h, noise_sigma(h, s)) for s in snr_db_grid
     )
 
 
 def ser_curves(
-    c: Constellation4,
-    cfg: LinkConfig,
+    hypothesis_sets,
     grid,
     n_symbols: int,
     seed: int,
-    config_sha: str = "",
-) -> tuple["Curve", "Curve"]:
-    """The Monte Carlo SER curve of a constellation and its union-bound
-    curve, both stamped with ``config_sha``."""
-    ser = simulate_ser(c, cfg, grid, n_symbols, seed)
-    bound = union_bound_ser(c, cfg, grid)
-    return (
-        replace(ser, config_sha=config_sha),
-        Curve(ser.snr_db, bound, seed, n_symbols, config_sha),
+    config_shas=None,
+) -> tuple[tuple["Curve", "Curve"], ...]:
+    """Per hypothesis set, the Monte Carlo SER curve and its union-bound
+    curve, both stamped with that set's entry of ``config_shas``."""
+    hs = _batch(hypothesis_sets)
+    shas = _shas(config_shas, len(hs))
+    return tuple(
+        (
+            replace(ser, config_sha=sha),
+            Curve(ser.snr_db, union_bound_ser(h, grid), seed, n_symbols, sha),
+        )
+        for h, ser, sha in zip(hs, simulate_ser(hs, grid, n_symbols, seed), shas)
     )
 
 
+def logsumexp(a: np.ndarray) -> np.ndarray:
+    """Row-wise log(sum(exp(a))) of a real 2-D array.
+
+    The same arithmetic as ``scipy.special.logsumexp(a, axis=1)``, bit for
+    bit, without its second full pass: the row maxima are taken out of
+    the sum, and ``log1p(s / m) + log(m) + max`` is returned, with m the
+    number of entries tied at the maximum.  Rows where that is not finite
+    fall back to the direct ``log(sum(exp(row)))``, as scipy's do.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_max = np.max(a, axis=1, keepdims=True)
+        ties = a == a_max
+        m = np.sum(ties, axis=1, keepdims=True, dtype=a.dtype)
+        s = np.sum(np.exp(np.where(ties, -np.inf, a) - a_max), axis=1, keepdims=True)
+        out = (np.log1p(s / m) + np.log(m) + a_max)[:, 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.sum(np.exp(a[bad]), axis=1))
+    return out
+
+
+def _information(h, sigma, symbols, received) -> float:
+    """Sum over the draws of log2(M p(y|s) / sum_j p(y|s_j))."""
+    delta = received[:, None, :] - h.vectors[None, :, :]
+    ll = -np.einsum("nmk,nmk->nm", delta, delta) * (1.0 / (2.0 * sigma * sigma))
+    own = ll[np.arange(len(symbols)), symbols]
+    terms = math.log2(h.m) + (own - logsumexp(ll)) / math.log(2.0)
+    return float(terms.sum())
+
+
 def mutual_information(
-    h: HypothesisSet,
-    sigma: float,
+    hypothesis_sets,
+    sigmas,
     n_samples: int,
     seed: int,
     *,
     stream: int = 0,
-) -> float:
+) -> tuple[float, ...]:
     """Monte Carlo mutual information (bits/symbol) of the equiprobable
-    discrete input over the AWGN vector channel.
+    discrete input over the AWGN vector channel, one estimate per
+    hypothesis set at its noise level ``sigmas[k]``.
 
     Averages log2(M p(y|s) / sum_j p(y|s_j)) over draws; the estimate is
     clamped to [0, log2 M].
     """
-    if sigma <= 0:
+    hs = _batch(hypothesis_sets)
+    sigmas = tuple(float(s) for s in sigmas)
+    if len(sigmas) != len(hs):
+        raise ValueError("need one sigma per hypothesis set")
+    if any(s <= 0 for s in sigmas):
         raise ValueError("sigma must be > 0")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    log2_m = math.log2(h.m)
-    inv_two_sigma2 = 1.0 / (2.0 * sigma * sigma)
-    ln2 = math.log(2.0)
-
-    def worker(a: int, b: int) -> float:
-        symbols, received = _draw_symbols_noise(h, sigma, seed, stream, a, b)
-        delta = received[:, None, :] - h.vectors[None, :, :]
-        ll = -np.einsum("nmk,nmk->nm", delta, delta) * inv_two_sigma2
-        own = ll[np.arange(len(symbols)), symbols]
-        terms = log2_m + (own - logsumexp(ll, axis=1)) / ln2
-        return float(terms.sum())
-
-    total = math.fsum(_map_chunks(worker, n_samples))
-    return min(max(total / n_samples, 0.0), log2_m)
+    sums = _map_shared_draws(hs, sigmas, seed, stream, n_samples, _information)
+    return tuple(
+        min(max(math.fsum(chunks) / n_samples, 0.0), math.log2(h.m))
+        for h, chunks in zip(hs, sums)
+    )
 
 
 def rate_curve(
-    h: HypothesisSet, grid, n_samples: int, seed: int, config_sha: str = ""
-) -> "Curve":
-    """Achievable rate in bits/s over an SNR grid: the bandwidth times the
-    mutual information, at one symbol per hertz.
+    hypothesis_sets, grid, n_samples: int, seed: int, config_shas=None
+) -> tuple["Curve", ...]:
+    """Achievable rate in bits/s over an SNR grid, one curve per
+    hypothesis set: the bandwidth times the mutual information, at one
+    symbol per hertz.
 
     The SNR is referenced to transmit power, so path loss shows up as the
     color- and distance-dependent penalty it is.  Grid point i draws from
     Philox stream i.
     """
-
-    def rate(i: int, snr: float) -> float:
-        sigma = noise_sigma(h, snr, "transmit")
-        return BANDWIDTH_HZ * mutual_information(h, sigma, n_samples, seed, stream=i)
-
+    hs = _batch(hypothesis_sets)
+    shas = _shas(config_shas, len(hs))
     snr_db = tuple(float(s) for s in grid)
-    values = tuple(rate(i, snr) for i, snr in enumerate(snr_db))
-    return Curve(snr_db, values, seed, n_samples, config_sha)
+    per_point = [
+        mutual_information(
+            hs, [noise_sigma(h, snr, "transmit") for h in hs], n_samples, seed,
+            stream=i,
+        )
+        for i, snr in enumerate(snr_db)
+    ]
+    return tuple(
+        Curve(snr_db, tuple(BANDWIDTH_HZ * mi for mi in column), seed, n_samples, sha)
+        for column, sha in zip(zip(*per_point), shas)
+    )
 
 
 @dataclass(frozen=True)

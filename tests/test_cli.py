@@ -31,6 +31,37 @@ GOLDEN_SHA256 = {
     "rate-ook.csv": "7fa36dc9d92c69afd04627191f26be8e587180d844db7a150ac627edfd252c88",
 }
 
+# SHA-256 of every file of the ``reproduce`` bundles, recorded before the
+# Monte Carlo shared its draws across the curves of a figure.
+_DESIGN_SHA256 = {
+    "design-target1.json": "a13b8b1c22464d1bde07744ccc2346f865e73a8da7b486f2f1e4303092108b8f",
+    "design-target2.json": "e20ee18ecfdb375d338213d8e6ac63d6fae2877ce381201e908d9bb1c82077d4",
+    "design-target3.json": "313ff395fa2fb048ca0dbe9e0e2c5c32b997c8bac2d4294d73202ee40518c22f",
+}
+REPRODUCE_SHA256 = {
+    "4a": {
+        **_DESIGN_SHA256,
+        "manifest.json": "fc600868908cc687252cdca6934a097cc15f8b1c52e9bb69c5a9f0e82ff0c277",
+        "ser-target1.csv": "d09159409ef2ee27f6a3d058262e5a886cf7e7328dc1a18e224c1cdb37cd2f8b",
+        "ser-target1.ub.csv": "36997a62a4e6f8da0a4cccc30674fe9dba6872a03a540a2aee716c2a27dbe7c7",
+        "ser-target2.csv": "49b1d652b542d3f248d3594177e4db5652e590849fd65c5b4cb57b411fed48ea",
+        "ser-target2.ub.csv": "abd3257b684e822e2aaff1a0f56be3d64f3b15de058b46cac47527860c4a67f1",
+        "ser-target3.csv": "ca59671c4f63cc12aa901a4b8d587b9b28ce88a854caf6e30bbb06de78bbd408",
+        "ser-target3.ub.csv": "4084c5cdc16ed6d2f0e613742bb86f6c20dc2d734ce27fbfe74bf96fb503f161",
+    },
+    "4b": {
+        **_DESIGN_SHA256,
+        "manifest.json": "b0bff5f2cba09cbbdbb2c59573ebd6d58438ad7d29ba91a4053574685a9ba54f",
+        "rate-ook-blue-10m.csv": "299f4bec54dbde85c4d7d61b2336caf0af100d52714300df1a4ee917f78ed9bd",
+        "rate-ook-blue-50m.csv": "c9812a64554344067110a865c3c6717816ee5139f495015b2132534666d97012",
+        "rate-ook-green-10m.csv": "d382fbeccc03ae421c51fc1fe7f5f7b7fa05db445486971ad165a6fbc8b346c4",
+        "rate-ook-red-10m.csv": "082920e5989683b9bdedd599b45134f041e97ffdd3c037337c3a50b09e38428c",
+        "rate-ucsk-target1-10m.csv": "0cd20ee70d03d73b5b92433c7dcd38590bfab26ea48f912a8f9f8111bc206e55",
+        "rate-ucsk-target2-10m.csv": "9551a391c960ed02f803333d836503ca98f4b17ddd25a7a77d796f06462180d8",
+        "rate-ucsk-target3-10m.csv": "dfca621e965be91319b87de26e7eb617f5569352c920e38afa97a73bc365dca1",
+    },
+}
+
 
 def _design(tmp_path, name, *extra):
     out = tmp_path / name
@@ -38,10 +69,10 @@ def _design(tmp_path, name, *extra):
     return code, out
 
 
-def _renderable_design(path):
-    """Write a constellation strictly inside the LED triangle."""
-    r, g = ChromaticityPoint(0.45, 0.30), ChromaticityPoint(0.30, 0.55)
-    c = build_constellation(r, g)
+def _renderable_design(path, r=ChromaticityPoint(0.45, 0.30)):
+    """Write a constellation; with the default R it lies strictly inside
+    the LED triangle."""
+    c = build_constellation(r, ChromaticityPoint(0.30, 0.55))
     write_constellation_json(path, constellation_document(c))
     return path
 
@@ -65,12 +96,21 @@ def _small_curves(tmp_path):
     }
 
 
-def _ser_args(constellation, out, distance="10"):
+def _ser_args(constellation, out, distance="10", water="seawater"):
     return [
-        "ser", "--constellation", str(constellation), "--water", "seawater",
+        "ser", "--constellation", str(constellation), "--water", str(water),
         "--distance", distance, "--snr", "10:10:20", "--symbols", "10000",
         "--out", str(out),
     ]
+
+
+def _reproduce(out, figure):
+    """Run ``reproduce`` into ``out``; file name -> SHA-256."""
+    assert main(["reproduce", "--figure", figure, "--out", str(out)]) == EXIT_OK
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.iterdir())
+    }
 
 
 class TestExitCodes:
@@ -98,6 +138,37 @@ class TestExitCodes:
                     "--snr", "10:10:20", "--out", str(out)]
         assert main(argv) == EXIT_USAGE
         assert "usage error: distance" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["design", "ser", "rate"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_is_usage_error(self, tmp_path, capsys, subcommand, seed):
+        out = tmp_path / "out"
+        argv = {
+            "design": ["design", "--preset", "1", "--starts", "1", "--out", str(out)],
+            "ser": _ser_args(_renderable_design(tmp_path / "c.json"), out),
+            "rate": ["rate", "--scheme", "ook", "--wavelength", "460",
+                     "--water", "seawater", "--distance", "10",
+                     "--snr", "10:10:20", "--out", str(out)],
+        }[subcommand]
+        assert main([*argv, "--seed", seed]) == EXIT_USAGE
+        assert "usage error: argument --seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_water_table_missing_a_primary_is_infeasible(self, tmp_path, capsys):
+        water = tmp_path / "water.csv"
+        water.write_text("wavelength_nm,a_per_m,b_per_m\n500,0.03,0.003\n600,0.2,0.001\n")
+        design = _renderable_design(tmp_path / "c.json")
+        out = tmp_path / "ser.csv"
+        assert main(_ser_args(design, out, water=water)) == EXIT_INFEASIBLE
+        assert "infeasible constellation: 700.0 nm outside" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_degenerate_chromaticity_is_infeasible(self, tmp_path, capsys):
+        design = _renderable_design(tmp_path / "c.json", r=ChromaticityPoint(0.5, 0.0))
+        out = tmp_path / "ser.csv"
+        assert main(_ser_args(design, out)) == EXIT_INFEASIBLE
+        assert "infeasible constellation: chromaticity y=0.0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_horseshoe_design_outside_led_triangle_is_infeasible(
@@ -166,16 +237,16 @@ class TestReproducibility:
         assert runs[0] == runs[1]
 
     def test_reproduce_4a_independent_of_threads(self, tmp_path, monkeypatch):
-        bundles = []
         for threads in ("1", "2"):
             monkeypatch.setenv("UCSK_THREADS", threads)
-            out = tmp_path / f"threads{threads}"
-            assert main(["reproduce", "--figure", "4a", "--out", str(out)]) == EXIT_OK
-            bundles.append(
-                {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-            )
-        assert len(bundles[0]) == 10
-        assert bundles[0] == bundles[1]
+            bundle = _reproduce(tmp_path / f"threads{threads}", "4a")
+            assert bundle == REPRODUCE_SHA256["4a"]
+
+    def test_reproduce_4b_independent_of_threads(self, tmp_path, monkeypatch):
+        for threads in ("1", "2"):
+            monkeypatch.setenv("UCSK_THREADS", threads)
+            bundle = _reproduce(tmp_path / f"threads{threads}", "4b")
+            assert bundle == REPRODUCE_SHA256["4b"]
 
     def test_small_curves_match_recorded_digests(self, tmp_path):
         assert _small_curves(tmp_path) == GOLDEN_SHA256

@@ -3,6 +3,10 @@ import os
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ucsk.channel import attenuation_coefficient, path_loss
 from ucsk.colorimetry import ChromaticityPoint, photopic_efficacy
@@ -16,6 +20,7 @@ from ucsk.linksim import (
     average_symbol_power,
     build_hypotheses,
     detect_ml,
+    logsumexp,
     mutual_information,
     noise_sigma,
     ook_hypotheses,
@@ -24,11 +29,11 @@ from ucsk.linksim import (
     read_curve_csv,
     ser_curves,
     simulate_ser,
-    simulate_ser_hypotheses,
     union_bound_from_hypotheses,
     union_bound_ser,
     write_curve_csv,
 )
+from ucsk.linksim import _uniform_blocks
 from ucsk.presets import (
     DEFAULT_PRIMARY_CHROMATICITIES,
     DEFAULT_PRIMARY_WAVELENGTHS,
@@ -58,6 +63,18 @@ def binary_set(d: float) -> HypothesisSet:
         fluxes_lm=np.zeros((2, 3)),
         optical_powers_w=np.zeros((2, 3)),
     )
+
+
+def ser_alone(h: HypothesisSet, grid, n: int, seed: int) -> Curve:
+    """The SER curve of one hypothesis set, simulated without a batch."""
+    (curve,) = simulate_ser([h], grid, n, seed)
+    return curve
+
+
+def mi_alone(h: HypothesisSet, sigma: float, n: int, seed: int, stream: int = 0):
+    """The mutual information of one hypothesis set, without a batch."""
+    (mi,) = mutual_information([h], [sigma], n, seed, stream=stream)
+    return mi
 
 
 def nearest_neighbour_distance(h: HypothesisSet, i: int) -> float:
@@ -149,12 +166,13 @@ class TestDetect:
 
 class TestSimulateSer:
     def test_noiseless_limit(self, renderable, link10):
-        curve = simulate_ser(renderable, link10, [200.0], 20_000, seed=1)
+        h = build_hypotheses(renderable, link10)
+        curve = ser_alone(h, [200.0], 20_000, seed=1)
         assert curve.values == (0.0,)
 
     def test_binary_awgn_oracle_quick(self):
         h = binary_set(1.0)
-        curve = simulate_ser_hypotheses(h, [-6.0, 0.0, 6.0], 200_000, seed=5)
+        curve = ser_alone(h, [-6.0, 0.0, 6.0], 200_000, seed=5)
         for snr, sim in zip(curve.snr_db, curve.values):
             sigma = noise_sigma(h, snr)
             theory = float(qfunc(1.0 / (2.0 * sigma)))
@@ -162,37 +180,37 @@ class TestSimulateSer:
             assert abs(sim - theory) <= 3 * se
 
     def test_deterministic_same_seed(self, renderable, link10):
-        a = simulate_ser(renderable, link10, [0.0, 10.0], 30_000, seed=9)
-        b = simulate_ser(renderable, link10, [0.0, 10.0], 30_000, seed=9)
+        h = build_hypotheses(renderable, link10)
+        a = ser_alone(h, [0.0, 10.0], 30_000, seed=9)
+        b = ser_alone(h, [0.0, 10.0], 30_000, seed=9)
         assert a == b
-        c = simulate_ser(renderable, link10, [0.0, 10.0], 30_000, seed=10)
+        c = ser_alone(h, [0.0, 10.0], 30_000, seed=10)
         assert a != c
 
     def test_monotone_in_snr(self, renderable, link10):
-        curve = simulate_ser(renderable, link10, list(range(0, 31, 5)), 50_000, 3)
+        h = build_hypotheses(renderable, link10)
+        curve = ser_alone(h, list(range(0, 31, 5)), 50_000, 3)
         for a, b in zip(curve.values, curve.values[1:]):
             se = math.sqrt(max(a * (1 - a), 1e-12) / 50_000)
             assert b <= a + 3 * se
 
     def test_grid_validation(self, renderable, link10):
+        h = build_hypotheses(renderable, link10)
         with pytest.raises(ValueError):
-            simulate_ser(renderable, link10, [], 20_000, 0)
+            simulate_ser([h], [], 20_000, 0)
         with pytest.raises(ValueError):
-            simulate_ser(renderable, link10, [10.0, 5.0], 20_000, 0)
+            simulate_ser([h], [10.0, 5.0], 20_000, 0)
 
     def test_thread_count_does_not_change_results(self, renderable, link10):
         old = os.environ.get("UCSK_THREADS")
+        h = build_hypotheses(renderable, link10)
         try:
             os.environ["UCSK_THREADS"] = "1"
-            a = simulate_ser(renderable, link10, [0.0, 12.0], 150_000, seed=2)
-            m_a = mutual_information(
-                build_hypotheses(renderable, link10), 1e-3, 150_000, seed=2
-            )
+            a = ser_alone(h, [0.0, 12.0], 150_000, seed=2)
+            m_a = mi_alone(h, 1e-3, 150_000, seed=2)
             os.environ["UCSK_THREADS"] = "4"
-            b = simulate_ser(renderable, link10, [0.0, 12.0], 150_000, seed=2)
-            m_b = mutual_information(
-                build_hypotheses(renderable, link10), 1e-3, 150_000, seed=2
-            )
+            b = ser_alone(h, [0.0, 12.0], 150_000, seed=2)
+            m_b = mi_alone(h, 1e-3, 150_000, seed=2)
         finally:
             if old is None:
                 os.environ.pop("UCSK_THREADS", None)
@@ -204,7 +222,7 @@ class TestSimulateSer:
 
 class TestUnionBound:
     def test_vanishes_without_noise(self, renderable, link10):
-        (bound,) = union_bound_ser(renderable, link10, [200.0])
+        (bound,) = union_bound_ser(build_hypotheses(renderable, link10), [200.0])
         assert bound == pytest.approx(0.0, abs=1e-12)
 
     def test_coincident_pair_floor(self):
@@ -220,8 +238,9 @@ class TestUnionBound:
 
     def test_bounds_simulation(self, renderable, link10):
         grid = [6.0, 12.0, 18.0]
-        curve = simulate_ser(renderable, link10, grid, 100_000, seed=4)
-        bounds = union_bound_ser(renderable, link10, grid)
+        h = build_hypotheses(renderable, link10)
+        curve = ser_alone(h, grid, 100_000, seed=4)
+        bounds = union_bound_ser(h, grid)
         for sim, ub in zip(curve.values, bounds):
             se = math.sqrt(max(sim * (1 - sim), 1e-12) / 100_000)
             assert sim <= ub + 3 * se
@@ -230,42 +249,43 @@ class TestUnionBound:
 class TestMutualInformation:
     def test_noiseless_limit_reaches_two_bits(self, renderable, link10):
         h = build_hypotheses(renderable, link10)
-        mi = mutual_information(h, 1e-6, 20_000, seed=0)
+        mi = mi_alone(h, 1e-6, 20_000, seed=0)
         assert mi == pytest.approx(2.0, abs=1e-6)
 
     def test_heavy_noise_kills_information(self, renderable, link10):
         h = build_hypotheses(renderable, link10)
-        mi = mutual_information(h, 1e3, 50_000, seed=0)
+        mi = mi_alone(h, 1e3, 50_000, seed=0)
         assert mi <= 0.01
 
     def test_monotone_in_sigma(self, renderable, link10):
         h = build_hypotheses(renderable, link10)
         scale = math.sqrt(average_symbol_power(h.vectors))
         sigmas = [0.03 * scale, 0.3 * scale, 3.0 * scale]
-        mis = [mutual_information(h, s, 50_000, seed=8) for s in sigmas]
+        mis = [mi_alone(h, s, 50_000, seed=8) for s in sigmas]
         assert mis[0] >= mis[1] >= mis[2]
 
     def test_self_consistency_across_seeds(self):
         h = binary_set(1.0)
         sigma = 0.4
-        est = mutual_information(h, sigma, 20_000, seed=1)
-        reps = [mutual_information(h, sigma, 20_000, seed=50 + i) for i in range(6)]
+        est = mi_alone(h, sigma, 20_000, seed=1)
+        reps = [mi_alone(h, sigma, 20_000, seed=50 + i) for i in range(6)]
         se = float(np.std(reps, ddof=1))
-        big = mutual_information(h, sigma, 200_000, seed=2)
+        big = mi_alone(h, sigma, 200_000, seed=2)
         assert abs(est - big) <= 3 * se
 
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
-            mutual_information(binary_set(1.0), 0.0, 10_000, 0)
+            mi_alone(binary_set(1.0), 0.0, 10_000, 0)
 
 
 class TestSerCurves:
     def test_curve_and_bound_match_their_engines(self, renderable, link10):
         grid = [6.0, 12.0]
-        curve, bound = ser_curves(renderable, link10, grid, 20_000, 4, "ab")
-        sim = simulate_ser(renderable, link10, grid, 20_000, 4)
+        h = build_hypotheses(renderable, link10)
+        ((curve, bound),) = ser_curves([h], grid, 20_000, 4, ["ab"])
+        sim = ser_alone(h, grid, 20_000, 4)
         assert (curve.snr_db, curve.values) == (sim.snr_db, sim.values)
-        assert bound.values == union_bound_ser(renderable, link10, grid)
+        assert bound.values == union_bound_ser(h, grid)
         assert bound.snr_db == curve.snr_db
         for c in (curve, bound):
             assert (c.seed, c.n, c.config_sha) == (4, 20_000, "ab")
@@ -274,12 +294,12 @@ class TestSerCurves:
 class TestRates:
     def test_rate_is_bandwidth_times_mi(self, renderable, link10):
         h = build_hypotheses(renderable, link10)
-        curve = rate_curve(h, [10.0, 200.0], 20_000, 0, "ff")
+        (curve,) = rate_curve([h], [10.0, 200.0], 20_000, 0, ["ff"])
         assert curve.snr_db == (10.0, 200.0)
         assert (curve.seed, curve.n, curve.config_sha) == (0, 20_000, "ff")
         for i, snr in enumerate(curve.snr_db):
             sigma = noise_sigma(h, snr, "transmit")
-            mi = mutual_information(h, sigma, 20_000, 0, stream=i)
+            mi = mi_alone(h, sigma, 20_000, 0, stream=i)
             assert curve.values[i] == BANDWIDTH_HZ * mi
         assert curve.values[1] == pytest.approx(2 * BANDWIDTH_HZ, rel=1e-5)
 
@@ -288,8 +308,130 @@ class TestRates:
         h = ook_hypotheses(460.0, cfg)
         assert h.vectors[0, 0] == 0.0
         assert h.m == 2 and h.bands == 1
-        (rate,) = rate_curve(h, [60.0], 20_000, 0).values
+        (curve,) = rate_curve([h], [60.0], 20_000, 0)
+        (rate,) = curve.values
         assert rate <= BANDWIDTH_HZ + 1e-6
+
+
+@pytest.fixture(scope="module")
+def mixed_batch(water, renderable):
+    """UCSK (4 symbols, 3 bands) and OOK (2 symbols, 1 band) sets."""
+    near = LinkConfig(water=water, distance_m=10.0)
+    far = LinkConfig(water=water, distance_m=50.0)
+    return [
+        ook_hypotheses(460.0, near),
+        build_hypotheses(renderable, near),
+        ook_hypotheses(550.0, far),
+        build_hypotheses(renderable, far),
+    ]
+
+
+class TestBatch:
+    """A curve simulated in a batch equals the curve simulated alone, bit
+    for bit: the batch shares draws, never changes them."""
+
+    # Three chunks, the last one partial.
+    N = 150_000
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_ser_batch_equals_each_curve_alone(self, mixed_batch, monkeypatch, threads):
+        monkeypatch.setenv("UCSK_THREADS", threads)
+        grid = [0.0, 9.0, 18.0]
+        batch = simulate_ser(mixed_batch, grid, self.N, seed=3)
+        assert batch == tuple(ser_alone(h, grid, self.N, 3) for h in mixed_batch)
+        assert simulate_ser(mixed_batch[::-1], grid, self.N, 3) == batch[::-1]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_mi_batch_equals_each_alone(self, mixed_batch, monkeypatch, threads):
+        monkeypatch.setenv("UCSK_THREADS", threads)
+        sigmas = [noise_sigma(h, 6.0, "transmit") for h in mixed_batch]
+        batch = mutual_information(mixed_batch, sigmas, self.N, 3, stream=2)
+        alone = tuple(
+            mi_alone(h, s, self.N, 3, stream=2) for h, s in zip(mixed_batch, sigmas)
+        )
+        assert batch == alone
+        assert 0.0 < min(batch) and max(batch) < 2.0
+
+    def test_rate_batch_equals_each_curve_alone(self, mixed_batch):
+        grid = [0.0, 15.0]
+        batch = rate_curve(mixed_batch, grid, 20_000, 5, ["a", "b", "c", "d"])
+        for h, sha, curve in zip(mixed_batch, "abcd", batch):
+            assert rate_curve([h], grid, 20_000, 5, [sha]) == (curve,)
+
+    def test_batch_validation(self, mixed_batch):
+        with pytest.raises(ValueError):
+            simulate_ser([], [0.0], 20_000, 0)
+        with pytest.raises(ValueError):
+            mutual_information(mixed_batch, [1e-3], 20_000, 0)
+        with pytest.raises(ValueError):
+            rate_curve(mixed_batch, [0.0], 20_000, 0, ["a"])
+        four_bands = HypothesisSet(
+            vectors=np.eye(4),
+            labels=("a", "b", "c", "d"),
+            band_wavelengths_nm=(460.0, 500.0, 550.0, 700.0),
+            loss_factors=np.ones(4),
+            fluxes_lm=np.zeros((4, 3)),
+            optical_powers_w=np.zeros((4, 3)),
+        )
+        with pytest.raises(ValueError):
+            simulate_ser([four_bands], [0.0], 20_000, 0)
+
+
+class TestUniformBlocks:
+    @pytest.mark.parametrize(
+        "start,count", [(0, 65_536), (65_536, 65_536), (131_072, 18_928), (5, 7)]
+    )
+    def test_equals_raw_word_formula(self, start, count):
+        """Full and partial chunks equal 53 high bits of each raw Philox
+        word times 2**-53, plus 2**-54."""
+        key = np.array([4242, 3], dtype=np.uint64)
+        raw = np.random.Philox(key=key, counter=start).random_raw(4 * count)
+        expected = (raw.reshape(count, 4) >> np.uint64(11)) * 2.0**-53 + 2.0**-54
+        assert _uniform_blocks(4242, 3, start, count).tobytes() == expected.tobytes()
+
+
+@st.composite
+def tied_rows(draw):
+    """A finite 2-D array in which some entries repeat their row maximum."""
+    shape = draw(st.tuples(st.integers(1, 40), st.integers(1, 6)))
+    a = draw(
+        hnp.arrays(
+            np.float64,
+            shape,
+            elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+        )
+    )
+    ties = draw(hnp.arrays(np.bool_, shape))
+    return np.where(ties, a.max(axis=1, keepdims=True), a)
+
+
+class TestLogsumexp:
+    @given(tied_rows())
+    @settings(deadline=None)
+    def test_matches_scipy_bitwise(self, a):
+        expected = scipy.special.logsumexp(a, axis=1)
+        assert logsumexp(a).tobytes() == expected.tobytes()
+
+    def test_matches_scipy_on_mi_log_likelihoods(self, renderable, link10):
+        h = build_hypotheses(renderable, link10)
+        rng = np.random.default_rng(11)
+        received = h.vectors[rng.integers(0, h.m, 5_000)] + rng.normal(
+            0, 0.02, (5_000, h.bands)
+        )
+        delta = received[:, None, :] - h.vectors[None, :, :]
+        ll = -np.einsum("nmk,nmk->nm", delta, delta) / (2 * 0.02**2)
+        expected = scipy.special.logsumexp(ll, axis=1)
+        assert logsumexp(ll).tobytes() == expected.tobytes()
+
+    def test_non_finite_rows_match_scipy(self):
+        inf, nan = np.inf, np.nan
+        a = np.array(
+            [[-inf, -inf, -inf], [inf, 0.0, 1.0], [nan, 0.0, 1.0], [-inf, 0.0, 0.0],
+             [800.0, 800.0, -inf]]
+        )
+        np.testing.assert_array_equal(
+            logsumexp(a), scipy.special.logsumexp(a, axis=1)
+        )
 
 
 class TestCurveCsv:
