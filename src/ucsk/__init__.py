@@ -24,7 +24,6 @@ from .colorimetry import (
     OutOfGamutError,
     Tristimulus,
     centroid,
-    in_gamut,
     load_locus_csv,
     mix_chromaticity,
     photopic_efficacy,

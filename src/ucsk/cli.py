@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from contextlib import contextmanager
 from importlib import resources
@@ -29,7 +30,6 @@ from .channel import WaterTableError, WaterProperties, load_water_csv, seawater
 from .colorimetry import (
     ChromaticityPoint,
     OutOfGamutError,
-    in_gamut,
     spectral_locus,
     xy_distance,
 )
@@ -58,7 +58,12 @@ from .optimizer import (
     OptimizerConfig,
     design_constellation,
 )
-from .presets import TABLE1_FIXTURES, blue_target_preset, led_triangle_gamut
+from .presets import (
+    DEFAULT_PRIMARY_WAVELENGTHS,
+    TABLE1_FIXTURES,
+    blue_target_preset,
+    led_triangle_gamut,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -73,7 +78,10 @@ _REPRODUCE_RATE_GRID = "0:3:45"
 _REPRODUCE_SER_SYMBOLS = 100_000
 _REPRODUCE_RATE_SAMPLES = 50_000
 
-_OOK_WAVELENGTHS = {"red": 700.0, "green": 550.0, "blue": 460.0}
+# Most points one --snr grid may have.
+_MAX_SNR_POINTS = 10_000
+
+_OOK_WAVELENGTHS = dict(zip(("red", "green", "blue"), DEFAULT_PRIMARY_WAVELENGTHS))
 
 # Failures that exit 2: a design that cannot be met, or a constellation
 # that the link cannot render.
@@ -133,16 +141,30 @@ def _parse_center(text: str) -> ChromaticityPoint:
 
 
 def parse_snr_grid(text: str) -> list[float]:
-    """Parse LO:STEP:HI (dB, inclusive ends)."""
+    """Parse LO:STEP:HI (dB, inclusive ends) into at most
+    ``_MAX_SNR_POINTS`` points whose linear ratios 10**(dB/10) are finite
+    and nonzero."""
     parts = text.split(":")
     if len(parts) != 3:
         raise _usage(f"--snr expects LO:STEP:HI, got {text!r}")
     with _failing(EXIT_USAGE, f"usage error: bad --snr {text!r}", ValueError):
         lo, step, hi = (float(p) for p in parts)
+    if not all(math.isfinite(v) for v in (lo, step, hi)):
+        raise _usage(f"--snr needs finite LO, STEP and HI, got {text!r}")
     if step <= 0 or hi < lo:
         raise _usage(f"--snr needs STEP > 0 and HI >= LO, got {text!r}")
-    count = int((hi - lo) / step + 1e-9) + 1
-    return [lo + i * step for i in range(count)]
+    span = (hi - lo) / step + 1e-9
+    if not span < _MAX_SNR_POINTS:
+        raise _usage(f"--snr allows at most {_MAX_SNR_POINTS} points, got {text!r}")
+    grid = [lo + i * step for i in range(int(span) + 1)]
+    for db in (grid[0], grid[-1]):
+        try:
+            ratio = 10.0 ** (db / 10.0)
+        except OverflowError:
+            ratio = math.inf
+        if not 0.0 < ratio < math.inf:
+            raise _usage(f"--snr point {db} dB has no finite nonzero linear ratio")
+    return grid
 
 
 def _sha256(path: Path) -> str:
@@ -254,7 +276,7 @@ def _cmd_validate(args) -> None:
         f"{centroid_offset:.6f} from centroid(R, G, B)"
         + ("  [MISMATCH]" if centroid_offset > 5e-4 else "")
     )
-    memberships = {lab: in_gamut(p, gamut) for lab, p in c.points().items()}
+    memberships = {lab: gamut.contains(p) for lab, p in c.points().items()}
     print(f"gamut membership: {memberships}")
     if target is not None:
         report = validate_against_target(c, target, gamut)
@@ -416,7 +438,8 @@ def _figure_4b(designs, params: dict) -> dict:
         (f"rate-ook-{color}-10m.csv", ook_hypotheses(wl, link10))
         for color, wl in _OOK_WAVELENGTHS.items()
     ]
-    jobs.append(("rate-ook-blue-50m.csv", ook_hypotheses(460.0, link50)))
+    blue_nm = _OOK_WAVELENGTHS["blue"]
+    jobs.append(("rate-ook-blue-50m.csv", ook_hypotheses(blue_nm, link50)))
     names = [name for name, _ in jobs]
     curves = rate_curve(
         [h for _, h in jobs],

@@ -31,7 +31,6 @@ __all__ = [
     "tristimulus_to_xy",
     "mix_chromaticity",
     "solve_fluxes",
-    "in_gamut",
     "spectral_locus",
     "load_locus_csv",
     "photopic_efficacy",
@@ -165,21 +164,15 @@ def solve_fluxes(
     primaries: Sequence[ChromaticityPoint],
     target: ChromaticityPoint,
     Y_total: float,
-    *,
-    negative_flux_tol: float = 1e-9,
 ) -> np.ndarray:
     """Per-primary luminous fluxes that mix to ``target`` at total luminance
     ``Y_total``.
 
-    Negative solutions down to ``-negative_flux_tol * Y_total`` are
-    clamped to zero (targets sitting on a triangle edge to within
-    numerical slop); anything below raises OutOfGamutError.  Collinear
-    primaries raise CollinearPrimariesError.
-
-    A target solves when it lies in the triangle of the primaries, up to
-    the clamping slop above.  ``GamutPolygon.contains`` on that triangle
-    also accepts points up to ``BOUNDARY_TOLERANCE`` outside it.  In that band ``contains`` is
-    true while this function, at its default ``negative_flux_tol``, raises.
+    One rule decides renderability: ``target`` renders exactly when
+    ``GamutPolygon(primaries).contains(target)``, and raises
+    OutOfGamutError otherwise.  A target within ``BOUNDARY_TOLERANCE``
+    outside the triangle solves to slightly negative fluxes, which are
+    clipped at 0.  Collinear primaries raise CollinearPrimariesError.
     """
     if len(primaries) != 3:
         raise ValueError("expected exactly three primaries")
@@ -194,7 +187,7 @@ def solve_fluxes(
         raise CollinearPrimariesError(
             "primaries are collinear on the chromaticity plane"
         ) from exc
-    if np.any(fluxes < -negative_flux_tol * Y_total):
+    if not GamutPolygon(primaries).contains(target):
         raise OutOfGamutError(
             f"target ({target.x}, {target.y}) is outside the source triangle; "
             f"required fluxes {fluxes.tolist()}"
@@ -261,17 +254,11 @@ class GamutPolygon:
         d, _, inside = self.nearest_boundary(p)
         return -d if inside else d
 
-    def contains(self, p: ChromaticityPoint, tol: float = BOUNDARY_TOLERANCE) -> bool:
-        """True when ``p`` is inside or within ``tol`` of the boundary."""
+    def contains(self, p: ChromaticityPoint) -> bool:
+        """True when ``p`` is inside or within ``BOUNDARY_TOLERANCE`` of the
+        boundary: the one rule for gamut membership and renderability."""
         d, _, inside = self.nearest_boundary(p)
-        return inside or d <= tol
-
-
-def in_gamut(
-    p: ChromaticityPoint, g: GamutPolygon, tol: float = BOUNDARY_TOLERANCE
-) -> bool:
-    """Point-in-polygon test with the boundary counted as inside."""
-    return g.contains(p, tol=tol)
+        return inside or d <= BOUNDARY_TOLERANCE
 
 
 def load_locus_csv(path) -> GamutPolygon:

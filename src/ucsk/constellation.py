@@ -16,12 +16,10 @@ from pathlib import Path
 from typing import Mapping
 
 from .colorimetry import (
-    BOUNDARY_TOLERANCE,
     ChromaticityPoint,
     GamutPolygon,
     OutOfGamutError,
     centroid,
-    in_gamut,
     xy_distance,
 )
 
@@ -45,9 +43,6 @@ FIXED_BLUE = ChromaticityPoint(0.1355, 0.03988)
 
 # Symbol i carries the two bits of i: 00->B, 01->G, 10->R, 11->X.
 SYMBOL_LABELS = ("B", "G", "R", "X")
-
-_CENTROID_TOL = 1e-9
-_DMIN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -115,8 +110,6 @@ def build_constellation(
     g: ChromaticityPoint,
     b: ChromaticityPoint | None = None,
     gamut: GamutPolygon | None = None,
-    *,
-    boundary_tol: float = BOUNDARY_TOLERANCE,
 ) -> Constellation4:
     """Assemble a constellation from the three source colors.
 
@@ -129,7 +122,7 @@ def build_constellation(
     x = centroid([r, g, b])
     if gamut is not None:
         for label, p in (("R", r), ("G", g), ("B", b), ("X", x)):
-            if not in_gamut(p, gamut, tol=boundary_tol):
+            if not gamut.contains(p):
                 raise OutOfGamutError(
                     f"point {label} = ({p.x}, {p.y}) lies outside the gamut"
                 )
@@ -165,9 +158,7 @@ def validate_against_target(
     margin = target.margin(c.x)
     gamut_flags = {}
     if gamut is not None:
-        gamut_flags = {
-            label: in_gamut(p, gamut) for label, p in c.points().items()
-        }
+        gamut_flags = {label: gamut.contains(p) for label, p in c.points().items()}
     d, pair = min_distance(c)
     true_x = centroid([c.r, c.g, c.b])
     return TargetReport(

@@ -122,69 +122,56 @@ class HypothesisSet:
         return self.vectors / self.loss_factors
 
 
-def build_hypotheses(c: Constellation4, cfg: LinkConfig) -> HypothesisSet:
-    """Map a constellation to noiseless received 3-vectors.
-
-    Per symbol: fluxes solve the color-mixing system at the default
-    primaries for the total flux; optical power applies the transmit
-    electro-optic scale and the photopic conversion; the received
-    amplitude applies responsivity and per-band Beer-Lambert loss.
-    """
-    efficacy = [photopic_efficacy(wl) for wl in DEFAULT_PRIMARY_WAVELENGTHS]
+def _render(fluxes, wavelengths, labels, cfg: LinkConfig) -> HypothesisSet:
+    """Received amplitudes of per-LED luminous fluxes (one row per symbol):
+    the electro-optic scale and photopic conversion give optical power,
+    then responsivity and per-band Beer-Lambert loss give amplitude."""
     losses = np.array(
         [
             path_loss(attenuation_coefficient(cfg.water, wl), cfg.distance_m)
-            for wl in DEFAULT_PRIMARY_WAVELENGTHS
+            for wl in wavelengths
         ]
     )
-    fluxes = np.zeros((len(SYMBOL_LABELS), 3))
-    for i, label in enumerate(SYMBOL_LABELS):
-        point = c.point(label)
-        try:
-            # Designs may graze the triangle boundary within the gamut
-            # tolerance; an LED driven fractionally negative floors at 0.
-            fluxes[i] = solve_fluxes(
-                DEFAULT_PRIMARY_CHROMATICITIES,
-                point,
-                TOTAL_LUMINOUS_FLUX_LM,
-                negative_flux_tol=1e-3,
-            )
-        except OutOfGamutError as exc:
-            raise InfeasibleConstellationError(
-                f"symbol {label} at ({point.x}, {point.y}) is outside the "
-                "source triangle of the configured primaries"
-            ) from exc
-    powers = (
-        ELECTRO_OPTIC_FACTOR * fluxes / (LUMENS_PER_WATT_PEAK * np.asarray(efficacy))
-    )
-    vectors = RESPONSIVITY_A_PER_W * powers * losses
+    efficacy = np.array([photopic_efficacy(wl) for wl in wavelengths])
+    powers = ELECTRO_OPTIC_FACTOR * fluxes / (LUMENS_PER_WATT_PEAK * efficacy)
     return HypothesisSet(
-        vectors=vectors,
-        labels=SYMBOL_LABELS,
-        band_wavelengths_nm=DEFAULT_PRIMARY_WAVELENGTHS,
+        vectors=RESPONSIVITY_A_PER_W * powers * losses,
+        labels=labels,
+        band_wavelengths_nm=tuple(wavelengths),
         loss_factors=losses,
         fluxes_lm=fluxes,
         optical_powers_w=powers,
     )
 
 
+def build_hypotheses(c: Constellation4, cfg: LinkConfig) -> HypothesisSet:
+    """Map a constellation to noiseless received 3-vectors.
+
+    Per symbol, fluxes solve the color-mixing system at the default
+    primaries for the total flux, and are rendered over the link.
+    """
+    fluxes = np.zeros((len(SYMBOL_LABELS), 3))
+    for i, label in enumerate(SYMBOL_LABELS):
+        point = c.point(label)
+        try:
+            # A symbol renders when it is in the LED triangle by
+            # GamutPolygon.contains; one grazing the boundary within its
+            # tolerance drives an LED at a clipped flux of 0.
+            fluxes[i] = solve_fluxes(
+                DEFAULT_PRIMARY_CHROMATICITIES, point, TOTAL_LUMINOUS_FLUX_LM
+            )
+        except OutOfGamutError as exc:
+            raise InfeasibleConstellationError(
+                f"symbol {label} at ({point.x}, {point.y}) is outside the "
+                "source triangle of the configured primaries"
+            ) from exc
+    return _render(fluxes, DEFAULT_PRIMARY_WAVELENGTHS, SYMBOL_LABELS, cfg)
+
+
 def ook_hypotheses(wavelength_nm: float, cfg: LinkConfig) -> HypothesisSet:
     """On-off keying over a single LED: hypotheses {0, on-amplitude}."""
-    loss = path_loss(
-        attenuation_coefficient(cfg.water, wavelength_nm), cfg.distance_m
-    )
-    flux = TOTAL_LUMINOUS_FLUX_LM
-    efficacy = photopic_efficacy(wavelength_nm)
-    power = ELECTRO_OPTIC_FACTOR * flux / (LUMENS_PER_WATT_PEAK * efficacy)
-    amplitude = RESPONSIVITY_A_PER_W * power * loss
-    return HypothesisSet(
-        vectors=np.array([[0.0], [amplitude]]),
-        labels=("off", "on"),
-        band_wavelengths_nm=(wavelength_nm,),
-        loss_factors=np.array([loss]),
-        fluxes_lm=np.array([[0.0], [flux]]),
-        optical_powers_w=np.array([[0.0], [power]]),
-    )
+    fluxes = np.array([[0.0], [TOTAL_LUMINOUS_FLUX_LM]])
+    return _render(fluxes, (wavelength_nm,), ("off", "on"), cfg)
 
 
 def average_symbol_power(vectors: np.ndarray) -> float:
@@ -194,23 +181,11 @@ def average_symbol_power(vectors: np.ndarray) -> float:
     return float(np.sum(v * v)) / (3.0 * v.shape[0])
 
 
-def noise_sigma(
-    h: HypothesisSet, snr_db: float, reference: str = "received"
-) -> float:
-    """Per-band noise standard deviation for an SNR setting.
-
-    ``received`` references P_avg to the attenuated hypotheses (the SER
-    convention); ``transmit`` references it to the distance-0 amplitudes,
-    so the same knob models a receiver whose noise floor does not shrink
-    with path loss (the rate-curve convention).
-    """
-    if reference == "received":
-        p_avg = average_symbol_power(h.vectors)
-    elif reference == "transmit":
-        p_avg = average_symbol_power(h.transmit_vectors())
-    else:
-        raise ValueError(f"unknown SNR reference {reference!r}")
-    return math.sqrt(p_avg / 10.0 ** (snr_db / 10.0))
+def noise_sigma(vectors: np.ndarray, snr_db: float) -> float:
+    """Per-band noise standard deviation that puts the average power of
+    ``vectors`` at ``snr_db`` above the noise.  SER curves pass the
+    received hypotheses, rate curves the transmit ones."""
+    return math.sqrt(average_symbol_power(vectors) / 10.0 ** (snr_db / 10.0))
 
 
 def detect_ml(received: np.ndarray, h: HypothesisSet) -> int | np.ndarray:
@@ -324,7 +299,7 @@ def simulate_ser(
         raise ValueError("n_symbols must be >= 1")
     values = [[] for _ in hs]
     for stream, snr_db in enumerate(grid):
-        sigmas = [noise_sigma(h, snr_db) for h in hs]
+        sigmas = [noise_sigma(h.vectors, snr_db) for h in hs]
         errors = _map_shared_draws(hs, sigmas, seed, stream, n_symbols, _symbol_errors)
         for curve, counts in zip(values, errors):
             curve.append(sum(counts) / n_symbols)
@@ -352,7 +327,8 @@ def union_bound_from_hypotheses(h: HypothesisSet, sigma: float) -> float:
 def union_bound_ser(h: HypothesisSet, snr_db_grid) -> tuple[float, ...]:
     """Union bound of a hypothesis set over an SNR grid."""
     return tuple(
-        union_bound_from_hypotheses(h, noise_sigma(h, s)) for s in snr_db_grid
+        union_bound_from_hypotheses(h, noise_sigma(h.vectors, s))
+        for s in snr_db_grid
     )
 
 
@@ -450,10 +426,10 @@ def rate_curve(
     hs = _batch(hypothesis_sets)
     shas = _shas(config_shas, len(hs))
     snr_db = tuple(float(s) for s in grid)
+    transmit = [h.transmit_vectors() for h in hs]
     per_point = [
         mutual_information(
-            hs, [noise_sigma(h, snr, "transmit") for h in hs], n_samples, seed,
-            stream=i,
+            hs, [noise_sigma(v, snr) for v in transmit], n_samples, seed, stream=i
         )
         for i, snr in enumerate(snr_db)
     ]

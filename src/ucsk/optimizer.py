@@ -28,7 +28,6 @@ from .colorimetry import (
     BOUNDARY_TOLERANCE,
     ChromaticityPoint,
     GamutPolygon,
-    in_gamut,
     spectral_locus,
     xy_distance,
 )
@@ -51,7 +50,8 @@ _PIN_RADIUS = 1e-7
 # Feasibility allowance on the gamut signed distance.  Published locus
 # tables are rounded to 4 digits, which leaves the fixed blue a hair
 # outside the polygon; boundary points must stay feasible.  Kept at half
-# the membership tolerance so accepted designs always pass in_gamut.
+# the membership tolerance, so every accepted design passes
+# GamutPolygon.contains and, on the LED triangle, also renders.
 _GAMUT_MARGIN = 0.5 * BOUNDARY_TOLERANCE
 
 # SLSQP accuracy: the objective change, step and summed constraint
@@ -216,7 +216,7 @@ def _sample_start(
         for _attempt in range(10_000):
             x = rng.uniform(xmin, xmax)
             y = rng.uniform(ymin, ymax)
-            if in_gamut(ChromaticityPoint(x, y), gamut, tol=0.0):
+            if gamut.signed_distance(ChromaticityPoint(x, y)) <= 0.0:
                 pts.extend((x, y))
                 break
         else:
@@ -254,7 +254,7 @@ def design_constellation(
             f"radius {target.radius}) does not intersect the gamut "
             f"(gap {center_gap:.4g})"
         )
-    if not in_gamut(fixed_blue, gamut):
+    if not gamut.contains(fixed_blue):
         raise InfeasibleTargetError(
             f"fixed blue ({fixed_blue.x}, {fixed_blue.y}) is outside the gamut"
         )

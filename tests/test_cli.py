@@ -9,7 +9,7 @@ import pytest
 
 from ucsk import cli, linksim
 from ucsk.cli import EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, EXIT_USAGE, main
-from ucsk.colorimetry import ChromaticityPoint, in_gamut
+from ucsk.colorimetry import ChromaticityPoint
 from ucsk.constellation import (
     build_constellation,
     constellation_document,
@@ -140,6 +140,20 @@ class TestExitCodes:
         assert "usage error: distance" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "snr", ["0:1:inf", "nan:1:3", "0:1:1e12", "0:4000:4000", "-4000:4000:0"]
+    )
+    def test_unusable_snr_grid_is_usage_error(self, tmp_path, capsys, snr):
+        # Non-finite ends, more than 10,000 points, and points whose linear
+        # ratio 10**(dB/10) overflows or is 0.
+        out = tmp_path / "rate.csv"
+        argv = ["rate", "--scheme", "ook", "--wavelength", "460",
+                "--water", "seawater", "--distance", "10",
+                f"--snr={snr}", "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert "usage error: --snr" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("subcommand", ["design", "ser", "rate"])
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_out_of_range_is_usage_error(self, tmp_path, capsys, subcommand, seed):
@@ -177,7 +191,7 @@ class TestExitCodes:
         code, design = _design(tmp_path, "d.json", "--gamut", "horseshoe")
         assert code == EXIT_OK
         g = json.loads(design.read_text())["points"]["G"]
-        assert not in_gamut(ChromaticityPoint(*g), led_triangle_gamut())
+        assert not led_triangle_gamut().contains(ChromaticityPoint(*g))
         assert main(_ser_args(design, tmp_path / "ser.csv")) == EXIT_INFEASIBLE
         assert "infeasible constellation" in capsys.readouterr().err
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ucsk.colorimetry import (
@@ -14,7 +14,6 @@ from ucsk.colorimetry import (
     OutOfGamutError,
     Tristimulus,
     centroid,
-    in_gamut,
     load_locus_csv,
     mix_chromaticity,
     photopic_efficacy,
@@ -238,14 +237,13 @@ class TestSolveFluxes:
         assert np.all(got > 0)
 
     @given(coords, coords)
+    @example(0.51819, 0.47884)  # 5.7e-5 outside the R-G edge
+    @example(0.44, 0.15437)  # 5.9e-5 outside the B-R edge
     @settings(deadline=None)
     def test_solvable_iff_in_triangle(self, x, y):
         p = ChromaticityPoint(x, y)
         assume(in_simplex(p))
         triangle = led_triangle_gamut()
-        # Within BOUNDARY_TOLERANCE of an edge, contains() accepts points
-        # whose fluxes are negative beyond solve_fluxes' default tolerance.
-        assume(abs(triangle.signed_distance(p)) > BOUNDARY_TOLERANCE)
         try:
             solve_fluxes(DEFAULT_PRIMARIES, p, 1.0)
             solvable = True
@@ -265,13 +263,13 @@ class TestSolveFluxes:
 
 class TestGamut:
     def test_primary_blue_on_locus(self, locus):
-        assert in_gamut(B, locus)
+        assert locus.contains(B)
 
     def test_far_corner_outside(self, locus):
-        assert not in_gamut(ChromaticityPoint(0.9, 0.9), locus)
+        assert not locus.contains(ChromaticityPoint(0.9, 0.9))
 
     def test_vertex_counts_inside(self, locus):
-        assert all(in_gamut(v, locus) for v in locus.vertices)
+        assert all(locus.contains(v) for v in locus.vertices)
 
     def test_signed_distance_sign(self, locus):
         assert locus.signed_distance(ChromaticityPoint(0.3, 0.3)) < 0

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ucsk.channel import attenuation_coefficient, path_loss
-from ucsk.colorimetry import ChromaticityPoint, photopic_efficacy
-from ucsk.constellation import build_constellation
+from ucsk.colorimetry import ChromaticityPoint, centroid, photopic_efficacy
+from ucsk.constellation import FIXED_BLUE, build_constellation
 from ucsk.linksim import (
     BANDWIDTH_HZ,
     Curve,
@@ -34,10 +34,12 @@ from ucsk.linksim import (
     write_curve_csv,
 )
 from ucsk.linksim import _uniform_blocks
+from ucsk.optimizer import _GAMUT_MARGIN
 from ucsk.presets import (
     DEFAULT_PRIMARY_CHROMATICITIES,
     DEFAULT_PRIMARY_WAVELENGTHS,
     TABLE1_FIXTURES,
+    led_triangle_gamut,
 )
 
 
@@ -117,6 +119,23 @@ class TestBuildHypotheses:
         with pytest.raises(InfeasibleConstellationError):
             build_hypotheses(c, link10)
 
+    def test_designs_grazing_the_led_triangle_render(self, link10):
+        # The optimizer accepts R and G up to _GAMUT_MARGIN outside the
+        # gamut; every such point on the LED triangle must also render.
+        triangle = led_triangle_gamut()
+        inner = centroid(list(triangle.vertices))
+        corners = np.array([v.as_array() for v in triangle.vertices])
+        for a, b in zip(corners, np.roll(corners, -1, axis=0)):
+            edge = b - a
+            normal = np.array([edge[1], -edge[0]]) / np.linalg.norm(edge)
+            if normal @ (inner.as_array() - a) > 0:
+                normal = -normal
+            for t in np.linspace(0.01, 0.99, 99):
+                p = ChromaticityPoint(*(a + t * edge + _GAMUT_MARGIN * normal))
+                assert triangle.signed_distance(p) == pytest.approx(_GAMUT_MARGIN)
+                c = build_constellation(p, inner, FIXED_BLUE, triangle)
+                build_hypotheses(c, link10)
+
     def test_symbol_order_matches_map(self, renderable, link10):
         # Symbol i carries the bits of i: 00->B, 01->G, 10->R, 11->X.
         h = build_hypotheses(renderable, link10)
@@ -174,7 +193,7 @@ class TestSimulateSer:
         h = binary_set(1.0)
         curve = ser_alone(h, [-6.0, 0.0, 6.0], 200_000, seed=5)
         for snr, sim in zip(curve.snr_db, curve.values):
-            sigma = noise_sigma(h, snr)
+            sigma = noise_sigma(h.vectors, snr)
             theory = float(qfunc(1.0 / (2.0 * sigma)))
             se = math.sqrt(theory * (1 - theory) / 200_000)
             assert abs(sim - theory) <= 3 * se
@@ -298,7 +317,7 @@ class TestRates:
         assert curve.snr_db == (10.0, 200.0)
         assert (curve.seed, curve.n, curve.config_sha) == (0, 20_000, "ff")
         for i, snr in enumerate(curve.snr_db):
-            sigma = noise_sigma(h, snr, "transmit")
+            sigma = noise_sigma(h.transmit_vectors(), snr)
             mi = mi_alone(h, sigma, 20_000, 0, stream=i)
             assert curve.values[i] == BANDWIDTH_HZ * mi
         assert curve.values[1] == pytest.approx(2 * BANDWIDTH_HZ, rel=1e-5)
@@ -344,7 +363,7 @@ class TestBatch:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_mi_batch_equals_each_alone(self, mixed_batch, monkeypatch, threads):
         monkeypatch.setenv("UCSK_THREADS", threads)
-        sigmas = [noise_sigma(h, 6.0, "transmit") for h in mixed_batch]
+        sigmas = [noise_sigma(h.transmit_vectors(), 6.0) for h in mixed_batch]
         batch = mutual_information(mixed_batch, sigmas, self.N, 3, stream=2)
         alone = tuple(
             mi_alone(h, s, self.N, 3, stream=2) for h, s in zip(mixed_batch, sigmas)
