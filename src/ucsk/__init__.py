@@ -37,13 +37,11 @@ from .constellation import (
     FIXED_BLUE,
     BlueTarget,
     Constellation4,
-    TargetReport,
     build_constellation,
     constellation_document,
     document_to_constellation,
     min_distance,
     read_constellation_json,
-    validate_against_target,
     write_constellation_json,
 )
 from .linksim import (

@@ -84,8 +84,8 @@ def attenuation_coefficient(w: WaterProperties, wavelength_nm: float) -> float:
 
 def path_loss(c: float, d: float) -> float:
     """Beer-Lambert power loss factor exp(-c * d)."""
-    if c < 0:
-        raise ValueError(f"attenuation must be >= 0, got {c}")
+    if not 0 <= c < math.inf:
+        raise ValueError(f"attenuation must be finite and >= 0, got {c}")
     if d < 0:
         raise ValueError(f"distance must be >= 0, got {d}")
     return math.exp(-c * d)

@@ -39,12 +39,12 @@ from .constellation import (
     constellation_document,
     document_to_constellation,
     read_constellation_json,
-    validate_against_target,
     write_constellation_json,
 )
 from .linksim import (
     InfeasibleConstellationError,
     LinkConfig,
+    NoiseLevelError,
     build_hypotheses,
     config_digest,
     ook_hypotheses,
@@ -206,16 +206,14 @@ def _cmd_design(args) -> None:
     if args.preset is not None:
         target = blue_target_preset(args.preset)
     elif args.target_center and args.target_radius is not None:
-        if args.target_radius < 0:
-            raise _usage("--target-radius must be >= 0")
-        target = BlueTarget(_parse_center(args.target_center), args.target_radius)
+        center = _parse_center(args.target_center)
+        target = _config(BlueTarget, center=center, radius=args.target_radius)
     else:
         raise _usage("give --preset or both --target-center and --target-radius")
     cfg = _config(OptimizerConfig, multistart_count=args.starts, rng_seed=args.seed)
     gamut = _gamut_for(args.gamut)
     with _failing(EXIT_INFEASIBLE, "design failed", *_DESIGN_FAILED):
         result = design_constellation(target, cfg, gamut)
-    report = validate_against_target(result.constellation, target, gamut)
     provenance = (
         f"ucsk design seed={args.seed} starts={args.starts} gamut={args.gamut}"
     )
@@ -238,7 +236,8 @@ def _cmd_design(args) -> None:
             args.seed,
         )
     print(f"achieved d_min: {result.achieved_dmin:.6f}")
-    print(f"constraint margin: {report.margin:+.6f} (inside={report.inside})")
+    margin = target.margin(result.constellation.x)
+    print(f"constraint margin: {margin:+.6f} (inside={margin >= 0.0})")
     print(f"wrote {out}")
 
 
@@ -279,11 +278,11 @@ def _cmd_validate(args) -> None:
     memberships = {lab: gamut.contains(p) for lab, p in c.points().items()}
     print(f"gamut membership: {memberships}")
     if target is not None:
-        report = validate_against_target(c, target, gamut)
-        state = "inside" if report.inside else "OUTSIDE"
+        margin = target.margin(c.x)
         print(
-            f"blue target: |X-center|={report.center_distance:.4f} "
-            f"radius={target.radius} margin={report.margin:+.4f} ({state})"
+            f"blue target: |X-center|={xy_distance(c.x, target.center):.4f} "
+            f"radius={target.radius} margin={margin:+.4f} "
+            f"({'inside' if margin >= 0.0 else 'OUTSIDE'})"
         )
     else:
         print("blue target: none given; disk check skipped")
@@ -319,7 +318,10 @@ def _cmd_ser(args) -> None:
     )
     with _failing(EXIT_INFEASIBLE, "infeasible constellation", ValueError):
         hypotheses = build_hypotheses(c, link)
-    ((curve, bound),) = ser_curves([hypotheses], grid, args.symbols, args.seed, [sha])
+    with _failing(EXIT_USAGE, "usage error: --snr", NoiseLevelError):
+        ((curve, bound),) = ser_curves(
+            [hypotheses], grid, args.symbols, args.seed, [sha]
+        )
     out = Path(args.out)
     with _failing(EXIT_IO, "cannot write output", OSError):
         write_curve_csv(out, curve)
@@ -375,7 +377,8 @@ def _cmd_rate(args) -> None:
             },
         )
     )
-    (curve,) = rate_curve([hypotheses], grid, args.samples, args.seed, [sha])
+    with _failing(EXIT_USAGE, "usage error: --snr", NoiseLevelError):
+        (curve,) = rate_curve([hypotheses], grid, args.samples, args.seed, [sha])
     out = Path(args.out)
     with _failing(EXIT_IO, "cannot write output", OSError):
         write_curve_csv(out, curve)

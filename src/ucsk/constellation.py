@@ -28,10 +28,8 @@ __all__ = [
     "BlueTarget",
     "Constellation4",
     "SYMBOL_LABELS",
-    "TargetReport",
     "min_distance",
     "build_constellation",
-    "validate_against_target",
     "constellation_document",
     "write_constellation_json",
     "read_constellation_json",
@@ -54,8 +52,11 @@ class BlueTarget:
     radius: float
 
     def __post_init__(self) -> None:
-        if self.radius < 0:
-            raise ValueError(f"target radius must be >= 0, got {self.radius}")
+        # The optimizer squares the radius; that square must be finite too.
+        if not (self.radius >= 0 and math.isfinite(self.radius * self.radius)):
+            raise ValueError(
+                f"target radius must be >= 0 with a finite square, got {self.radius}"
+            )
 
     def margin(self, p: ChromaticityPoint) -> float:
         """Signed containment margin: radius - |p - center|.
@@ -131,47 +132,6 @@ def build_constellation(
     return Constellation4(r, g, b, x, d, pair)
 
 
-@dataclass(frozen=True)
-class TargetReport:
-    """Structured validation result; violations are reported, not raised."""
-
-    center_distance: float
-    margin: float
-    inside: bool
-    points_in_gamut: Mapping[str, bool]
-    d_min: float
-    d_min_pair: tuple[str, str]
-    centroid_offset: float
-
-
-def validate_against_target(
-    c: Constellation4,
-    target: BlueTarget,
-    gamut: GamutPolygon | None = None,
-) -> TargetReport:
-    """Check a constellation against a blue target disk.
-
-    Reports whether X lies in the closed disk with its signed margin, the
-    gamut membership of all four points, the recomputed d_min, and how far
-    the stored X is from the true centroid of (R, G, B).
-    """
-    margin = target.margin(c.x)
-    gamut_flags = {}
-    if gamut is not None:
-        gamut_flags = {label: gamut.contains(p) for label, p in c.points().items()}
-    d, pair = min_distance(c)
-    true_x = centroid([c.r, c.g, c.b])
-    return TargetReport(
-        center_distance=xy_distance(c.x, target.center),
-        margin=margin,
-        inside=margin >= 0.0,
-        points_in_gamut=gamut_flags,
-        d_min=d,
-        d_min_pair=pair,
-        centroid_offset=xy_distance(c.x, true_x),
-    )
-
-
 def constellation_document(
     c: Constellation4,
     target: BlueTarget | None = None,
@@ -199,12 +159,13 @@ def write_constellation_json(path, doc: dict) -> None:
 
 
 def read_constellation_json(path) -> dict:
-    """Read and schema-check a constellation document."""
+    """Read and schema-check a constellation document: four points and a
+    ``target`` that is null or a disk that :class:`BlueTarget` accepts."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "points" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("points"), dict):
         raise ValueError(f"{path}: not a constellation document")
     points = doc["points"]
     for label in SYMBOL_LABELS:
@@ -215,18 +176,22 @@ def read_constellation_json(path) -> dict:
             or not all(isinstance(v, (int, float)) for v in entry)
         ):
             raise ValueError(f"{path}: malformed point {label!r}")
+    target = doc.get("target")
+    if target is not None:
+        try:
+            BlueTarget(ChromaticityPoint(*target["center"]), target["radius"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed target: {exc}") from exc
     return doc
 
 
-def document_to_constellation(
-    doc: dict, gamut: GamutPolygon | None = None
-) -> Constellation4:
+def document_to_constellation(doc: dict) -> Constellation4:
     """Rebuild a constellation from a document.
 
-    X is rederived as the centroid of the stored R, G, B; a stored X that
-    disagrees shows up as ``centroid_offset`` in validation reports.
+    X is rederived as the centroid of the stored R, G, B; the stored X is
+    not read.
     """
     pts = {
         label: ChromaticityPoint(*doc["points"][label]) for label in SYMBOL_LABELS
     }
-    return build_constellation(pts["R"], pts["G"], pts["B"], gamut)
+    return build_constellation(pts["R"], pts["G"], pts["B"])

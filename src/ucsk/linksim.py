@@ -41,6 +41,7 @@ __all__ = [
     "HypothesisSet",
     "Curve",
     "InfeasibleConstellationError",
+    "NoiseLevelError",
     "build_hypotheses",
     "ook_hypotheses",
     "average_symbol_power",
@@ -77,6 +78,10 @@ class InfeasibleConstellationError(ValueError):
     """A constellation point cannot be rendered by the configured primaries."""
 
 
+class NoiseLevelError(ValueError):
+    """An SNR whose noise standard deviation is not finite and > 0."""
+
+
 @dataclass(frozen=True)
 class LinkConfig:
     """The water and range of a link; the rest of the budget is fixed."""
@@ -87,6 +92,8 @@ class LinkConfig:
     def __post_init__(self) -> None:
         if self.distance_m < 0:
             raise ValueError("distance must be >= 0")
+        if not math.isfinite(self.distance_m):
+            raise ValueError(f"distance must be finite, got {self.distance_m}")
 
 
 @dataclass(frozen=True)
@@ -132,6 +139,12 @@ def _render(fluxes, wavelengths, labels, cfg: LinkConfig) -> HypothesisSet:
             for wl in wavelengths
         ]
     )
+    for wl, loss in zip(wavelengths, losses):
+        # A band with no signal left has no transmit amplitude to recover.
+        if loss == 0.0:
+            raise ValueError(
+                f"path loss at {wl} nm underflows to 0 at {cfg.distance_m} m"
+            )
     efficacy = np.array([photopic_efficacy(wl) for wl in wavelengths])
     powers = ELECTRO_OPTIC_FACTOR * fluxes / (LUMENS_PER_WATT_PEAK * efficacy)
     return HypothesisSet(
@@ -185,7 +198,10 @@ def noise_sigma(vectors: np.ndarray, snr_db: float) -> float:
     """Per-band noise standard deviation that puts the average power of
     ``vectors`` at ``snr_db`` above the noise.  SER curves pass the
     received hypotheses, rate curves the transmit ones."""
-    return math.sqrt(average_symbol_power(vectors) / 10.0 ** (snr_db / 10.0))
+    sigma = math.sqrt(average_symbol_power(vectors) / 10.0 ** (snr_db / 10.0))
+    if not 0.0 < sigma < math.inf:
+        raise NoiseLevelError(f"noise sigma at {snr_db} dB is {sigma}")
+    return sigma
 
 
 def detect_ml(received: np.ndarray, h: HypothesisSet) -> int | np.ndarray:

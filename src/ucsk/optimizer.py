@@ -58,6 +58,13 @@ _GAMUT_MARGIN = 0.5 * BOUNDARY_TOLERANCE
 # violation a converged start must reach.
 _FTOL = 1e-12
 
+# SLSQP iteration cap per start; no start of the bundled presets and
+# gamuts (seeds 0-39, 32 starts each) needed more than 81.
+_MAX_ITERATIONS = 200
+
+# Largest exact disk or gamut violation of a feasible start.
+_CONSTRAINT_TOLERANCE = 1e-6
+
 
 class InfeasibleTargetError(ValueError):
     """The blue-target disk cannot be met inside the gamut."""
@@ -73,20 +80,14 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Multistart and tolerance knobs for the design search."""
+    """Multistart settings for the design search."""
 
     multistart_count: int = 32
-    max_iterations: int = 200
-    constraint_tolerance: float = 1e-6
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.multistart_count < 1:
             raise ValueError("multistart_count must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.constraint_tolerance <= 0:
-            raise ValueError("constraint_tolerance must be > 0")
 
 
 @dataclass(frozen=True)
@@ -100,15 +101,13 @@ class DesignResult:
     best_start_index: int
 
 
-def dmin_upper_bound(
-    target: BlueTarget, fixed_blue: ChromaticityPoint = FIXED_BLUE
-) -> float:
+def dmin_upper_bound(target: BlueTarget) -> float:
     """Analytic cap on the achievable minimum distance.
 
     (X, B) is one of the six pairs and X must stay in the disk, so
     d_min <= |center - B| + radius.
     """
-    return xy_distance(target.center, fixed_blue) + target.radius
+    return xy_distance(target.center, FIXED_BLUE) + target.radius
 
 
 # Each point of (R, G, B, X) is _POINT_JAC[k] @ z[:4] plus a multiple of
@@ -231,8 +230,6 @@ def design_constellation(
     target: BlueTarget,
     cfg: OptimizerConfig = OptimizerConfig(),
     gamut: GamutPolygon | None = None,
-    *,
-    fixed_blue: ChromaticityPoint = FIXED_BLUE,
 ) -> DesignResult:
     """Search for the maximin constellation meeting a blue target.
 
@@ -254,15 +251,15 @@ def design_constellation(
             f"radius {target.radius}) does not intersect the gamut "
             f"(gap {center_gap:.4g})"
         )
-    if not gamut.contains(fixed_blue):
+    if not gamut.contains(FIXED_BLUE):
         raise InfeasibleTargetError(
-            f"fixed blue ({fixed_blue.x}, {fixed_blue.y}) is outside the gamut"
+            f"fixed blue ({FIXED_BLUE.x}, {FIXED_BLUE.y}) is outside the gamut"
         )
 
-    blue = fixed_blue.as_array()
+    blue = FIXED_BLUE.as_array()
     constraints = _constraints(blue, target, gamut)
     bbox = gamut.bounding_box()
-    options = {"maxiter": cfg.max_iterations, "ftol": _FTOL}
+    options = {"maxiter": _MAX_ITERATIONS, "ftol": _FTOL}
 
     feasible: list[tuple[float, int, np.ndarray]] = []
     diagnostics: list[dict] = []
@@ -283,7 +280,7 @@ def design_constellation(
         z = res.x[:4]
         dmin = float(np.linalg.norm(_pair_deltas(z, blue), axis=1).min())
         viol = _exact_violation(z, blue, target, gamut)
-        if viol <= cfg.constraint_tolerance:
+        if viol <= _CONSTRAINT_TOLERANCE:
             feasible.append((dmin, k, z))
         diagnostics.append(
             {"start_index": k, "d_min": dmin, "constraint_residual": viol}
@@ -292,7 +289,7 @@ def design_constellation(
     if not feasible:
         raise ConvergenceError(
             f"no start out of {cfg.multistart_count} reached constraint "
-            f"tolerance {cfg.constraint_tolerance}",
+            f"tolerance {_CONSTRAINT_TOLERANCE}",
             diagnostics,
         )
     # Highest hard d_min wins; ties go to the lowest start index.
@@ -303,7 +300,7 @@ def design_constellation(
     g_pt = ChromaticityPoint(best_z[2], best_z[3])
     if r_pt.x < g_pt.x:
         r_pt, g_pt = g_pt, r_pt
-    constellation = build_constellation(r_pt, g_pt, fixed_blue, gamut)
+    constellation = build_constellation(r_pt, g_pt, FIXED_BLUE, gamut)
     return DesignResult(
         constellation=constellation,
         achieved_dmin=constellation.d_min,

@@ -106,13 +106,11 @@ DEFAULT_PRIMARY_CHROMATICITIES = (
 )
 
 
-def led_triangle_gamut(
-    chromaticities: tuple[ChromaticityPoint, ...] = DEFAULT_PRIMARY_CHROMATICITIES,
-) -> GamutPolygon:
+def led_triangle_gamut() -> GamutPolygon:
     """Source triangle spanned by the LED primaries.
 
     Designs produced inside this gamut are renderable by the default link
     primaries (every symbol solves to nonnegative fluxes), unlike designs
     that roam the full spectral-locus horseshoe.
     """
-    return GamutPolygon(chromaticities)
+    return GamutPolygon(DEFAULT_PRIMARY_CHROMATICITIES)

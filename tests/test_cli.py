@@ -127,25 +127,34 @@ class TestExitCodes:
         assert "usage error: multistart_count" in capsys.readouterr().err
         assert not (tmp_path / "e.json").exists()
 
-    @pytest.mark.parametrize("subcommand", ["ser", "rate"])
-    def test_negative_distance_is_usage_error(self, tmp_path, capsys, subcommand):
+    @pytest.mark.parametrize(
+        "subcommand, distance",
+        [(cmd, d) for d in ("-1", "nan", "inf") for cmd in ("ser", "rate")],
+        ids=["ser", "rate", "ser-nan", "rate-nan", "ser-inf", "rate-inf"],
+    )
+    def test_negative_distance_is_usage_error(
+        self, tmp_path, capsys, subcommand, distance
+    ):
         out = tmp_path / "curve.csv"
         if subcommand == "ser":
-            argv = _ser_args("table1-t3o1", out, distance="-1")
+            argv = _ser_args("table1-t3o1", out, distance=distance)
         else:
             argv = ["rate", "--scheme", "ook", "--wavelength", "460",
-                    "--water", "seawater", "--distance", "-1",
+                    "--water", "seawater", "--distance", distance,
                     "--snr", "10:10:20", "--out", str(out)]
         assert main(argv) == EXIT_USAGE
         assert "usage error: distance" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "snr", ["0:1:inf", "nan:1:3", "0:1:1e12", "0:4000:4000", "-4000:4000:0"]
+        "snr",
+        ["0:1:inf", "nan:1:3", "0:1:1e12", "0:4000:4000", "-4000:4000:0",
+         "-3200:1:-3199"],
     )
     def test_unusable_snr_grid_is_usage_error(self, tmp_path, capsys, snr):
-        # Non-finite ends, more than 10,000 points, and points whose linear
-        # ratio 10**(dB/10) overflows or is 0.
+        # Non-finite ends, more than 10,000 points, points whose linear
+        # ratio 10**(dB/10) overflows or is 0, and a ratio so small that the
+        # noise level overflows.
         out = tmp_path / "rate.csv"
         argv = ["rate", "--scheme", "ook", "--wavelength", "460",
                 "--water", "seawater", "--distance", "10",
@@ -169,6 +178,52 @@ class TestExitCodes:
         assert "usage error: argument --seed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, distance, band_nm",
+        [
+            (["ser", "--symbols", "10000"], "100000", 700),
+            (["rate", "--scheme", "ucsk"], "100000", 700),
+            (["rate", "--scheme", "ook", "--wavelength", "460"], "100000", 460),
+            (["rate", "--scheme", "ucsk"], "2000", 700),
+        ],
+        ids=["ser", "rate-ucsk", "rate-ook", "rate-ucsk-2000m"],
+    )
+    def test_path_loss_underflow_is_infeasible(
+        self, tmp_path, capsys, argv, distance, band_nm
+    ):
+        # Past about 1,146 m the red Beer-Lambert loss of the bundled
+        # seawater rounds to 0, and so does every band well before 100 km.
+        design = _renderable_design(tmp_path / "c.json")
+        out = tmp_path / "curve.csv"
+        argv = [*argv, "--constellation", str(design), "--water", "seawater",
+                "--distance", distance, "--snr", "10:10:20", "--out", str(out)]
+        assert main(argv) == EXIT_INFEASIBLE
+        message = f"path loss at {band_nm}.0 nm underflows to 0 at {distance}.0 m"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("radius", ["nan", "inf", "1e308"])
+    def test_unusable_target_radius_is_usage_error(self, tmp_path, capsys, radius):
+        out = tmp_path / "d.json"
+        argv = ["design", "--target-center", "0.15,0.1", "--target-radius", radius,
+                "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert "usage error: target radius" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "target",
+        [{"center": [0.15], "radius": 0.04}, {"center": [0.15, 0.1], "radius": -1}, "x"],
+        ids=["short-center", "negative-radius", "not-a-disk"],
+    )
+    def test_malformed_document_target_is_io_error(self, tmp_path, capsys, target):
+        path = _renderable_design(tmp_path / "c.json")
+        path.write_text(json.dumps({**json.loads(path.read_text()), "target": target}))
+        assert main(["validate", "--constellation", str(path)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert "cannot read constellation" in captured.err
+        assert captured.out == ""
+
     def test_water_table_missing_a_primary_is_infeasible(self, tmp_path, capsys):
         water = tmp_path / "water.csv"
         water.write_text("wavelength_nm,a_per_m,b_per_m\n500,0.03,0.003\n600,0.2,0.001\n")
@@ -176,6 +231,18 @@ class TestExitCodes:
         out = tmp_path / "ser.csv"
         assert main(_ser_args(design, out, water=water)) == EXIT_INFEASIBLE
         assert "infeasible constellation: 700.0 nm outside" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_water_coefficient_is_infeasible(self, tmp_path, capsys, cell):
+        water = tmp_path / "water.csv"
+        water.write_text("wavelength_nm,a_per_m,b_per_m\n"
+                         f"460,0.02,0.01\n550,0.06,0.01\n700,{cell},0.01\n")
+        design = _renderable_design(tmp_path / "c.json")
+        out = tmp_path / "ser.csv"
+        assert main(_ser_args(design, out, water=water)) == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert f"attenuation must be finite and >= 0, got {cell}" in err
         assert not out.exists()
 
     def test_degenerate_chromaticity_is_infeasible(self, tmp_path, capsys):
@@ -264,6 +331,38 @@ class TestReproducibility:
 
     def test_small_curves_match_recorded_digests(self, tmp_path):
         assert _small_curves(tmp_path) == GOLDEN_SHA256
+
+
+class TestReports:
+    # Recorded from the reports before they read the disk margin straight
+    # from BlueTarget.margin.
+    @pytest.mark.parametrize(
+        "argv, d_min, disk",
+        [
+            (["--constellation", "table1-t3o1"], "0.0936",
+             "|X-center|=0.0393 radius=0.04 margin=+0.0007 (inside)"),
+            (["--constellation", "table1-t1o1", "--preset", "1"], "0.2695",
+             "|X-center|=0.1086 radius=0.1 margin=-0.0086 (OUTSIDE)"),
+        ],
+        ids=["inside", "outside"],
+    )
+    def test_validate_stdout(self, capsys, argv, d_min, disk):
+        assert main(["validate", *argv]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            f"d_min: {d_min} attained by pair ('X', 'B')\n"
+            "centroid check: stored X is 0.000000 from centroid(R, G, B)\n"
+            "gamut membership: {'R': True, 'G': True, 'B': True, 'X': True}\n"
+            f"blue target: {disk}\n"
+        )
+
+    def test_design_constraint_margin_line(self, tmp_path, capsys):
+        code, out = _design(tmp_path, "d.json", "--gamut", "led-triangle")
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == (
+            "achieved d_min: 0.171476\n"
+            "constraint margin: +0.000000 (inside=True)\n"
+            f"wrote {out}\n"
+        )
 
 
 class TestManifest:

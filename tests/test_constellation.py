@@ -12,7 +12,6 @@ from ucsk.constellation import (
     document_to_constellation,
     min_distance,
     read_constellation_json,
-    validate_against_target,
     write_constellation_json,
 )
 from ucsk.presets import (
@@ -108,35 +107,38 @@ class TestBuildConstellation:
 class TestValidate:
     def test_t3o1_inside_its_disk(self, locus):
         c = fixture_constellation("table1-t3o1", locus)
-        report = validate_against_target(c, blue_target_preset(3), locus)
-        assert report.center_distance == pytest.approx(0.0393, abs=1e-4)
-        assert report.margin == pytest.approx(0.00067, abs=1e-4)
-        assert report.inside
-        assert all(report.points_in_gamut.values())
+        target = blue_target_preset(3)
+        assert xy_distance(c.x, target.center) == pytest.approx(0.0393, abs=1e-4)
+        assert target.margin(c.x) == pytest.approx(0.00067, abs=1e-4)
+        assert target.margin(c.x) >= 0.0
+        assert all(locus.contains(p) for p in c.points().values())
 
     def test_x_at_center(self):
         c = build_constellation(FIXED_BLUE, FIXED_BLUE, FIXED_BLUE)
         target = BlueTarget(FIXED_BLUE, 0.05)
-        report = validate_against_target(c, target)
-        assert report.margin == pytest.approx(target.radius, abs=1e-12)
+        assert target.margin(c.x) == pytest.approx(target.radius, abs=1e-12)
 
     def test_t1o1_marginally_outside(self, locus):
         c = fixture_constellation("table1-t1o1", locus)
-        report = validate_against_target(c, blue_target_preset(1), locus)
-        assert report.center_distance == pytest.approx(0.1086, abs=2e-4)
-        assert not report.inside
-        assert report.margin == pytest.approx(-0.0086, abs=2e-4)
+        target = blue_target_preset(1)
+        assert xy_distance(c.x, target.center) == pytest.approx(0.1086, abs=2e-4)
+        assert target.margin(c.x) < 0.0
+        assert target.margin(c.x) == pytest.approx(-0.0086, abs=2e-4)
 
     def test_never_raises_on_violation(self):
         c = build_constellation(
             ChromaticityPoint(0.6, 0.3), ChromaticityPoint(0.1, 0.6)
         )
-        report = validate_against_target(c, BlueTarget(ChromaticityPoint(0.15, 0.1), 0.01))
-        assert not report.inside
+        assert BlueTarget(ChromaticityPoint(0.15, 0.1), 0.01).margin(c.x) < 0.0
 
     def test_radius_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             BlueTarget(FIXED_BLUE, -0.1)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, 1e308])
+    def test_radius_must_have_a_finite_square(self, radius):
+        with pytest.raises(ValueError, match="target radius"):
+            BlueTarget(FIXED_BLUE, radius)
 
 
 class TestJsonRoundTrip:
@@ -147,8 +149,9 @@ class TestJsonRoundTrip:
         write_constellation_json(path, doc)
         back = read_constellation_json(path)
         assert back == doc
-        rebuilt = document_to_constellation(back, locus)
+        rebuilt = document_to_constellation(back)
         assert rebuilt == c
+        assert all(locus.contains(p) for p in rebuilt.points().values())
 
     def test_rewrite_is_byte_identical(self, tmp_path, locus):
         c = fixture_constellation("table1-t1o3", locus)
@@ -162,6 +165,20 @@ class TestJsonRoundTrip:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"points": {"R": [0.1, 0.2]}}))
         with pytest.raises(ValueError):
+            read_constellation_json(path)
+
+    @pytest.mark.parametrize(
+        "target",
+        [{"center": [0.15], "radius": 0.04}, {"center": [0.15, 0.1], "radius": -1},
+         {"center": [0.15, 0.1]}, "x", {}],
+        ids=["short-center", "negative-radius", "no-radius", "not-a-disk", "empty"],
+    )
+    def test_malformed_target(self, tmp_path, target):
+        c = fixture_constellation("table1-t3o1", None)
+        doc = {**constellation_document(c), "target": target}
+        path = tmp_path / "bad-target.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="target"):
             read_constellation_json(path)
 
     def test_truncated_file(self, tmp_path):
