@@ -123,6 +123,8 @@ def load_water_csv(path) -> WaterProperties:
                 wl, a, b = (float(c) for c in row)
             except ValueError as exc:
                 raise WaterTableError(f"{path}:{lineno}: non-numeric cell") from exc
+            if not all(math.isfinite(v) for v in (wl, a, b)):
+                raise WaterTableError(f"{path}:{lineno}: non-finite cell")
             if wl <= 0:
                 raise WaterTableError(f"{path}:{lineno}: non-positive wavelength {wl}")
             if a < 0 or b < 0:

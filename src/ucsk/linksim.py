@@ -10,11 +10,10 @@ rate estimates for 4-UCSK and an OOK baseline.
 Reproducibility contract: all random draws come from a counter-based
 Philox stream keyed by (seed, stream index) in which symbol n consumes
 exactly one counter block.  Results are therefore bit-identical for a
-fixed seed regardless of chunking or of the UCSK_THREADS worker count.
-The Monte Carlo entry points take a batch of hypothesis sets and draw
-each chunk once for the whole batch; a set reads only the uniforms and
-noise columns it would draw alone, so a curve's bytes do not depend on
-which other curves share its draws.
+fixed seed regardless of chunking.  The Monte Carlo entry points take a
+batch of hypothesis sets and draw each chunk once for the whole batch; a
+set reads only the uniforms and noise columns it would draw alone, so a
+curve's bytes do not depend on which other curves share its draws.
 """
 
 from __future__ import annotations
@@ -22,9 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -79,7 +76,8 @@ class InfeasibleConstellationError(ValueError):
 
 
 class NoiseLevelError(ValueError):
-    """An SNR whose noise standard deviation is not finite and > 0."""
+    """An SNR whose noise standard deviation is not finite and > 0, or
+    whose log-likelihood weight 1 / (2 sigma**2) overflows."""
 
 
 @dataclass(frozen=True)
@@ -199,36 +197,29 @@ def noise_sigma(vectors: np.ndarray, snr_db: float) -> float:
     ``vectors`` at ``snr_db`` above the noise.  SER curves pass the
     received hypotheses, rate curves the transmit ones."""
     sigma = math.sqrt(average_symbol_power(vectors) / 10.0 ** (snr_db / 10.0))
-    if not 0.0 < sigma < math.inf:
-        raise NoiseLevelError(f"noise sigma at {snr_db} dB is {sigma}")
+    # _information weighs log-likelihoods by 1 / (2 sigma**2), which
+    # overflows once sigma**2 is subnormal.
+    two_var = 2.0 * sigma * sigma
+    if not (0.0 < two_var < math.inf and 1.0 / two_var < math.inf):
+        raise NoiseLevelError(
+            f"noise sigma at {snr_db} dB is {sigma}; "
+            "1 / (2 sigma**2) must be finite and > 0"
+        )
     return sigma
 
 
-def detect_ml(received: np.ndarray, h: HypothesisSet) -> int | np.ndarray:
-    """Minimum-distance detection; ties break to the lowest symbol index.
+def detect_ml(received: np.ndarray, h: HypothesisSet) -> np.ndarray:
+    """Minimum-distance detection of an (N, K) batch of received vectors,
+    one symbol index per row; ties break to the lowest symbol index.
 
     A received vector nearer to hypothesis i than half the distance from i
     to its nearest other hypothesis always decodes to i.  Half the distance
     to some other neighbour is not enough when a nearer one exists.
-
-    Accepts a single K-vector (returns an int) or an (N, K) batch
-    (returns an int array).
     """
     r = np.asarray(received, dtype=float)
-    single = r.ndim == 1
-    r2 = np.atleast_2d(r)
-    delta = r2[:, None, :] - h.vectors[None, :, :]
+    delta = r[:, None, :] - h.vectors[None, :, :]
     d2 = np.einsum("nmk,nmk->nm", delta, delta)
-    idx = np.argmin(d2, axis=1)
-    return int(idx[0]) if single else idx
-
-
-def _threads() -> int:
-    raw = os.environ.get("UCSK_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    return np.argmin(d2, axis=1)
 
 
 def _uniform_blocks(seed: int, stream: int, start: int, count: int) -> np.ndarray:
@@ -241,38 +232,24 @@ def _uniform_blocks(seed: int, stream: int, start: int, count: int) -> np.ndarra
     return gen.random((count, 4)) + 2.0**-54
 
 
-def _map_chunks(worker, n: int):
-    """Evaluate ``worker(start, stop)`` over the fixed chunk grid and
-    return the results in chunk order (thread count cannot change it)."""
-    spans = [(a, min(a + _CHUNK, n)) for a in range(0, n, _CHUNK)]
-    threads = _threads()
-    if threads == 1 or len(spans) == 1:
-        return [worker(a, b) for a, b in spans]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda s: worker(*s), spans))
-
-
 def _map_shared_draws(hs, sigmas, seed: int, stream: int, n: int, score):
-    """Per hypothesis set, ``score(h, sigma, symbols, received)`` of every
-    chunk of the (seed, stream) draws, in chunk order.
+    """Per hypothesis set, the list of ``score(h, sigma, symbols, received)``
+    over the fixed ``_CHUNK``-symbol chunks of the (seed, stream) draws.
 
     A chunk's uniforms and Gaussian noise are drawn once for the whole
     batch.  Set h takes its symbols from the first uniform and its noise
     from the next ``h.bands`` ones, exactly as if it were drawn alone.
     """
     bands = max(h.bands for h in hs)
-
-    def worker(a: int, b: int) -> list:
-        u = _uniform_blocks(seed, stream, a, b - a)
+    scores = [[] for _ in hs]
+    for a in range(0, n, _CHUNK):
+        u = _uniform_blocks(seed, stream, a, min(_CHUNK, n - a))
         z = ndtri(u[:, 1 : 1 + bands])
-        out = []
-        for h, sigma in zip(hs, sigmas):
+        for h, sigma, out in zip(hs, sigmas, scores):
             symbols = np.minimum((u[:, 0] * h.m).astype(np.int64), h.m - 1)
             received = h.vectors[symbols] + z[:, : h.bands] * sigma
             out.append(score(h, sigma, symbols, received))
-        return out
-
-    return list(zip(*_map_chunks(worker, n)))
+    return scores
 
 
 def _batch(hypothesis_sets) -> tuple[HypothesisSet, ...]:
@@ -303,7 +280,7 @@ def simulate_ser(
 
     Noise for symbol n of grid point i comes from the (seed, i) Philox
     stream at counter n, so each curve is reproducible bit-for-bit for any
-    chunking, worker count or batch it is simulated in.
+    chunking or batch it is simulated in.
     """
     hs = _batch(hypothesis_sets)
     grid = [float(s) for s in snr_db_grid]

@@ -138,6 +138,15 @@ class TestLoadWaterCsv:
         with pytest.raises(WaterTableError, match=":3"):
             load_water_csv(path)
 
+    @pytest.mark.parametrize(
+        "row", ["nan,0.1,0.1", "inf,0.1,0.1", "550,nan,0.1", "550,0.1,inf"]
+    )
+    def test_non_finite_cell_line_number(self, tmp_path, row):
+        path = tmp_path / "w.csv"
+        path.write_text(f"wavelength_nm,a_per_m,b_per_m\n460,0.1,0.1\n{row}\n")
+        with pytest.raises(WaterTableError, match=":3: non-finite cell"):
+            load_water_csv(path)
+
     def test_duplicate_wavelength(self, tmp_path):
         path = tmp_path / "w.csv"
         path.write_text(

@@ -1,6 +1,6 @@
 """The command-line contract: exit codes 0/1/2/3 without tracebacks,
-byte-identical reruns, outputs that do not depend on UCSK_THREADS, curve
-bytes pinned by digest, and manifests with exactly the documented keys."""
+byte-identical reruns, curve and bundle bytes pinned by digest, and
+manifests with exactly the documented keys."""
 
 import hashlib
 import json
@@ -149,18 +149,33 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "snr",
         ["0:1:inf", "nan:1:3", "0:1:1e12", "0:4000:4000", "-4000:4000:0",
-         "-3200:1:-3199"],
+         "-3200:1:-3199", "3080:1:3080"],
     )
     def test_unusable_snr_grid_is_usage_error(self, tmp_path, capsys, snr):
         # Non-finite ends, more than 10,000 points, points whose linear
-        # ratio 10**(dB/10) overflows or is 0, and a ratio so small that the
-        # noise level overflows.
+        # ratio 10**(dB/10) overflows or is 0, a ratio so small that the
+        # noise level overflows, and one so large that the log-likelihood
+        # weight 1 / (2 sigma**2) overflows.
         out = tmp_path / "rate.csv"
         argv = ["rate", "--scheme", "ook", "--wavelength", "460",
                 "--water", "seawater", "--distance", "10",
                 f"--snr={snr}", "--out", str(out)]
         assert main(argv) == EXIT_USAGE
         assert "usage error: --snr" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["ser", "--symbols", "10000"], ["rate", "--scheme", "ucsk"]],
+        ids=["ser", "rate-ucsk"],
+    )
+    def test_subnormal_noise_variance_is_usage_error(self, tmp_path, capsys, argv):
+        design = _renderable_design(tmp_path / "c.json")
+        out = tmp_path / "curve.csv"
+        argv = [*argv, "--constellation", str(design), "--water", "seawater",
+                "--distance", "10", "--snr", "3080:1:3080", "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert "1 / (2 sigma**2) must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("subcommand", ["design", "ser", "rate"])
@@ -233,16 +248,44 @@ class TestExitCodes:
         assert "infeasible constellation: 700.0 nm outside" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("cell", ["nan", "inf"])
-    def test_non_finite_water_coefficient_is_infeasible(self, tmp_path, capsys, cell):
+    @pytest.mark.parametrize(
+        "scheme, row",
+        [
+            ("ser", "700,nan,0.01"),
+            ("ser", "700,inf,0.01"),
+            ("ser", "nan,0.6,0.01"),
+            ("rate-ook", "550,nan,0.01"),
+        ],
+        ids=["nan", "inf", "nan-wavelength", "rate-ook"],
+    )
+    def test_non_finite_water_cell_is_file_format_error(
+        self, tmp_path, capsys, scheme, row
+    ):
         water = tmp_path / "water.csv"
         water.write_text("wavelength_nm,a_per_m,b_per_m\n"
-                         f"460,0.02,0.01\n550,0.06,0.01\n700,{cell},0.01\n")
-        design = _renderable_design(tmp_path / "c.json")
+                         f"460,0.02,0.01\n600,0.06,0.01\n{row}\n")
+        out = tmp_path / "curve.csv"
+        if scheme == "ser":
+            argv = _ser_args(_renderable_design(tmp_path / "c.json"), out, water=water)
+        else:
+            argv = ["rate", "--scheme", "ook", "--wavelength", "460",
+                    "--water", str(water), "--distance", "10",
+                    "--snr", "10:10:20", "--out", str(out)]
+        assert main(argv) == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"cannot read water table: {water}:4: non-finite cell" in err
+        assert not out.exists()
+
+    def test_overflowing_attenuation_is_infeasible(self, tmp_path, capsys):
+        # Every cell is finite, but a + b at 700 nm overflows to inf.
+        water = tmp_path / "water.csv"
+        water.write_text("wavelength_nm,a_per_m,b_per_m\n"
+                         "460,0.02,0.01\n550,0.06,0.01\n700,1e308,1e308\n")
         out = tmp_path / "ser.csv"
+        design = _renderable_design(tmp_path / "c.json")
         assert main(_ser_args(design, out, water=water)) == EXIT_INFEASIBLE
         err = capsys.readouterr().err
-        assert f"attenuation must be finite and >= 0, got {cell}" in err
+        assert "attenuation must be finite and >= 0, got inf" in err
         assert not out.exists()
 
     def test_degenerate_chromaticity_is_infeasible(self, tmp_path, capsys):
@@ -317,17 +360,11 @@ class TestReproducibility:
             runs.append((out.read_bytes(), manifest.read_bytes()))
         assert runs[0] == runs[1]
 
-    def test_reproduce_4a_independent_of_threads(self, tmp_path, monkeypatch):
-        for threads in ("1", "2"):
-            monkeypatch.setenv("UCSK_THREADS", threads)
-            bundle = _reproduce(tmp_path / f"threads{threads}", "4a")
-            assert bundle == REPRODUCE_SHA256["4a"]
+    def test_reproduce_4a_matches_recorded_digests(self, tmp_path):
+        assert _reproduce(tmp_path / "4a", "4a") == REPRODUCE_SHA256["4a"]
 
-    def test_reproduce_4b_independent_of_threads(self, tmp_path, monkeypatch):
-        for threads in ("1", "2"):
-            monkeypatch.setenv("UCSK_THREADS", threads)
-            bundle = _reproduce(tmp_path / f"threads{threads}", "4b")
-            assert bundle == REPRODUCE_SHA256["4b"]
+    def test_reproduce_4b_matches_recorded_digests(self, tmp_path):
+        assert _reproduce(tmp_path / "4b", "4b") == REPRODUCE_SHA256["4b"]
 
     def test_small_curves_match_recorded_digests(self, tmp_path):
         assert _small_curves(tmp_path) == GOLDEN_SHA256
