@@ -351,17 +351,20 @@ class TestBatch:
     # Three chunks, the last one partial.
     N = 150_000
 
-    def test_ser_batch_equals_each_curve_alone(self, mixed_batch):
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_ser_batch_equals_each_curve_alone(self, mixed_batch, seed):
         grid = [0.0, 9.0, 18.0]
-        batch = simulate_ser(mixed_batch, grid, self.N, seed=3)
-        assert batch == tuple(ser_alone(h, grid, self.N, 3) for h in mixed_batch)
-        assert simulate_ser(mixed_batch[::-1], grid, self.N, 3) == batch[::-1]
+        batch = simulate_ser(mixed_batch, grid, self.N, seed=seed)
+        assert batch == tuple(ser_alone(h, grid, self.N, seed) for h in mixed_batch)
+        assert simulate_ser(mixed_batch[::-1], grid, self.N, seed) == batch[::-1]
 
-    def test_mi_batch_equals_each_alone(self, mixed_batch):
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_mi_batch_equals_each_alone(self, mixed_batch, seed):
         sigmas = [noise_sigma(h.transmit_vectors(), 6.0) for h in mixed_batch]
-        batch = mutual_information(mixed_batch, sigmas, self.N, 3, stream=2)
+        batch = mutual_information(mixed_batch, sigmas, self.N, seed, stream=2)
         alone = tuple(
-            mi_alone(h, s, self.N, 3, stream=2) for h, s in zip(mixed_batch, sigmas)
+            mi_alone(h, s, self.N, seed, stream=2)
+            for h, s in zip(mixed_batch, sigmas)
         )
         assert batch == alone
         assert 0.0 < min(batch) and max(batch) < 2.0
