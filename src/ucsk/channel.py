@@ -53,6 +53,8 @@ class WaterProperties:
         b = np.asarray(self.scattering, dtype=float)
         if not (wl.shape == a.shape == b.shape) or wl.ndim != 1 or wl.size == 0:
             raise WaterTableError("wavelength/a/b must be equal-length 1-D arrays")
+        if not all(np.isfinite(arr).all() for arr in (wl, a, b)):
+            raise WaterTableError("wavelengths and coefficients must be finite")
         if np.any(np.diff(wl) <= 0):
             raise WaterTableError("wavelengths must be strictly increasing")
         if np.any(a < 0) or np.any(b < 0):

@@ -76,8 +76,9 @@ class InfeasibleConstellationError(ValueError):
 
 
 class NoiseLevelError(ValueError):
-    """An SNR whose noise standard deviation is not finite and > 0, or
-    whose log-likelihood weight 1 / (2 sigma**2) overflows."""
+    """A noise standard deviation, given or set by an SNR, that is not
+    > 0 or whose log-likelihood weight 1 / (2 sigma**2) is not finite
+    and > 0."""
 
 
 @dataclass(frozen=True)
@@ -192,20 +193,31 @@ def average_symbol_power(vectors: np.ndarray) -> float:
     return float(np.sum(v * v)) / (3.0 * v.shape[0])
 
 
+def _checked_sigma(sigma: float, where: str) -> float:
+    """``sigma`` when it is > 0 and the log-likelihood weight
+    1 / (2 sigma**2) of _information is finite and > 0; NoiseLevelError
+    otherwise.  That weight overflows once sigma**2 is subnormal."""
+    two_var = 2.0 * sigma * sigma
+    if not (sigma > 0.0 and 0.0 < two_var < math.inf and 1.0 / two_var < math.inf):
+        raise NoiseLevelError(
+            f"noise sigma {where} is {sigma}; 1 / (2 sigma**2) must be finite and > 0"
+        )
+    return sigma
+
+
 def noise_sigma(vectors: np.ndarray, snr_db: float) -> float:
     """Per-band noise standard deviation that puts the average power of
     ``vectors`` at ``snr_db`` above the noise.  SER curves pass the
     received hypotheses, rate curves the transmit ones."""
-    sigma = math.sqrt(average_symbol_power(vectors) / 10.0 ** (snr_db / 10.0))
-    # _information weighs log-likelihoods by 1 / (2 sigma**2), which
-    # overflows once sigma**2 is subnormal.
-    two_var = 2.0 * sigma * sigma
-    if not (0.0 < two_var < math.inf and 1.0 / two_var < math.inf):
-        raise NoiseLevelError(
-            f"noise sigma at {snr_db} dB is {sigma}; "
-            "1 / (2 sigma**2) must be finite and > 0"
-        )
-    return sigma
+    try:
+        sigma = math.sqrt(average_symbol_power(vectors) / 10.0 ** (snr_db / 10.0))
+    except ZeroDivisionError:
+        # 10 ** (snr_db / 10) rounds to 0 below about -3,240 dB.
+        sigma = math.inf
+    except OverflowError:
+        # ... and overflows above about 3,080 dB.
+        sigma = 0.0
+    return _checked_sigma(sigma, f"at {snr_db} dB")
 
 
 def detect_ml(received: np.ndarray, h: HypothesisSet) -> np.ndarray:
@@ -394,8 +406,8 @@ def mutual_information(
     sigmas = tuple(float(s) for s in sigmas)
     if len(sigmas) != len(hs):
         raise ValueError("need one sigma per hypothesis set")
-    if any(s <= 0 for s in sigmas):
-        raise ValueError("sigma must be > 0")
+    for s in sigmas:
+        _checked_sigma(s, "for mutual information")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     sums = _map_shared_draws(hs, sigmas, seed, stream, n_samples, _information)

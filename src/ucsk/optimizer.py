@@ -4,16 +4,19 @@ With the primary blue fixed, choose R and G to maximize the minimum
 pairwise distance among {R, G, B, X} (X the centroid) subject to X lying
 in the blue-target disk and R, G lying in the gamut.
 
-The maximin objective is solved in epigraph form: maximize t over
-z = (Rx, Ry, Gx, Gy, t) subject to |p_i - p_j|^2 >= t^2 for the six
-pairs of {R, G, B, X}, |X - center|^2 <= radius^2 (the equality
-X = center for a zero-radius disk), and A.R <= b, A.G <= b for the unit
-half-planes (A, b) of the gamut's convex hull.  Every constraint is
-smooth, so one SLSQP solve (Kraft's sequential least-squares QP) per
-start suffices.  The non-convex landscape is swept by deterministic
-multistart, and every start is re-checked against the exact hard
-minimum and the exact residuals on the gamut polygon itself, which need
-not be convex.
+The disk is built into the variables: z = (Rx, Ry, ux, uy, t) with
+X = center + radius * u and G = 3X - R - B, so every point of
+{R, G, B, X} is affine in z.  The maximin objective is solved in
+epigraph form: maximize t subject to |p_i - p_j|^2 >= t^2 for the six
+pairs, |u|^2 <= 1 (less a small slack, so X ends strictly inside the
+disk at every radius), and A.R <= b, A.G <= b for the unit half-planes
+(A, b) of the gamut's convex hull, which are linear in z.  Every
+constraint is smooth, so one SLSQP solve (Kraft's sequential
+least-squares QP) per start suffices.  The non-convex landscape is swept
+by deterministic multistart.  A start counts when SLSQP converged and it
+passes the rules the rest of the package uses: GamutPolygon.contains for
+R and G on the gamut polygon itself, which need not be convex, and
+BlueTarget.margin for X.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .colorimetry import (
     BOUNDARY_TOLERANCE,
     ChromaticityPoint,
     GamutPolygon,
+    centroid,
     spectral_locus,
     xy_distance,
 )
@@ -42,16 +46,17 @@ __all__ = [
     "dmin_upper_bound",
 ]
 
-# Disks at or below this radius pin X to the center with an equality;
-# the inequality r^2 - |X - c|^2 >= 0 has a zero gradient at a
-# zero-radius disk and gives the QP nothing to work with.
-_PIN_RADIUS = 1e-7
+# The disk constraint is 1 - _DISK_SLACK - |u|^2 >= 0.  A converged
+# SLSQP start ends at most _FTOL beyond its constraints, so X ends
+# strictly inside the disk, by about radius * _DISK_SLACK / 2.  Below a
+# radius of about 2e-7 that is under the rounding of the centroid.
+_DISK_SLACK = 1e-9
 
 # Feasibility allowance on the gamut signed distance.  Published locus
 # tables are rounded to 4 digits, which leaves the fixed blue a hair
 # outside the polygon; boundary points must stay feasible.  Kept at half
-# the membership tolerance, so every accepted design passes
-# GamutPolygon.contains and, on the LED triangle, also renders.
+# the membership tolerance of GamutPolygon.contains, which judges each
+# start (and, on the LED triangle, renderability).
 _GAMUT_MARGIN = 0.5 * BOUNDARY_TOLERANCE
 
 # SLSQP accuracy: the objective change, step and summed constraint
@@ -59,11 +64,19 @@ _GAMUT_MARGIN = 0.5 * BOUNDARY_TOLERANCE
 _FTOL = 1e-12
 
 # SLSQP iteration cap per start; no start of the bundled presets and
-# gamuts (seeds 0-39, 32 starts each) needed more than 81.
+# gamuts (seeds 0-39, 32 starts each) needed more than 51.
 _MAX_ITERATIONS = 200
 
-# Largest exact disk or gamut violation of a feasible start.
-_CONSTRAINT_TOLERANCE = 1e-6
+# Starts whose centroid lies farther out are pulled in to this many
+# radii.  On the chromaticity diagram that distance is under 1.5, so
+# this changes only the starts of disks under about 0.015 in radius; from
+# thousands of radii out, SLSQP's line search stalls before X reaches
+# the disk.
+_START_RADII = 100.0
+
+# Largest disk violation, -BlueTarget.margin(X), of a feasible start.  It
+# allows only for rounding: a zero-radius X is a rounded centroid.
+_CONSTRAINT_TOLERANCE = 1e-12
 
 
 class InfeasibleTargetError(ValueError):
@@ -110,30 +123,30 @@ def dmin_upper_bound(target: BlueTarget) -> float:
     return xy_distance(target.center, FIXED_BLUE) + target.radius
 
 
-# Each point of (R, G, B, X) is _POINT_JAC[k] @ z[:4] plus a multiple of
-# B (_POINT_BLUE[k]); the six pair differences follow by subtraction.
-_POINT_JAC = np.array(
-    [
-        [[1.0, 0, 0, 0], [0, 1.0, 0, 0]],
-        [[0, 0, 1.0, 0], [0, 0, 0, 1.0]],
-        np.zeros((2, 4)),
-        [[1 / 3, 0, 1 / 3, 0], [0, 1 / 3, 0, 1 / 3]],
-    ]
-)
-_POINT_BLUE = np.array([0.0, 0.0, 1.0, 1 / 3])
-_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-_PAIR_JAC = np.array([_POINT_JAC[i] - _POINT_JAC[j] for i, j in _PAIRS])
-_PAIR_BLUE = np.array([_POINT_BLUE[i] - _POINT_BLUE[j] for i, j in _PAIRS])
+# The six pairs of the points (R, G, B, X).
+_PAIR_I, _PAIR_J = np.triu_indices(4, k=1)
 # Gradient of the objective -t.
 _NEG_T_GRAD = np.array([0.0, 0.0, 0.0, 0.0, -1.0])
 
 
-def _pair_deltas(z: np.ndarray, blue: np.ndarray) -> np.ndarray:
-    return _PAIR_JAC @ z[:4] + np.outer(_PAIR_BLUE, blue)
+def _point_map(blue: np.ndarray, target: BlueTarget) -> tuple[np.ndarray, np.ndarray]:
+    """(jac, offset) with the points (R, G, B, X) = jac @ z[:4] + offset.
 
-
-def _centroid(z: np.ndarray, blue: np.ndarray) -> np.ndarray:
-    return (z[0:2] + z[2:4] + blue) / 3.0
+    R = (z0, z1), X = center + radius * u with u = (z2, z3), and
+    G = 3X - R - B, so that X is the centroid of R, G and B.
+    """
+    center = target.center.as_array()
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    jac = np.array(
+        [
+            np.hstack([eye, zero]),
+            np.hstack([-eye, 3.0 * target.radius * eye]),
+            np.zeros((2, 4)),
+            np.hstack([zero, target.radius * eye]),
+        ]
+    )
+    offset = np.array([np.zeros(2), 3.0 * center - blue, blue, center])
+    return jac, offset
 
 
 def _hull_halfplanes(gamut: GamutPolygon) -> tuple[np.ndarray, np.ndarray]:
@@ -145,85 +158,48 @@ def _hull_halfplanes(gamut: GamutPolygon) -> tuple[np.ndarray, np.ndarray]:
 def _constraints(
     blue: np.ndarray, target: BlueTarget, gamut: GamutPolygon
 ) -> list[dict]:
-    """SLSQP constraint dicts (fun >= 0, or fun == 0) over z = (R, G, t)."""
-    center = target.center.as_array()
-    radius2 = target.radius**2
+    """SLSQP constraint dicts (fun >= 0) over z = (R, u, t)."""
+    jac, offset = _point_map(blue, target)
+    pair_jac = jac[_PAIR_I] - jac[_PAIR_J]
+    pair_offset = offset[_PAIR_I] - offset[_PAIR_J]
 
     def pair_fun(z):
-        d = _pair_deltas(z, blue)
+        d = pair_jac @ z[:4] + pair_offset
         return np.einsum("ij,ij->i", d, d) - z[4] ** 2
 
-    def pair_jac(z):
-        jac = np.empty((6, 5))
-        jac[:, :4] = 2.0 * np.einsum("ij,ijk->ik", _pair_deltas(z, blue), _PAIR_JAC)
-        jac[:, 4] = -2.0 * z[4]
-        return jac
+    def pair_grad(z):
+        grad = np.empty((6, 5))
+        d = pair_jac @ z[:4] + pair_offset
+        grad[:, :4] = 2.0 * np.einsum("ij,ijk->ik", d, pair_jac)
+        grad[:, 4] = -2.0 * z[4]
+        return grad
 
-    def x_offset(z):
-        return _centroid(z, blue) - center
-
-    x_jac = np.hstack([_POINT_JAC[3], np.zeros((2, 1))])
-    if target.radius <= _PIN_RADIUS:
-        disk = {"type": "eq", "fun": x_offset, "jac": lambda z: x_jac}
-    else:
-        disk = {
-            "type": "ineq",
-            "fun": lambda z: np.array([radius2 - x_offset(z) @ x_offset(z)]),
-            "jac": lambda z: (-2.0 * x_offset(z) @ x_jac)[None, :],
-        }
+    disk = {
+        "type": "ineq",
+        "fun": lambda z: np.array([1.0 - _DISK_SLACK - z[2:4] @ z[2:4]]),
+        "jac": lambda z: np.array([[0.0, 0.0, -2.0 * z[2], -2.0 * z[3], 0.0]]),
+    }
+    # A.R <= b and A.G <= b, each offset by the gamut margin.
     a, b = _hull_halfplanes(gamut)
-    lin_a = np.hstack([np.kron(np.eye(2), a), np.zeros((2 * len(b), 1))])
-    lin_b = np.concatenate([b, b]) + _GAMUT_MARGIN
+    lin_a = np.hstack([np.vstack([a @ jac[0], a @ jac[1]]), np.zeros((2 * len(b), 1))])
+    lin_b = np.concatenate([b - a @ offset[0], b - a @ offset[1]]) + _GAMUT_MARGIN
     hull = {"type": "ineq", "fun": lambda z: lin_b - lin_a @ z, "jac": lambda z: -lin_a}
-    return [{"type": "ineq", "fun": pair_fun, "jac": pair_jac}, disk, hull]
+    return [{"type": "ineq", "fun": pair_fun, "jac": pair_grad}, disk, hull]
 
 
-def _exact_violation(
-    z: np.ndarray, blue: np.ndarray, target: BlueTarget, gamut: GamutPolygon
-) -> float:
-    """Max violation of [disk, gamut R, gamut G] on the gamut polygon."""
-    x = _centroid(z, blue)
-    disk = float(np.linalg.norm(x - target.center.as_array())) - target.radius
-    s_r = gamut.signed_distance(ChromaticityPoint(z[0], z[1]))
-    s_g = gamut.signed_distance(ChromaticityPoint(z[2], z[3]))
-    return max(disk, s_r - _GAMUT_MARGIN, s_g - _GAMUT_MARGIN, 0.0)
-
-
-def _polish_into_disk(
-    z: np.ndarray, blue: np.ndarray, target: BlueTarget
-) -> np.ndarray:
-    """Nudge R and G so X lands exactly on or inside the disk when the
-    solver left it a sub-tolerance epsilon outside (SLSQP stops with X up
-    to about 1e-12 beyond the rim; the disk check downstream is exact)."""
-    delta = _centroid(z, blue) - target.center.as_array()
-    dist = float(np.linalg.norm(delta))
-    excess = dist - target.radius
-    if excess <= 0.0 or dist < 1e-12:
-        return z
-    shift = 1.5 * (excess + 1e-15) * (delta / dist)
-    return z - np.concatenate([shift, shift])
-
-
-def _sample_start(
+def _sample_point(
     rng: np.random.Generator,
     gamut: GamutPolygon,
     bbox: tuple[float, float, float, float],
 ) -> np.ndarray:
+    """A uniform point of the gamut, by rejection in its bounding box."""
     xmin, xmax, ymin, ymax = bbox
-    pts = []
-    for _ in range(2):
-        for _attempt in range(10_000):
-            x = rng.uniform(xmin, xmax)
-            y = rng.uniform(ymin, ymax)
-            if gamut.signed_distance(ChromaticityPoint(x, y)) <= 0.0:
-                pts.extend((x, y))
-                break
-        else:
-            # Pathological gamut; fall back to the vertex mean.
-            vx = np.mean([v.x for v in gamut.vertices])
-            vy = np.mean([v.y for v in gamut.vertices])
-            pts.extend((float(vx), float(vy)))
-    return np.array(pts)
+    for _attempt in range(10_000):
+        p = np.array([rng.uniform(xmin, xmax), rng.uniform(ymin, ymax)])
+        if gamut.signed_distance(ChromaticityPoint(*p)) <= 0.0:
+            return p
+    # Pathological gamut; fall back to the vertex mean.
+    return np.mean([v.as_array() for v in gamut.vertices], axis=0)
 
 
 def design_constellation(
@@ -233,14 +209,15 @@ def design_constellation(
 ) -> DesignResult:
     """Search for the maximin constellation meeting a blue target.
 
-    Starts are sampled uniformly in the gamut bounding box (rejection
-    sampling), each seeded from (rng_seed, start_index) only, so results
-    are deterministic and independent of evaluation order.  The best
-    feasible start by (hard d_min, lowest index) wins.
+    R and G of each start are sampled uniformly in the gamut (rejection
+    sampling in its bounding box), each start seeded from
+    (rng_seed, start_index) only, so results are deterministic and
+    independent of evaluation order.  The best feasible start by
+    (hard d_min, lowest index) wins.
 
     Raises InfeasibleTargetError when the disk is disjoint from the gamut
     or the fixed blue lies outside it, ConvergenceError when no start
-    reaches feasibility.
+    converges to a feasible design.
     """
     if gamut is None:
         gamut = spectral_locus()
@@ -257,54 +234,68 @@ def design_constellation(
         )
 
     blue = FIXED_BLUE.as_array()
+    jac, offset = _point_map(blue, target)
     constraints = _constraints(blue, target, gamut)
     bbox = gamut.bounding_box()
     options = {"maxiter": _MAX_ITERATIONS, "ftol": _FTOL}
 
-    feasible: list[tuple[float, int, np.ndarray]] = []
+    feasible: list[tuple] = []
     diagnostics: list[dict] = []
     for k in range(cfg.multistart_count):
         rng = np.random.default_rng([cfg.rng_seed, k])
+        r0, g0 = _sample_point(rng, gamut, bbox), _sample_point(rng, gamut, bbox)
+        # Start at the sampled R and G: u0 puts X at their centroid, but
+        # no farther than _START_RADII radii from the center.
+        u0 = np.zeros(2)
+        if target.radius > 0.0:
+            offset0 = (r0 + g0 + blue) / 3.0 - target.center.as_array()
+            u0 = offset0 / max(target.radius, np.linalg.norm(offset0) / _START_RADII)
         # t starts at 0, where every pair constraint holds.  Starting it
         # at the start's own d_min instead lost the LED-triangle preset-2
         # optimum at 4 of seeds 0-99; from 0 no seed lost it.
-        z0 = np.append(_sample_start(rng, gamut, bbox), 0.0)
         res = minimize(
             lambda z: -z[4],
-            z0,
+            np.concatenate([r0, u0, [0.0]]),
             jac=lambda z: _NEG_T_GRAD,
             method="SLSQP",
             constraints=constraints,
             options=options,
         )
-        z = res.x[:4]
-        dmin = float(np.linalg.norm(_pair_deltas(z, blue), axis=1).min())
-        viol = _exact_violation(z, blue, target, gamut)
-        if viol <= _CONSTRAINT_TOLERANCE:
-            feasible.append((dmin, k, z))
+        pts = jac @ res.x[:4] + offset
+        dmin = float(np.linalg.norm(pts[_PAIR_I] - pts[_PAIR_J], axis=1).min())
+        r_pt, g_pt = ChromaticityPoint(*pts[0]), ChromaticityPoint(*pts[1])
+        residual = max(-target.margin(centroid([r_pt, g_pt, FIXED_BLUE])), 0.0)
+        in_gamut = gamut.contains(r_pt) and gamut.contains(g_pt)
+        if res.success and in_gamut and residual <= _CONSTRAINT_TOLERANCE:
+            feasible.append((dmin, k, r_pt, g_pt, residual))
         diagnostics.append(
-            {"start_index": k, "d_min": dmin, "constraint_residual": viol}
+            {
+                "start_index": k,
+                "d_min": dmin,
+                "converged": bool(res.success),
+                "in_gamut": in_gamut,
+                "constraint_residual": residual,
+            }
         )
 
     if not feasible:
         raise ConvergenceError(
-            f"no start out of {cfg.multistart_count} reached constraint "
-            f"tolerance {_CONSTRAINT_TOLERANCE}",
+            f"no start out of {cfg.multistart_count} converged with R and G "
+            "in the gamut and X in the disk",
             diagnostics,
         )
     # Highest hard d_min wins; ties go to the lowest start index.
-    _, best_k, best_z = max(feasible, key=lambda item: (item[0], -item[1]))
-    best_z = _polish_into_disk(best_z, blue, target)
+    _, best_k, r_pt, g_pt, residual = max(
+        feasible, key=lambda item: (item[0], -item[1])
+    )
     # d_min is label-symmetric in R and G; label the redder point R.
-    r_pt = ChromaticityPoint(best_z[0], best_z[1])
-    g_pt = ChromaticityPoint(best_z[2], best_z[3])
     if r_pt.x < g_pt.x:
         r_pt, g_pt = g_pt, r_pt
     constellation = build_constellation(r_pt, g_pt, FIXED_BLUE, gamut)
     return DesignResult(
         constellation=constellation,
         achieved_dmin=constellation.d_min,
-        constraint_residual=_exact_violation(best_z, blue, target, gamut),
+        constraint_residual=residual,
         starts_converged=len(feasible),
         best_start_index=best_k,
     )

@@ -47,6 +47,23 @@ class TestAttenuation:
             attenuation_coefficient(water, 750.0)
 
 
+class TestWaterProperties:
+    @pytest.mark.parametrize(
+        "wl, a, b",
+        [
+            ([460.0, math.nan, 700.0], [0.1] * 3, [0.0] * 3),
+            ([460.0, 550.0, 700.0], [0.1, math.inf, 0.1], [0.0] * 3),
+            ([460.0, 550.0, 700.0], [0.1] * 3, [0.0, 0.0, math.nan]),
+        ],
+        ids=["nan-wavelength", "inf-absorption", "nan-scattering"],
+    )
+    def test_non_finite_values_are_rejected(self, wl, a, b):
+        # Built directly, so load_water_csv's per-line check never runs.
+        # A nan wavelength passes the increasing-order check by itself.
+        with pytest.raises(WaterTableError, match="must be finite"):
+            WaterProperties(np.array(wl), np.array(a), np.array(b))
+
+
 class TestPathLoss:
     def test_zero_distance(self):
         assert path_loss(12.3, 0.0) == 1.0

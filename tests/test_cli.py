@@ -31,23 +31,26 @@ GOLDEN_SHA256 = {
     "rate-ook.csv": "7fa36dc9d92c69afd04627191f26be8e587180d844db7a150ac627edfd252c88",
 }
 
-# SHA-256 of every file of the ``reproduce`` bundles, recorded before the
-# Monte Carlo shared its draws across the curves of a figure.
+# SHA-256 of every file of the ``reproduce`` bundles.  The Monte Carlo
+# SER curves, the OOK rates and the manifests date from before the Monte
+# Carlo shared its draws across the curves of a figure; the designs and
+# the union-bound and UCSK rate curves computed from them were recorded
+# when the optimizer began to keep X strictly inside the disk.
 _DESIGN_SHA256 = {
-    "design-target1.json": "a13b8b1c22464d1bde07744ccc2346f865e73a8da7b486f2f1e4303092108b8f",
-    "design-target2.json": "e20ee18ecfdb375d338213d8e6ac63d6fae2877ce381201e908d9bb1c82077d4",
-    "design-target3.json": "313ff395fa2fb048ca0dbe9e0e2c5c32b997c8bac2d4294d73202ee40518c22f",
+    "design-target1.json": "9259d81a5c7d749b6b259ef1893f97e6867886223d8a2ae6c05ed26ecf49d071",
+    "design-target2.json": "8a5007c713c4aa0d342cc0d0fbb166fde1ae3b478d2a3e02cfd9345d2c5d1d85",
+    "design-target3.json": "65ed6596f792d99984918f5dfdf819ed78a33d1dc580ffe01b3728d107dbe0f5",
 }
 REPRODUCE_SHA256 = {
     "4a": {
         **_DESIGN_SHA256,
         "manifest.json": "fc600868908cc687252cdca6934a097cc15f8b1c52e9bb69c5a9f0e82ff0c277",
         "ser-target1.csv": "d09159409ef2ee27f6a3d058262e5a886cf7e7328dc1a18e224c1cdb37cd2f8b",
-        "ser-target1.ub.csv": "36997a62a4e6f8da0a4cccc30674fe9dba6872a03a540a2aee716c2a27dbe7c7",
+        "ser-target1.ub.csv": "f878c9847f58da33878c52c2f5fe0d87f49dceaf4e9c52333624e89dd43f24b3",
         "ser-target2.csv": "49b1d652b542d3f248d3594177e4db5652e590849fd65c5b4cb57b411fed48ea",
-        "ser-target2.ub.csv": "abd3257b684e822e2aaff1a0f56be3d64f3b15de058b46cac47527860c4a67f1",
+        "ser-target2.ub.csv": "44c703b7c2f9ca95cacf534f19769d10f2213a806f8676c0b5ae5678fed38fe2",
         "ser-target3.csv": "ca59671c4f63cc12aa901a4b8d587b9b28ce88a854caf6e30bbb06de78bbd408",
-        "ser-target3.ub.csv": "4084c5cdc16ed6d2f0e613742bb86f6c20dc2d734ce27fbfe74bf96fb503f161",
+        "ser-target3.ub.csv": "163125de0604042c3291a99ed48c9c2ee675e506cafde3a0839cbde69474610f",
     },
     "4b": {
         **_DESIGN_SHA256,
@@ -56,9 +59,9 @@ REPRODUCE_SHA256 = {
         "rate-ook-blue-50m.csv": "c9812a64554344067110a865c3c6717816ee5139f495015b2132534666d97012",
         "rate-ook-green-10m.csv": "d382fbeccc03ae421c51fc1fe7f5f7b7fa05db445486971ad165a6fbc8b346c4",
         "rate-ook-red-10m.csv": "082920e5989683b9bdedd599b45134f041e97ffdd3c037337c3a50b09e38428c",
-        "rate-ucsk-target1-10m.csv": "0cd20ee70d03d73b5b92433c7dcd38590bfab26ea48f912a8f9f8111bc206e55",
-        "rate-ucsk-target2-10m.csv": "9551a391c960ed02f803333d836503ca98f4b17ddd25a7a77d796f06462180d8",
-        "rate-ucsk-target3-10m.csv": "dfca621e965be91319b87de26e7eb617f5569352c920e38afa97a73bc365dca1",
+        "rate-ucsk-target1-10m.csv": "8db1c459f6bd33b0c61b0a2a76d5fbf2dc0b4f6b45de9218f9b930e282139c52",
+        "rate-ucsk-target2-10m.csv": "8c5d6e6d0fb9b361b93a71e9d1c35d09e5c0311829bb26aeb99909708949ead0",
+        "rate-ucsk-target3-10m.csv": "a28a37a66359d48b1955c1bd8e0c0de8b81170cf8c3a965967e80b0cec8508ee",
     },
 }
 
@@ -304,6 +307,18 @@ class TestExitCodes:
         assert not led_triangle_gamut().contains(ChromaticityPoint(*g))
         assert main(_ser_args(design, tmp_path / "ser.csv")) == EXIT_INFEASIBLE
         assert "infeasible constellation" in capsys.readouterr().err
+
+    def test_led_design_with_r_at_a_vertex_is_ok(self, tmp_path, capsys):
+        # The optimum puts R at the red vertex, where the offset hull
+        # half-planes meet 9.3e-5 outside the triangle: inside the
+        # tolerance of GamutPolygon.contains, which judges every start.
+        code = main(["design", "--target-center", "0.15,0.1", "--target-radius",
+                     "0.5", "--gamut", "led-triangle", "--out",
+                     str(tmp_path / "v.json")])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("achieved d_min: 0.351468\n")
+        assert "(inside=True)" in out
 
     def test_reproduce_design_failure_is_infeasible(
         self, tmp_path, capsys, monkeypatch

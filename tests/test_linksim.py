@@ -295,6 +295,20 @@ class TestNoiseSigma:
         with pytest.raises(NoiseLevelError):
             noise_sigma(np.zeros((2, 3)), 10.0)
 
+    def test_vanishing_snr_ratio_is_rejected(self):
+        # 10 ** (-330) rounds to 0, so sigma would be a division by zero.
+        with pytest.raises(NoiseLevelError, match="at -3300.0 dB"):
+            noise_sigma(np.ones((2, 3)), -3300.0)
+
+    def test_overflowing_snr_ratio_is_rejected(self):
+        with pytest.raises(NoiseLevelError, match="at 4000.0 dB"):
+            noise_sigma(np.ones((2, 3)), 4000.0)
+
+    def test_given_sigma_with_overflowing_weight_is_rejected(self):
+        # sigma = 1e-160 is > 0, but 2 sigma**2 underflows to 0.
+        with pytest.raises(NoiseLevelError, match="mutual information"):
+            mi_alone(binary_set(1.0), 1e-160, 1000, 0)
+
 
 class TestSerCurves:
     def test_curve_and_bound_match_their_engines(self, renderable, link10):
