@@ -20,6 +20,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from importlib import resources
@@ -237,7 +238,8 @@ def _cmd_design(args) -> None:
         )
     print(f"achieved d_min: {result.achieved_dmin:.6f}")
     margin = target.margin(result.constellation.x)
-    print(f"constraint margin: {margin:+.6f} (inside={margin >= 0.0})")
+    inside = target.contains(result.constellation.x)
+    print(f"constraint margin: {margin:+.6f} (inside={inside})")
     print(f"wrote {out}")
 
 
@@ -282,7 +284,7 @@ def _cmd_validate(args) -> None:
         print(
             f"blue target: |X-center|={xy_distance(c.x, target.center):.4f} "
             f"radius={target.radius} margin={margin:+.4f} "
-            f"({'inside' if margin >= 0.0 else 'OUTSIDE'})"
+            f"({'inside' if target.contains(c.x) else 'OUTSIDE'})"
         )
     else:
         print("blue target: none given; disk check skipped")
@@ -565,9 +567,20 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         args.func(args)
+        # A closed pipe shows up here rather than in the flush at exit.
+        sys.stdout.flush()
     except _Failure as exc:
         print(exc, file=sys.stderr)
         return exc.code
+    except BrokenPipeError:
+        # The reader of standard output went away.  Point the descriptor
+        # at the null device, so that the flush at exit finds nowhere to
+        # fail either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("cannot write output: standard output was closed", file=sys.stderr)
+        return EXIT_IO
     return EXIT_OK
 
 

@@ -25,6 +25,7 @@ from .colorimetry import (
 
 __all__ = [
     "FIXED_BLUE",
+    "DISK_TOLERANCE",
     "BlueTarget",
     "Constellation4",
     "SYMBOL_LABELS",
@@ -41,6 +42,11 @@ FIXED_BLUE = ChromaticityPoint(0.1355, 0.03988)
 
 # Symbol i carries the two bits of i: 00->B, 01->G, 10->R, 11->X.
 SYMBOL_LABELS = ("B", "G", "R", "X")
+
+# Largest disk violation, -BlueTarget.margin, of a point the disk
+# contains.  It allows only for rounding: the X of a zero-radius design
+# is a centroid rounded about 3e-17 off the center.
+DISK_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -64,6 +70,11 @@ class BlueTarget:
         Positive means inside; a point at the center has margin = radius.
         """
         return self.radius - xy_distance(p, self.center)
+
+    def contains(self, p: ChromaticityPoint) -> bool:
+        """True when ``p`` is in the disk up to rounding: its margin is at
+        least ``-DISK_TOLERANCE``."""
+        return self.margin(p) >= -DISK_TOLERANCE
 
 
 @dataclass(frozen=True)

@@ -194,9 +194,9 @@ def average_symbol_power(vectors: np.ndarray) -> float:
 
 
 def _checked_sigma(sigma: float, where: str) -> float:
-    """``sigma`` when it is > 0 and the log-likelihood weight
-    1 / (2 sigma**2) of _information is finite and > 0; NoiseLevelError
-    otherwise.  That weight overflows once sigma**2 is subnormal."""
+    """``sigma`` when it is > 0 and the Gaussian log-likelihood weight
+    1 / (2 sigma**2) is finite and > 0; NoiseLevelError otherwise.  That
+    weight overflows once sigma**2 is subnormal."""
     two_var = 2.0 * sigma * sigma
     if not (sigma > 0.0 and 0.0 < two_var < math.inf and 1.0 / two_var < math.inf):
         raise NoiseLevelError(
@@ -220,18 +220,37 @@ def noise_sigma(vectors: np.ndarray, snr_db: float) -> float:
     return _checked_sigma(sigma, f"at {snr_db} dB")
 
 
+def _scores(received: np.ndarray, h: HypothesisSet) -> np.ndarray:
+    """The (N, M) linear discriminants r . v_m - |v_m|**2 / 2 of an (N, K)
+    batch of received vectors r against the hypotheses v_m, in Fortran
+    (column-major) order.
+
+    A row ranks the hypotheses as -|r - v_m|**2 / 2 does: the two differ
+    by |r|**2 / 2, which every column of the row shares.  In Fortran
+    order each column is contiguous, so a reduction along a row runs as
+    M passes over whole columns.  The product is numpy's own einsum loop,
+    which starts no BLAS threads.
+    """
+    scores = np.empty((len(received), h.m), order="F")
+    np.einsum("nk,mk->nm", received, h.vectors, out=scores)
+    scores -= 0.5 * np.einsum("mk,mk->m", h.vectors, h.vectors)
+    return scores
+
+
 def detect_ml(received: np.ndarray, h: HypothesisSet) -> np.ndarray:
     """Minimum-distance detection of an (N, K) batch of received vectors,
     one symbol index per row; ties break to the lowest symbol index.
+
+    Detection takes the argmax of the linear discriminants
+    r . v_m - |v_m|**2 / 2 of ``_scores``, which is the argmin of the
+    squared distances |r - v_m|**2 up to rounding.  A Fortran-ordered
+    batch is the fast layout.
 
     A received vector nearer to hypothesis i than half the distance from i
     to its nearest other hypothesis always decodes to i.  Half the distance
     to some other neighbour is not enough when a nearer one exists.
     """
-    r = np.asarray(received, dtype=float)
-    delta = r[:, None, :] - h.vectors[None, :, :]
-    d2 = np.einsum("nmk,nmk->nm", delta, delta)
-    return np.argmin(d2, axis=1)
+    return np.argmax(_scores(np.asarray(received, dtype=float), h), axis=1)
 
 
 def _uniform_blocks(seed: int, stream: int, start: int, count: int) -> np.ndarray:
@@ -251,15 +270,20 @@ def _map_shared_draws(hs, sigmas, seed: int, stream: int, n: int, score):
     A chunk's uniforms and Gaussian noise are drawn once for the whole
     batch.  Set h takes its symbols from the first uniform and its noise
     from the next ``h.bands`` ones, exactly as if it were drawn alone.
+    The noise and the received vectors are Fortran-ordered, the fast
+    layout of ``_scores``.
     """
     bands = max(h.bands for h in hs)
     scores = [[] for _ in hs]
     for a in range(0, n, _CHUNK):
         u = _uniform_blocks(seed, stream, a, min(_CHUNK, n - a))
-        z = ndtri(u[:, 1 : 1 + bands])
+        z = ndtri(u[:, 1 : 1 + bands], order="F")
         for h, sigma, out in zip(hs, sigmas, scores):
             symbols = np.minimum((u[:, 0] * h.m).astype(np.int64), h.m - 1)
-            received = h.vectors[symbols] + z[:, : h.bands] * sigma
+            # Gathering band by band keeps the received batch in Fortran
+            # order, with the same bytes as h.vectors[symbols].
+            gathered = np.take(h.vectors.T, symbols, axis=1).T
+            received = gathered + z[:, : h.bands] * sigma
             out.append(score(h, sigma, symbols, received))
     return scores
 
@@ -363,14 +387,26 @@ def logsumexp(a: np.ndarray) -> np.ndarray:
     The same arithmetic as ``scipy.special.logsumexp(a, axis=1)``, bit for
     bit, without its second full pass: the row maxima are taken out of
     the sum, and ``log1p(s / m) + log(m) + max`` is returned, with m the
-    number of entries tied at the maximum.  Rows where that is not finite
-    fall back to the direct ``log(sum(exp(row)))``, as scipy's do.
+    number of entries tied at the maximum.  Their terms are zeroed by a
+    multiply, where scipy sums exp(-inf).  Rows where the result is not
+    finite fall back to the direct ``log(sum(exp(row)))``, as scipy's do.
+
+    Both C and Fortran order match scipy on the same array.  With few
+    columns Fortran order is the fast one: each row reduction then runs
+    over whole contiguous columns.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # An overflow is harmless: a - a_max that rounds to -inf has exp 0,
+    # and exp overflows only in the fallback, on rows scipy also takes to
+    # inf or nan.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a_max = np.max(a, axis=1, keepdims=True)
         ties = a == a_max
         m = np.sum(ties, axis=1, keepdims=True, dtype=a.dtype)
-        s = np.sum(np.exp(np.where(ties, -np.inf, a) - a_max), axis=1, keepdims=True)
+        # In place: a second array of a's size costs more than the exp.
+        terms = a - a_max
+        np.exp(terms, out=terms)
+        terms *= ~ties
+        s = np.sum(terms, axis=1, keepdims=True)
         out = (np.log1p(s / m) + np.log(m) + a_max)[:, 0]
         bad = ~np.isfinite(out)
         if bad.any():
@@ -379,9 +415,14 @@ def logsumexp(a: np.ndarray) -> np.ndarray:
 
 
 def _information(h, sigma, symbols, received) -> float:
-    """Sum over the draws of log2(M p(y|s) / sum_j p(y|s_j))."""
-    delta = received[:, None, :] - h.vectors[None, :, :]
-    ll = -np.einsum("nmk,nmk->nm", delta, delta) * (1.0 / (2.0 * sigma * sigma))
+    """Sum over the draws of log2(M p(y|s) / sum_j p(y|s_j)).
+
+    The log-likelihoods are the scores over sigma**2; they leave out the
+    -|y|**2 / (2 sigma**2) that every hypothesis shares, which cancels in
+    the ratio.
+    """
+    ll = _scores(received, h)
+    ll /= sigma * sigma
     own = ll[np.arange(len(symbols)), symbols]
     terms = math.log2(h.m) + (own - logsumexp(ll)) / math.log(2.0)
     return float(terms.sum())

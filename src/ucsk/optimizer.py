@@ -16,7 +16,7 @@ least-squares QP) per start suffices.  The non-convex landscape is swept
 by deterministic multistart.  A start counts when SLSQP converged and it
 passes the rules the rest of the package uses: GamutPolygon.contains for
 R and G on the gamut polygon itself, which need not be convex, and
-BlueTarget.margin for X.
+BlueTarget.contains for X.
 """
 
 from __future__ import annotations
@@ -73,10 +73,6 @@ _MAX_ITERATIONS = 200
 # thousands of radii out, SLSQP's line search stalls before X reaches
 # the disk.
 _START_RADII = 100.0
-
-# Largest disk violation, -BlueTarget.margin(X), of a feasible start.  It
-# allows only for rounding: a zero-radius X is a rounded centroid.
-_CONSTRAINT_TOLERANCE = 1e-12
 
 
 class InfeasibleTargetError(ValueError):
@@ -264,9 +260,10 @@ def design_constellation(
         pts = jac @ res.x[:4] + offset
         dmin = float(np.linalg.norm(pts[_PAIR_I] - pts[_PAIR_J], axis=1).min())
         r_pt, g_pt = ChromaticityPoint(*pts[0]), ChromaticityPoint(*pts[1])
-        residual = max(-target.margin(centroid([r_pt, g_pt, FIXED_BLUE])), 0.0)
+        x_pt = centroid([r_pt, g_pt, FIXED_BLUE])
+        residual = max(-target.margin(x_pt), 0.0)
         in_gamut = gamut.contains(r_pt) and gamut.contains(g_pt)
-        if res.success and in_gamut and residual <= _CONSTRAINT_TOLERANCE:
+        if res.success and in_gamut and target.contains(x_pt):
             feasible.append((dmin, k, r_pt, g_pt, residual))
         diagnostics.append(
             {

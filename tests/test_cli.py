@@ -4,6 +4,10 @@ manifests with exactly the documented keys."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,15 +31,18 @@ MANIFEST_KEYS = {"subcommand", "parameters", "inputs", "tool_version", "seed"}
 GOLDEN_SHA256 = {
     "ser.csv": "c50f16e551f18e4de5bdb0d4ba6d32873b5f50858befcb6c028469ad2d506293",
     "ser.ub.csv": "8a1932eed52596f8557b56e8320238cb8bdde8fdd059e0f855cab81bf9cbe022",
-    "rate-ucsk.csv": "bf88fde422d996009a07be19afd2428eff1524ac0be2383767042959e13bd7fc",
+    "rate-ucsk.csv": "50ae86475f1d1e613d0b8f24027372297dbb8e374dcda85639eeff9b5122fc1d",
     "rate-ook.csv": "7fa36dc9d92c69afd04627191f26be8e587180d844db7a150ac627edfd252c88",
 }
 
 # SHA-256 of every file of the ``reproduce`` bundles.  The Monte Carlo
-# SER curves, the OOK rates and the manifests date from before the Monte
-# Carlo shared its draws across the curves of a figure; the designs and
-# the union-bound and UCSK rate curves computed from them were recorded
-# when the optimizer began to keep X strictly inside the disk.
+# SER curves, the OOK blue rates and the manifests date from before the
+# Monte Carlo shared its draws across the curves of a figure; the designs
+# and the union-bound curves were recorded when the optimizer began to
+# keep X strictly inside the disk.  The UCSK and the OOK red and green
+# rates were recorded when the mutual information began to take its
+# log-likelihoods from the linear discriminants, which moved them by at
+# most 1.8e-13 relative (TestKernelOracles bounds that at 1e-12).
 _DESIGN_SHA256 = {
     "design-target1.json": "9259d81a5c7d749b6b259ef1893f97e6867886223d8a2ae6c05ed26ecf49d071",
     "design-target2.json": "8a5007c713c4aa0d342cc0d0fbb166fde1ae3b478d2a3e02cfd9345d2c5d1d85",
@@ -57,11 +64,11 @@ REPRODUCE_SHA256 = {
         "manifest.json": "b0bff5f2cba09cbbdbb2c59573ebd6d58438ad7d29ba91a4053574685a9ba54f",
         "rate-ook-blue-10m.csv": "299f4bec54dbde85c4d7d61b2336caf0af100d52714300df1a4ee917f78ed9bd",
         "rate-ook-blue-50m.csv": "c9812a64554344067110a865c3c6717816ee5139f495015b2132534666d97012",
-        "rate-ook-green-10m.csv": "d382fbeccc03ae421c51fc1fe7f5f7b7fa05db445486971ad165a6fbc8b346c4",
-        "rate-ook-red-10m.csv": "082920e5989683b9bdedd599b45134f041e97ffdd3c037337c3a50b09e38428c",
-        "rate-ucsk-target1-10m.csv": "8db1c459f6bd33b0c61b0a2a76d5fbf2dc0b4f6b45de9218f9b930e282139c52",
-        "rate-ucsk-target2-10m.csv": "8c5d6e6d0fb9b361b93a71e9d1c35d09e5c0311829bb26aeb99909708949ead0",
-        "rate-ucsk-target3-10m.csv": "a28a37a66359d48b1955c1bd8e0c0de8b81170cf8c3a965967e80b0cec8508ee",
+        "rate-ook-green-10m.csv": "cc1088ecf42327ae5ce2ac23a34fa9e5fa502c9ea3e009e72da0cdd525817f82",
+        "rate-ook-red-10m.csv": "252a0827387fe041ac65a3ee8bd97a379e134d74c71edaa07359590315164d93",
+        "rate-ucsk-target1-10m.csv": "ce1e22cb8c5429de3d9efe863e21867b6bf57839eff11bea69c86d5bcd1cd076",
+        "rate-ucsk-target2-10m.csv": "2dffc4cb95fb34dea4fdb299c3c0bb4a20a1eca68b469ff5075b3d5d0e65a734",
+        "rate-ucsk-target3-10m.csv": "6b93537f129b19d43f7047b7a073823e89dc3f9f3d54fc14c02a20774467cc90",
     },
 }
 
@@ -363,6 +370,27 @@ class TestExitCodes:
         assert main(argv) == EXIT_IO
         assert "cannot read constellation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_is_io_error(self, tmp_path, unbuffered):
+        # Standard output is a pipe whose read end is already closed, so
+        # the first write (unbuffered) or the flush (buffered) fails.
+        env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
+               "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ucsk", "validate", "--constellation",
+                 "table1-t3o1"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=tmp_path,
+                env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_IO
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "cannot write output: standard output was closed\n"
+
 
 class TestReproducibility:
     def test_design_reruns_are_byte_identical(self, tmp_path):
@@ -406,6 +434,18 @@ class TestReports:
             "gamut membership: {'R': True, 'G': True, 'B': True, 'X': True}\n"
             f"blue target: {disk}\n"
         )
+
+    def test_zero_radius_disk_is_inside(self, tmp_path, capsys):
+        # X is the centroid, rounded about 3e-17 off the center: a margin
+        # that prints as -0 and that BlueTarget.contains accepts.
+        out = tmp_path / "z.json"
+        argv = ["design", "--target-center", "0.2,0.3", "--target-radius", "0",
+                "--starts", "4", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert "(inside=True)" in capsys.readouterr().out
+        assert main(["validate", "--constellation", str(out)]) == EXIT_OK
+        report = capsys.readouterr().out
+        assert report.endswith("radius=0.0 margin=-0.0000 (inside)\n")
 
     def test_design_constraint_margin_line(self, tmp_path, capsys):
         code, out = _design(tmp_path, "d.json", "--gamut", "led-triangle")

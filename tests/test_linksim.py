@@ -33,12 +33,13 @@ from ucsk.linksim import (
     union_bound_ser,
     write_curve_csv,
 )
-from ucsk.linksim import _uniform_blocks
-from ucsk.optimizer import _GAMUT_MARGIN
+from ucsk.linksim import _CHUNK, _scores, _uniform_blocks
+from ucsk.optimizer import _GAMUT_MARGIN, OptimizerConfig, design_constellation
 from ucsk.presets import (
     DEFAULT_PRIMARY_CHROMATICITIES,
     DEFAULT_PRIMARY_WAVELENGTHS,
     TABLE1_FIXTURES,
+    blue_target_preset,
     led_triangle_gamut,
 )
 
@@ -408,6 +409,81 @@ class TestBatch:
             simulate_ser([four_bands], [0.0], 20_000, 0)
 
 
+@pytest.fixture(scope="module")
+def reproduce_sets(water):
+    """The ``reproduce`` hypothesis sets at 10 m: the three LED-triangle
+    designs at seed 2024, then OOK per color, then OOK blue at 50 m."""
+    near = LinkConfig(water=water, distance_m=10.0)
+    cfg = OptimizerConfig(rng_seed=2024)
+    sets = [
+        build_hypotheses(
+            design_constellation(
+                blue_target_preset(t), cfg, led_triangle_gamut()
+            ).constellation,
+            near,
+        )
+        for t in (1, 2, 3)
+    ]
+    sets += [ook_hypotheses(wl, near) for wl in DEFAULT_PRIMARY_WAVELENGTHS]
+    sets.append(ook_hypotheses(460.0, LinkConfig(water=water, distance_m=50.0)))
+    return sets
+
+
+def min_distance_oracle(received: np.ndarray, h: HypothesisSet) -> np.ndarray:
+    """Detection by the argmin of the squared distances |r - v_m|**2."""
+    delta = received[:, None, :] - h.vectors[None, :, :]
+    return np.argmin(np.einsum("nmk,nmk->nm", delta, delta), axis=1)
+
+
+def delta_form_information(
+    h: HypothesisSet, sigma: float, n: int, seed: int, stream: int
+) -> float:
+    """Mutual information over the draws of ``mutual_information``, from
+    the (n, M, K) differences and full log-likelihoods -|y - v_m|**2 /
+    (2 sigma**2) with scipy's logsumexp."""
+    sums = []
+    for a in range(0, n, _CHUNK):
+        u = _uniform_blocks(seed, stream, a, min(_CHUNK, n - a))
+        symbols = np.minimum((u[:, 0] * h.m).astype(np.int64), h.m - 1)
+        noise = scipy.special.ndtri(u[:, 1 : 1 + h.bands])
+        received = h.vectors[symbols] + noise * sigma
+        delta = received[:, None, :] - h.vectors[None, :, :]
+        ll = -np.einsum("nmk,nmk->nm", delta, delta) / (2.0 * sigma * sigma)
+        own = ll[np.arange(len(symbols)), symbols]
+        lse = scipy.special.logsumexp(ll, axis=1)
+        sums.append(float(np.sum(math.log2(h.m) + (own - lse) / math.log(2.0))))
+    return min(max(math.fsum(sums) / n, 0.0), math.log2(h.m))
+
+
+class TestKernelOracles:
+    """The linear-discriminant kernels agree with the distance forms they
+    replace, on the link budgets that ``reproduce`` simulates."""
+
+    @pytest.mark.parametrize("snr_db", [0.0, 15.0, 30.0])
+    def test_detect_matches_min_distance(self, reproduce_sets, snr_db):
+        # The three designs and OOK blue at 10 m.
+        for k, h in enumerate(reproduce_sets[:3] + reproduce_sets[5:6]):
+            rng = np.random.default_rng([k, int(snr_db)])
+            symbols = rng.integers(0, h.m, 50_000)
+            noise = rng.standard_normal((symbols.size, h.bands))
+            received = h.vectors[symbols] + noise * noise_sigma(h.vectors, snr_db)
+            expected = min_distance_oracle(received, h)
+            np.testing.assert_array_equal(detect_ml(received, h), expected)
+            fortran = np.asfortranarray(received)
+            np.testing.assert_array_equal(detect_ml(fortran, h), expected)
+
+    @pytest.mark.parametrize("stream, snr_db", [(0, 0.0), (5, 15.0), (10, 30.0),
+                                                (15, 45.0)])
+    def test_mi_matches_delta_form(self, reproduce_sets, stream, snr_db):
+        # Two chunks, the second one partial.
+        n, seed = 70_000, 4242
+        sigmas = [noise_sigma(h.transmit_vectors(), snr_db) for h in reproduce_sets]
+        got = mutual_information(reproduce_sets, sigmas, n, seed, stream=stream)
+        for h, sigma, mi in zip(reproduce_sets, sigmas, got):
+            expected = delta_form_information(h, sigma, n, seed, stream)
+            assert mi == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 class TestUniformBlocks:
     @pytest.mark.parametrize(
         "start,count", [(0, 65_536), (65_536, 65_536), (131_072, 18_928), (5, 7)]
@@ -440,8 +516,9 @@ class TestLogsumexp:
     @given(tied_rows())
     @settings(deadline=None)
     def test_matches_scipy_bitwise(self, a):
-        expected = scipy.special.logsumexp(a, axis=1)
-        assert logsumexp(a).tobytes() == expected.tobytes()
+        for layout in (a, np.asfortranarray(a)):
+            expected = scipy.special.logsumexp(layout, axis=1)
+            assert logsumexp(layout).tobytes() == expected.tobytes()
 
     def test_matches_scipy_on_mi_log_likelihoods(self, renderable, link10):
         h = build_hypotheses(renderable, link10)
@@ -451,18 +528,23 @@ class TestLogsumexp:
         )
         delta = received[:, None, :] - h.vectors[None, :, :]
         ll = -np.einsum("nmk,nmk->nm", delta, delta) / (2 * 0.02**2)
-        expected = scipy.special.logsumexp(ll, axis=1)
-        assert logsumexp(ll).tobytes() == expected.tobytes()
+        # ... and the Fortran-ordered discriminant form of _information.
+        scaled = _scores(received, h) / 0.02**2
+        assert scaled.flags.f_contiguous
+        for a in (ll, scaled):
+            expected = scipy.special.logsumexp(a, axis=1)
+            assert logsumexp(a).tobytes() == expected.tobytes()
 
     def test_non_finite_rows_match_scipy(self):
         inf, nan = np.inf, np.nan
         a = np.array(
             [[-inf, -inf, -inf], [inf, 0.0, 1.0], [nan, 0.0, 1.0], [-inf, 0.0, 0.0],
-             [800.0, 800.0, -inf]]
+             [800.0, 800.0, -inf], [1000.0, nan, 0.0], [1000.0, inf, 0.0]]
         )
-        np.testing.assert_array_equal(
-            logsumexp(a), scipy.special.logsumexp(a, axis=1)
-        )
+        for layout in (a, np.asfortranarray(a)):
+            np.testing.assert_array_equal(
+                logsumexp(layout), scipy.special.logsumexp(layout, axis=1)
+            )
 
 
 class TestCurveCsv:

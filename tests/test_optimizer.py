@@ -5,6 +5,7 @@ import pytest
 
 from ucsk.colorimetry import ChromaticityPoint, spectral_locus, xy_distance
 from ucsk.constellation import (
+    DISK_TOLERANCE,
     FIXED_BLUE,
     BlueTarget,
     build_constellation,
@@ -14,7 +15,6 @@ from ucsk.optimizer import (
     ConvergenceError,
     InfeasibleTargetError,
     OptimizerConfig,
-    _CONSTRAINT_TOLERANCE,
     _constraints,
     _hull_halfplanes,
     design_constellation,
@@ -101,7 +101,7 @@ class TestDesign:
         result = design_constellation(target, FAST, locus)
         assert 0.0962 <= result.achieved_dmin <= 0.1019
         assert result.achieved_dmin <= dmin_upper_bound(target) + 1e-6
-        assert result.constraint_residual <= _CONSTRAINT_TOLERANCE
+        assert result.constraint_residual <= DISK_TOLERANCE
         # dominates the best published design for this target
         best_published = max(
             fx.d_min_tabulated
@@ -132,7 +132,7 @@ class TestDesign:
         target = BlueTarget(FIXED_BLUE, 0.0)
         result = design_constellation(target, FAST, locus)
         assert result.achieved_dmin <= 1e-3
-        assert result.constraint_residual <= _CONSTRAINT_TOLERANCE
+        assert result.constraint_residual <= DISK_TOLERANCE
         assert xy_distance(result.constellation.x, FIXED_BLUE) <= 1e-9
 
     def test_degenerate_disk_pins_x(self, locus):
@@ -218,7 +218,7 @@ class TestDiskContainment:
         center = ChromaticityPoint(0.2, 0.3)
         tiny = design_constellation(BlueTarget(center, radius), FAST, locus)
         zero = design_constellation(BlueTarget(center, 0.0), FAST, locus)
-        assert tiny.constraint_residual <= _CONSTRAINT_TOLERANCE
+        assert tiny.constraint_residual <= DISK_TOLERANCE
         assert tiny.achieved_dmin == pytest.approx(zero.achieved_dmin, abs=1e-9)
 
 
