@@ -25,11 +25,9 @@ from .colorimetry import (
     Tristimulus,
     centroid,
     load_locus_csv,
-    mix_chromaticity,
     photopic_efficacy,
     solve_fluxes,
     spectral_locus,
-    tristimulus_to_xy,
     xy_distance,
     xy_to_tristimulus,
 )

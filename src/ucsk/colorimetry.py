@@ -1,10 +1,9 @@
 """CIE 1931 chromaticity-plane mathematics.
 
-Distances and centroids on the (x, y) plane, conversion between
-chromaticity and tristimulus values, additive mixing of light sources,
-flux solving for a target color, and gamut membership tests against an
-arbitrary simple polygon (the visible-light horseshoe or an LED source
-triangle).
+Distances and centroids on the (x, y) plane, conversion from
+chromaticity to tristimulus values, flux solving for a target color, and
+gamut membership tests against the convex hull of a set of sources (the
+visible-light horseshoe or an LED source triangle).
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ from importlib import resources
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 __all__ = [
     "ChromaticityPoint",
@@ -28,8 +28,6 @@ __all__ = [
     "xy_distance",
     "centroid",
     "xy_to_tristimulus",
-    "tristimulus_to_xy",
-    "mix_chromaticity",
     "solve_fluxes",
     "spectral_locus",
     "load_locus_csv",
@@ -40,8 +38,9 @@ __all__ = [
 # near the purple line).
 MIN_CHROMATICITY_Y = 1e-6
 
-# Points within this distance of a gamut boundary count as in-gamut;
-# absorbs the rounding of published 4-digit locus tables.
+# Points no farther than this outside any hull half-plane of a gamut
+# count as in-gamut; absorbs the rounding of published 4-digit locus
+# tables.
 BOUNDARY_TOLERANCE = 1e-4
 
 
@@ -120,37 +119,6 @@ def xy_to_tristimulus(p: ChromaticityPoint, Y: float) -> Tristimulus:
     return Tristimulus(p.x * Y / p.y, Y, (1.0 - p.x - p.y) * Y / p.y)
 
 
-def tristimulus_to_xy(t: Tristimulus) -> ChromaticityPoint:
-    """Project tristimulus values back to the chromaticity plane."""
-    total = t.X + t.Y + t.Z
-    if total <= 0:
-        raise DegenerateChromaticityError("tristimulus sum must be positive")
-    return ChromaticityPoint(t.X / total, t.Y / total)
-
-
-def mix_chromaticity(
-    primaries: Sequence[ChromaticityPoint], fluxes: Sequence[float]
-) -> ChromaticityPoint:
-    """Chromaticity of the additive mix of three primaries.
-
-    Each primary contributes its tristimulus at the given luminous flux;
-    the summed tristimulus is projected back to (x, y).
-    """
-    if len(primaries) != 3 or len(fluxes) != 3:
-        raise ValueError("expected exactly three primaries and three fluxes")
-    if any(f < 0 for f in fluxes):
-        raise ValueError(f"negative flux in {tuple(fluxes)}")
-    if all(f == 0 for f in fluxes):
-        raise ValueError("all fluxes are zero; mixed color is undefined")
-    X = Y = Z = 0.0
-    for p, f in zip(primaries, fluxes):
-        t = xy_to_tristimulus(p, f)
-        X += t.X
-        Y += t.Y
-        Z += t.Z
-    return tristimulus_to_xy(Tristimulus(X, Y, Z))
-
-
 def _mixing_matrix(primaries: Sequence[ChromaticityPoint]) -> np.ndarray:
     # Column k is the tristimulus of primary k at unit luminance.
     cols = []
@@ -170,9 +138,12 @@ def solve_fluxes(
 
     One rule decides renderability: ``target`` renders exactly when
     ``GamutPolygon(primaries).contains(target)``, and raises
-    OutOfGamutError otherwise.  A target within ``BOUNDARY_TOLERANCE``
-    outside the triangle solves to slightly negative fluxes, which are
-    clipped at 0.  Collinear primaries raise CollinearPrimariesError.
+    OutOfGamutError otherwise.  A target up to ``BOUNDARY_TOLERANCE``
+    outside the triangle's edge lines solves to slightly negative fluxes,
+    which are clipped at 0.  Collinear primaries raise
+    CollinearPrimariesError, by the same rule: ``GamutPolygon`` rejects
+    primaries whose convex hull Qhull finds flat, even where rounding
+    leaves the 3x3 mixing system solvable.
     """
     if len(primaries) != 3:
         raise ValueError("expected exactly three primaries")
@@ -196,11 +167,18 @@ def solve_fluxes(
 
 
 class GamutPolygon:
-    """A simple closed polygon on the chromaticity plane.
+    """The convex hull of a set of sources on the chromaticity plane.
 
-    Vertices are given in order; the closing edge (last vertex back to the
-    first) is implicit.  For the visible-light gamut this is the spectral
-    locus closed by the purple line.
+    Additive mixtures of the sources reach exactly the convex hull of
+    their chromaticities (Grassmann's laws), so the hull is the gamut.
+    For the visible-light gamut the vertices are the spectral locus,
+    closed by the purple line; tabulation noise leaves some of them up to
+    9.5e-5 inside the hull.  Vertices are kept as given.
+
+    ``halfplanes`` is (A, b), the hull's unit outward normals and offsets
+    from Qhull, with A.p <= b inside.  It is the one gamut rule: the
+    optimizer constrains R and G by it, and ``nearest_boundary`` judges
+    membership by it.  Collinear vertices raise CollinearPrimariesError.
     """
 
     def __init__(self, vertices: Iterable[ChromaticityPoint]):
@@ -209,10 +187,13 @@ class GamutPolygon:
             raise ValueError("a gamut polygon needs at least 3 vertices")
         self.vertices: tuple[ChromaticityPoint, ...] = tuple(pts)
         self._v = np.array([[p.x, p.y] for p in pts], dtype=float)
-        self._a = self._v
-        self._b = np.roll(self._v, -1, axis=0)
-        self._e = self._b - self._a
-        self._e_len2 = np.maximum(np.einsum("ij,ij->i", self._e, self._e), 1e-300)
+        try:
+            eq = ConvexHull(self._v).equations
+        except QhullError as exc:
+            raise CollinearPrimariesError(
+                "vertices are collinear on the chromaticity plane; their hull is flat"
+            ) from exc
+        self.halfplanes: tuple[np.ndarray, np.ndarray] = (eq[:, :2], -eq[:, 2])
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -226,39 +207,23 @@ class GamutPolygon:
             float(self._v[:, 1].max()),
         )
 
-    def _crossings(self, x: float, y: float) -> bool:
-        # Even-odd rule with the usual half-open edge convention.
-        ax, ay = self._a[:, 0], self._a[:, 1]
-        bx, by = self._b[:, 0], self._b[:, 1]
-        straddles = (ay > y) != (by > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_at_y = ax + (y - ay) * (bx - ax) / (by - ay)
-        hits = straddles & (x < x_at_y)
-        return bool(np.count_nonzero(hits) % 2)
-
-    def nearest_boundary(
-        self, p: ChromaticityPoint
-    ) -> tuple[float, np.ndarray, bool]:
-        """Distance to the boundary, the nearest boundary point, and
-        whether ``p`` is strictly inside by the even-odd rule."""
-        q = np.array([p.x, p.y], dtype=float)
-        t = np.einsum("ij,ij->i", q - self._a, self._e) / self._e_len2
-        t = np.clip(t, 0.0, 1.0)
-        proj = self._a + t[:, None] * self._e
-        d2 = np.einsum("ij,ij->i", proj - q, proj - q)
-        k = int(np.argmin(d2))
-        return math.sqrt(float(d2[k])), proj[k], self._crossings(p.x, p.y)
+    def nearest_boundary(self, p: ChromaticityPoint) -> float:
+        """max(A.p - b) over the hull half-planes: minus the distance to
+        the boundary inside, and a lower bound on the distance outside."""
+        a, b = self.halfplanes
+        return float(np.max(a @ np.array([p.x, p.y]) - b))
 
     def signed_distance(self, p: ChromaticityPoint) -> float:
-        """Distance to the boundary, negative inside, positive outside."""
-        d, _, inside = self.nearest_boundary(p)
-        return -d if inside else d
+        """Distance to the boundary, negative inside; outside, a lower
+        bound on it that is exact where the nearest boundary point is not
+        a vertex."""
+        return self.nearest_boundary(p)
 
     def contains(self, p: ChromaticityPoint) -> bool:
-        """True when ``p`` is inside or within ``BOUNDARY_TOLERANCE`` of the
-        boundary: the one rule for gamut membership and renderability."""
-        d, _, inside = self.nearest_boundary(p)
-        return inside or d <= BOUNDARY_TOLERANCE
+        """True when no hull half-plane puts ``p`` more than
+        ``BOUNDARY_TOLERANCE`` outside: the one rule for gamut membership
+        and renderability."""
+        return self.nearest_boundary(p) <= BOUNDARY_TOLERANCE
 
 
 def load_locus_csv(path) -> GamutPolygon:

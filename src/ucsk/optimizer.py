@@ -9,14 +9,13 @@ X = center + radius * u and G = 3X - R - B, so every point of
 {R, G, B, X} is affine in z.  The maximin objective is solved in
 epigraph form: maximize t subject to |p_i - p_j|^2 >= t^2 for the six
 pairs, |u|^2 <= 1 (less a small slack, so X ends strictly inside the
-disk at every radius), and A.R <= b, A.G <= b for the unit half-planes
-(A, b) of the gamut's convex hull, which are linear in z.  Every
-constraint is smooth, so one SLSQP solve (Kraft's sequential
+disk at every radius), and A.R <= b, A.G <= b for the gamut's unit
+half-planes (A, b) = GamutPolygon.halfplanes, which are linear in z.
+Every constraint is smooth, so one SLSQP solve (Kraft's sequential
 least-squares QP) per start suffices.  The non-convex landscape is swept
 by deterministic multistart.  A start counts when SLSQP converged and it
 passes the rules the rest of the package uses: GamutPolygon.contains for
-R and G on the gamut polygon itself, which need not be convex, and
-BlueTarget.contains for X.
+R and G, which reads the same half-planes, and BlueTarget.contains for X.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.spatial import ConvexHull
 
 from .colorimetry import (
     BOUNDARY_TOLERANCE,
@@ -52,11 +50,12 @@ __all__ = [
 # radius of about 2e-7 that is under the rounding of the centroid.
 _DISK_SLACK = 1e-9
 
-# Feasibility allowance on the gamut signed distance.  Published locus
-# tables are rounded to 4 digits, which leaves the fixed blue a hair
-# outside the polygon; boundary points must stay feasible.  Kept at half
-# the membership tolerance of GamutPolygon.contains, which judges each
-# start (and, on the LED triangle, renderability).
+# Feasibility allowance on the gamut half-planes.  Published locus
+# tables are rounded to 4 digits, which leaves the fixed blue 1.3e-5
+# outside the hull; boundary points must stay feasible.  Kept at half the
+# membership tolerance of GamutPolygon.contains, which judges each start
+# (and, on the LED triangle, renderability), so every start that SLSQP
+# reports converged is in the gamut.
 _GAMUT_MARGIN = 0.5 * BOUNDARY_TOLERANCE
 
 # SLSQP accuracy: the objective change, step and summed constraint
@@ -145,12 +144,6 @@ def _point_map(blue: np.ndarray, target: BlueTarget) -> tuple[np.ndarray, np.nda
     return jac, offset
 
 
-def _hull_halfplanes(gamut: GamutPolygon) -> tuple[np.ndarray, np.ndarray]:
-    """Unit outward normals A and offsets b with A.p <= b on the hull."""
-    eq = ConvexHull([[v.x, v.y] for v in gamut.vertices]).equations
-    return eq[:, :2], -eq[:, 2]
-
-
 def _constraints(
     blue: np.ndarray, target: BlueTarget, gamut: GamutPolygon
 ) -> list[dict]:
@@ -176,7 +169,7 @@ def _constraints(
         "jac": lambda z: np.array([[0.0, 0.0, -2.0 * z[2], -2.0 * z[3], 0.0]]),
     }
     # A.R <= b and A.G <= b, each offset by the gamut margin.
-    a, b = _hull_halfplanes(gamut)
+    a, b = gamut.halfplanes
     lin_a = np.hstack([np.vstack([a @ jac[0], a @ jac[1]]), np.zeros((2 * len(b), 1))])
     lin_b = np.concatenate([b - a @ offset[0], b - a @ offset[1]]) + _GAMUT_MARGIN
     hull = {"type": "ineq", "fun": lambda z: lin_b - lin_a @ z, "jac": lambda z: -lin_a}
@@ -211,12 +204,14 @@ def design_constellation(
     independent of evaluation order.  The best feasible start by
     (hard d_min, lowest index) wins.
 
-    Raises InfeasibleTargetError when the disk is disjoint from the gamut
-    or the fixed blue lies outside it, ConvergenceError when no start
-    converges to a feasible design.
+    Raises InfeasibleTargetError when one gamut half-plane separates the
+    disk from the gamut or the fixed blue lies outside it,
+    ConvergenceError when no start converges to a feasible design.
     """
     if gamut is None:
         gamut = spectral_locus()
+    # A lower bound on the center's distance to the gamut, so this never
+    # rejects a disk that meets it.
     center_gap = max(gamut.signed_distance(target.center), 0.0)
     if center_gap > target.radius + BOUNDARY_TOLERANCE:
         raise InfeasibleTargetError(

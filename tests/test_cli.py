@@ -327,6 +327,24 @@ class TestExitCodes:
         assert out.startswith("achieved d_min: 0.351468\n")
         assert "(inside=True)" in out
 
+    def test_horseshoe_design_on_the_locus_hull_is_ok(self, tmp_path, capsys):
+        # The optimum puts R on a stretch of the tabulated locus that lies
+        # up to 9.5e-5 inside its hull, where SLSQP's half-planes put it.
+        code = main(["design", "--gamut", "horseshoe", "--target-center",
+                     "0.15,0.1", "--target-radius", "0.3", "--out",
+                     str(tmp_path / "h.json")])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.startswith("achieved d_min: 0.361494\n")
+
+    def test_disk_just_outside_the_green_vertex_is_infeasible(self, tmp_path):
+        # 6e-4 beyond the vertex by Euclidean distance, but within the
+        # radius plus tolerance of every half-plane: the pre-check passes
+        # it, and no start reaches the disk.
+        code = main(["design", "--target-center", "0.3013317,0.6932633",
+                     "--target-radius", "4e-4", "--gamut", "led-triangle",
+                     "--out", str(tmp_path / "g.json")])
+        assert code == EXIT_INFEASIBLE
+
     def test_reproduce_design_failure_is_infeasible(
         self, tmp_path, capsys, monkeypatch
     ):

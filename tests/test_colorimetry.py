@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ucsk.colorimetry import (
     BOUNDARY_TOLERANCE,
+    MIN_CHROMATICITY_Y,
     ChromaticityPoint,
     CollinearPrimariesError,
     DegenerateChromaticityError,
@@ -15,11 +16,9 @@ from ucsk.colorimetry import (
     Tristimulus,
     centroid,
     load_locus_csv,
-    mix_chromaticity,
     photopic_efficacy,
     solve_fluxes,
     spectral_locus,
-    tristimulus_to_xy,
     xy_distance,
     xy_to_tristimulus,
 )
@@ -66,6 +65,41 @@ def cramer_fluxes(primaries, target, y_total):
         det3(m[0], rhs, m[2]) / d,
         det3(m[0], m[1], rhs) / d,
     ]
+
+
+def tristimulus_to_xy(t: Tristimulus) -> ChromaticityPoint:
+    """Project tristimulus values back to the chromaticity plane."""
+    total = t.X + t.Y + t.Z
+    if total <= 0:
+        raise DegenerateChromaticityError("tristimulus sum must be positive")
+    return ChromaticityPoint(t.X / total, t.Y / total)
+
+
+def mix_chromaticity(primaries, fluxes) -> ChromaticityPoint:
+    """Chromaticity of the additive mix: the summed tristimulus of each
+    primary at its luminous flux, projected back to (x, y).  The
+    round-trip oracle of ``solve_fluxes``."""
+    X = Y = Z = 0.0
+    for p, f in zip(primaries, fluxes):
+        t = xy_to_tristimulus(p, f)
+        X, Y, Z = X + t.X, Y + t.Y, Z + t.Z
+    return tristimulus_to_xy(Tristimulus(X, Y, Z))
+
+
+def polygon_signed_distance(vertices, p: ChromaticityPoint) -> float:
+    """The retired gamut rule: the Euclidean distance to the nearest edge
+    of the polygon through ``vertices``, negative when the even-odd ray
+    crossing rule puts ``p`` inside."""
+    a = np.array([v.as_array() for v in vertices])
+    b = np.roll(a, -1, axis=0)
+    e = b - a
+    q = p.as_array()
+    t = np.clip(np.einsum("ij,ij->i", q - a, e) / np.einsum("ij,ij->i", e, e), 0, 1)
+    d = float(np.min(np.linalg.norm(a + t[:, None] * e - q, axis=1)))
+    straddles = (a[:, 1] > p.y) != (b[:, 1] > p.y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_at_y = a[:, 0] + (p.y - a[:, 1]) * e[:, 0] / e[:, 1]
+    return -d if np.count_nonzero(straddles & (p.x < x_at_y)) % 2 else d
 
 
 class TestXyDistance:
@@ -158,8 +192,6 @@ class TestTristimulus:
     def test_degenerate_y(self):
         with pytest.raises(DegenerateChromaticityError):
             xy_to_tristimulus(ChromaticityPoint(0.5, 1e-9), 1.0)
-        with pytest.raises(DegenerateChromaticityError):
-            tristimulus_to_xy(Tristimulus(0.0, 0.0, 0.0))
 
     @given(st.floats(0.0, 0.9), st.floats(0.01, 0.95), st.floats(1e-3, 1e3))
     @settings(deadline=None)
@@ -171,6 +203,9 @@ class TestTristimulus:
 
 
 class TestMixing:
+    """The local mixing oracle, and ``solve_fluxes`` round-tripped
+    through it."""
+
     def test_single_primary(self):
         mixed = mix_chromaticity(DEFAULT_PRIMARIES, (2.5, 0.0, 0.0))
         assert mixed.x == pytest.approx(DEFAULT_PRIMARIES[0].x, abs=1e-12)
@@ -260,6 +295,23 @@ class TestSolveFluxes:
         with pytest.raises(CollinearPrimariesError):
             solve_fluxes(prims, ChromaticityPoint(0.3, 0.35), 1.0)
 
+    @given(
+        st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-0.5, 0.5),
+        st.floats(-0.5, 0.5), st.floats(-2.0, 2.0),
+    )
+    @settings(deadline=None)
+    def test_collinear_always_raises(self, ax, ay, dx, dy, t):
+        # a, a + d and a + t d, with the target a + d/2 on their line:
+        # rounding often leaves the 3x3 mixing system solvable, but Qhull
+        # finds the hull flat.
+        prims = tuple(
+            ChromaticityPoint(ax + k * dx, ay + k * dy) for k in (0.0, 1.0, t)
+        )
+        assume(min(p.y for p in prims) >= MIN_CHROMATICITY_Y)
+        target = ChromaticityPoint(ax + 0.5 * dx, ay + 0.5 * dy)
+        with pytest.raises(CollinearPrimariesError):
+            solve_fluxes(prims, target, 1.0)
+
 
 class TestGamut:
     def test_primary_blue_on_locus(self, locus):
@@ -274,6 +326,48 @@ class TestGamut:
     def test_signed_distance_sign(self, locus):
         assert locus.signed_distance(ChromaticityPoint(0.3, 0.3)) < 0
         assert locus.signed_distance(ChromaticityPoint(0.9, 0.9)) > 0
+
+    def test_hull_halfplanes_of_triangle(self):
+        tri = led_triangle_gamut()
+        a, b = tri.halfplanes
+        assert a.shape == (3, 2)
+        np.testing.assert_allclose(np.linalg.norm(a, axis=1), 1.0)
+        for v in tri.vertices:
+            assert np.all(a @ v.as_array() <= b + 1e-12)
+        inside = np.mean([v.as_array() for v in tri.vertices], axis=0)
+        assert np.all(a @ inside < b)
+
+    def test_locus_vertices_on_or_inside_hull(self, locus):
+        assert max(locus.signed_distance(v) for v in locus.vertices) <= 1e-12
+
+    @pytest.mark.parametrize("gamut_name", ["locus", "led-triangle"])
+    def test_hull_accepts_what_the_polygon_rule_accepted(self, locus, gamut_name):
+        gamut = locus if gamut_name == "locus" else led_triangle_gamut()
+        xmin, xmax, ymin, ymax = gamut.bounding_box()
+        rng = np.random.default_rng(7)
+        # Uniform points, and points within 2e-4 of a vertex, where the
+        # two rules differ most.
+        pts = rng.uniform([xmin - 0.01, ymin - 0.01], [xmax + 0.01, ymax + 0.01],
+                          (2000, 2))
+        corners = np.array([v.as_array() for v in gamut.vertices])
+        near = corners[rng.integers(0, len(corners), 2000)]
+        pts = np.vstack([pts, near + rng.uniform(-2e-4, 2e-4, (2000, 2))])
+        accepted = 0
+        for x, y in pts:
+            p = ChromaticityPoint(x, y)
+            if polygon_signed_distance(gamut.vertices, p) <= BOUNDARY_TOLERANCE:
+                accepted += 1
+                assert gamut.contains(p)
+        assert accepted > 1000
+
+    def test_inside_triangle_distance_matches_polygon_rule(self):
+        tri = led_triangle_gamut()
+        rng = np.random.default_rng(5)
+        corners = np.array([v.as_array() for v in tri.vertices])
+        for w in rng.dirichlet([1.0, 1.0, 1.0], 500):
+            p = ChromaticityPoint(*(w @ corners))
+            expected = polygon_signed_distance(tri.vertices, p)
+            assert tri.signed_distance(p) == pytest.approx(expected, abs=1e-15)
 
     def test_locus_table_shape(self, locus):
         assert len(locus) == 65
