@@ -143,8 +143,8 @@ def _parse_center(text: str) -> ChromaticityPoint:
 
 def parse_snr_grid(text: str) -> list[float]:
     """Parse LO:STEP:HI (dB, inclusive ends) into at most
-    ``_MAX_SNR_POINTS`` points whose linear ratios 10**(dB/10) are finite
-    and nonzero."""
+    ``_MAX_SNR_POINTS`` strictly increasing points whose linear ratios
+    10**(dB/10) are finite and nonzero."""
     parts = text.split(":")
     if len(parts) != 3:
         raise _usage(f"--snr expects LO:STEP:HI, got {text!r}")
@@ -158,6 +158,8 @@ def parse_snr_grid(text: str) -> list[float]:
     if not span < _MAX_SNR_POINTS:
         raise _usage(f"--snr allows at most {_MAX_SNR_POINTS} points, got {text!r}")
     grid = [lo + i * step for i in range(int(span) + 1)]
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise _usage(f"--snr STEP is below the spacing of its floats, got {text!r}")
     for db in (grid[0], grid[-1]):
         try:
             ratio = 10.0 ** (db / 10.0)
@@ -321,13 +323,11 @@ def _cmd_ser(args) -> None:
     with _failing(EXIT_INFEASIBLE, "infeasible constellation", ValueError):
         hypotheses = build_hypotheses(c, link)
     with _failing(EXIT_USAGE, "usage error: --snr", NoiseLevelError):
-        ((curve, bound),) = ser_curves(
-            [hypotheses], grid, args.symbols, args.seed, [sha]
-        )
+        ((curve, bound),) = ser_curves([hypotheses], grid, args.symbols, args.seed)
     out = Path(args.out)
     with _failing(EXIT_IO, "cannot write output", OSError):
-        write_curve_csv(out, curve)
-        write_curve_csv(_ub_path(out), bound)
+        write_curve_csv(out, curve, sha)
+        write_curve_csv(_ub_path(out), bound, sha)
         _write_manifest(
             Path(str(out) + ".manifest.json"),
             "ser",
@@ -380,10 +380,10 @@ def _cmd_rate(args) -> None:
         )
     )
     with _failing(EXIT_USAGE, "usage error: --snr", NoiseLevelError):
-        (curve,) = rate_curve([hypotheses], grid, args.samples, args.seed, [sha])
+        (curve,) = rate_curve([hypotheses], grid, args.samples, args.seed)
     out = Path(args.out)
     with _failing(EXIT_IO, "cannot write output", OSError):
-        write_curve_csv(out, curve)
+        write_curve_csv(out, curve, sha)
         _write_manifest(
             Path(str(out) + ".manifest.json"),
             "rate",
@@ -405,8 +405,9 @@ def _cmd_rate(args) -> None:
 
 
 def _figure_4a(designs, params: dict) -> dict:
-    """SER and union-bound curves of the designs at 10 m, by file name.
-    Adds the figure's settings to ``params``, which every digest covers."""
+    """SER and union-bound curves of the designs at 10 m with their config
+    digests, as {file name: (curve, digest)}.  Adds the figure's settings
+    to ``params``, which every digest covers."""
     grid = parse_snr_grid(_REPRODUCE_SER_GRID)
     params.update(
         {"snr": _REPRODUCE_SER_GRID, "symbols": _REPRODUCE_SER_SYMBOLS,
@@ -418,19 +419,19 @@ def _figure_4a(designs, params: dict) -> dict:
         grid,
         _REPRODUCE_SER_SYMBOLS,
         REPRODUCE_SIM_SEED,
-        [config_digest({"figure": "4a", "target": tid, "params": params})
-         for tid in designs],
     )
     curves = {}
     for tid, (curve, bound) in zip(designs, pairs):
-        curves[f"ser-target{tid}.csv"] = curve
-        curves[f"ser-target{tid}.ub.csv"] = bound
+        sha = config_digest({"figure": "4a", "target": tid, "params": params})
+        curves[f"ser-target{tid}.csv"] = (curve, sha)
+        curves[f"ser-target{tid}.ub.csv"] = (bound, sha)
     return curves
 
 
 def _figure_4b(designs, params: dict) -> dict:
-    """Rate curves of the designs and of OOK per color, by file name.
-    Adds the figure's settings to ``params``, which every digest covers."""
+    """Rate curves of the designs and of OOK per color with their config
+    digests, as {file name: (curve, digest)}.  Adds the figure's settings
+    to ``params``, which every digest covers."""
     grid = parse_snr_grid(_REPRODUCE_RATE_GRID)
     params.update({"snr": _REPRODUCE_RATE_GRID, "samples": _REPRODUCE_RATE_SAMPLES})
     link10 = LinkConfig(water=seawater(), distance_m=10.0)
@@ -445,16 +446,13 @@ def _figure_4b(designs, params: dict) -> dict:
     ]
     blue_nm = _OOK_WAVELENGTHS["blue"]
     jobs.append(("rate-ook-blue-50m.csv", ook_hypotheses(blue_nm, link50)))
-    names = [name for name, _ in jobs]
     curves = rate_curve(
-        [h for _, h in jobs],
-        grid,
-        _REPRODUCE_RATE_SAMPLES,
-        REPRODUCE_SIM_SEED,
-        [config_digest({"figure": "4b", "curve": name, "params": params})
-         for name in names],
+        [h for _, h in jobs], grid, _REPRODUCE_RATE_SAMPLES, REPRODUCE_SIM_SEED
     )
-    return dict(zip(names, curves))
+    return {
+        name: (curve, config_digest({"figure": "4b", "curve": name, "params": params}))
+        for (name, _), curve in zip(jobs, curves)
+    }
 
 
 def _cmd_reproduce(args) -> None:
@@ -490,8 +488,8 @@ def _cmd_reproduce(args) -> None:
                 "gamut=led-triangle",
             )
             write_constellation_json(out_dir / f"design-target{tid}.json", doc)
-        for name, curve in curves.items():
-            write_curve_csv(out_dir / name, curve)
+        for name, (curve, sha) in curves.items():
+            write_curve_csv(out_dir / name, curve, sha)
         _write_manifest(
             out_dir / "manifest.json",
             "reproduce",

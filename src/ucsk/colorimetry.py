@@ -195,9 +195,6 @@ class GamutPolygon:
             ) from exc
         self.halfplanes: tuple[np.ndarray, np.ndarray] = (eq[:, :2], -eq[:, 2])
 
-    def __len__(self) -> int:
-        return len(self.vertices)
-
     def bounding_box(self) -> tuple[float, float, float, float]:
         """(xmin, xmax, ymin, ymax) of the vertex set."""
         return (
@@ -212,12 +209,6 @@ class GamutPolygon:
         the boundary inside, and a lower bound on the distance outside."""
         a, b = self.halfplanes
         return float(np.max(a @ np.array([p.x, p.y]) - b))
-
-    def signed_distance(self, p: ChromaticityPoint) -> float:
-        """Distance to the boundary, negative inside; outside, a lower
-        bound on it that is exact where the nearest boundary point is not
-        a vertex."""
-        return self.nearest_boundary(p)
 
     def contains(self, p: ChromaticityPoint) -> bool:
         """True when no hull half-plane puts ``p`` more than

@@ -5,7 +5,9 @@ to radiant power through the photopic efficacy, attenuated per band by
 Beer-Lambert loss, and detected as a 3-vector of photocurrent amplitudes
 under additive white Gaussian noise.  The module provides Monte Carlo
 symbol-error simulation, the pairwise union bound, and mutual-information
-rate estimates for 4-UCSK and an OOK baseline.
+rate estimates for 4-UCSK and an OOK baseline.  The engines return bare
+curves; the caller that writes one passes its provenance digest to
+``write_curve_csv``.
 
 Reproducibility contract: all random draws come from a counter-based
 Philox stream keyed by (seed, stream index) in which symbol n consumes
@@ -21,8 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,20 +42,16 @@ __all__ = [
     "NoiseLevelError",
     "build_hypotheses",
     "ook_hypotheses",
-    "average_symbol_power",
     "noise_sigma",
     "detect_ml",
     "simulate_ser",
     "union_bound_ser",
-    "union_bound_from_hypotheses",
     "ser_curves",
     "mutual_information",
     "logsumexp",
     "rate_curve",
     "write_curve_csv",
-    "read_curve_csv",
     "config_digest",
-    "qfunc",
 ]
 
 # Luminous-to-radiant conversion: 683 lm/W at the photopic peak.
@@ -97,18 +94,15 @@ class LinkConfig:
 
 @dataclass(frozen=True)
 class HypothesisSet:
-    """Noiseless received amplitude vectors, one row per symbol, plus the
-    derivation trace (fluxes, optical powers, per-band losses)."""
+    """Noiseless received amplitude vectors, one row per symbol in
+    ``SYMBOL_LABELS`` order (``off``, ``on`` for OOK), and the per-band
+    path-loss factors they carry."""
 
     vectors: np.ndarray  # (M, K) received electrical amplitudes
-    labels: tuple[str, ...]
-    band_wavelengths_nm: tuple[float, ...]
     loss_factors: np.ndarray  # (K,)
-    fluxes_lm: np.ndarray  # (M, n_leds)
-    optical_powers_w: np.ndarray  # (M, n_leds)
 
     def __post_init__(self) -> None:
-        for name in ("vectors", "loss_factors", "fluxes_lm", "optical_powers_w"):
+        for name in ("vectors", "loss_factors"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -128,7 +122,7 @@ class HypothesisSet:
         return self.vectors / self.loss_factors
 
 
-def _render(fluxes, wavelengths, labels, cfg: LinkConfig) -> HypothesisSet:
+def _render(fluxes, wavelengths, cfg: LinkConfig) -> HypothesisSet:
     """Received amplitudes of per-LED luminous fluxes (one row per symbol):
     the electro-optic scale and photopic conversion give optical power,
     then responsivity and per-band Beer-Lambert loss give amplitude."""
@@ -146,14 +140,7 @@ def _render(fluxes, wavelengths, labels, cfg: LinkConfig) -> HypothesisSet:
             )
     efficacy = np.array([photopic_efficacy(wl) for wl in wavelengths])
     powers = ELECTRO_OPTIC_FACTOR * fluxes / (LUMENS_PER_WATT_PEAK * efficacy)
-    return HypothesisSet(
-        vectors=RESPONSIVITY_A_PER_W * powers * losses,
-        labels=labels,
-        band_wavelengths_nm=tuple(wavelengths),
-        loss_factors=losses,
-        fluxes_lm=fluxes,
-        optical_powers_w=powers,
-    )
+    return HypothesisSet(RESPONSIVITY_A_PER_W * powers * losses, losses)
 
 
 def build_hypotheses(c: Constellation4, cfg: LinkConfig) -> HypothesisSet:
@@ -177,20 +164,13 @@ def build_hypotheses(c: Constellation4, cfg: LinkConfig) -> HypothesisSet:
                 f"symbol {label} at ({point.x}, {point.y}) is outside the "
                 "source triangle of the configured primaries"
             ) from exc
-    return _render(fluxes, DEFAULT_PRIMARY_WAVELENGTHS, SYMBOL_LABELS, cfg)
+    return _render(fluxes, DEFAULT_PRIMARY_WAVELENGTHS, cfg)
 
 
 def ook_hypotheses(wavelength_nm: float, cfg: LinkConfig) -> HypothesisSet:
     """On-off keying over a single LED: hypotheses {0, on-amplitude}."""
     fluxes = np.array([[0.0], [TOTAL_LUMINOUS_FLUX_LM]])
-    return _render(fluxes, (wavelength_nm,), ("off", "on"), cfg)
-
-
-def average_symbol_power(vectors: np.ndarray) -> float:
-    """P_avg = sum of squared amplitudes over 3M (per-band average for an
-    equiprobable M-ary alphabet on three nominal bands)."""
-    v = np.asarray(vectors, dtype=float)
-    return float(np.sum(v * v)) / (3.0 * v.shape[0])
+    return _render(fluxes, (wavelength_nm,), cfg)
 
 
 def _checked_sigma(sigma: float, where: str) -> float:
@@ -208,9 +188,16 @@ def _checked_sigma(sigma: float, where: str) -> float:
 def noise_sigma(vectors: np.ndarray, snr_db: float) -> float:
     """Per-band noise standard deviation that puts the average power of
     ``vectors`` at ``snr_db`` above the noise.  SER curves pass the
-    received hypotheses, rate curves the transmit ones."""
+    received hypotheses, rate curves the transmit ones.
+
+    The average power is the sum of squared amplitudes over 3M: the
+    per-band average of an equiprobable M-ary alphabet on three nominal
+    bands.
+    """
+    v = np.asarray(vectors, dtype=float)
+    power = float(np.sum(v * v)) / (3.0 * v.shape[0])
     try:
-        sigma = math.sqrt(average_symbol_power(vectors) / 10.0 ** (snr_db / 10.0))
+        sigma = math.sqrt(power / 10.0 ** (snr_db / 10.0))
     except ZeroDivisionError:
         # 10 ** (snr_db / 10) rounds to 0 below about -3,240 dB.
         sigma = math.inf
@@ -297,11 +284,14 @@ def _batch(hypothesis_sets) -> tuple[HypothesisSet, ...]:
     return hs
 
 
-def _shas(config_shas, count: int) -> tuple[str, ...]:
-    shas = ("",) * count if config_shas is None else tuple(config_shas)
-    if len(shas) != count:
-        raise ValueError("need one config_sha per hypothesis set")
-    return shas
+def _grid(snr_db_grid) -> tuple[float, ...]:
+    """The SNR grid as a non-empty, strictly increasing tuple of floats."""
+    grid = tuple(float(s) for s in snr_db_grid)
+    if not grid:
+        raise ValueError("empty SNR grid")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("SNR grid must be strictly increasing")
+    return grid
 
 
 def _symbol_errors(h, sigma, symbols, received) -> int:
@@ -317,13 +307,12 @@ def simulate_ser(
     Noise for symbol n of grid point i comes from the (seed, i) Philox
     stream at counter n, so each curve is reproducible bit-for-bit for any
     chunking or batch it is simulated in.
+
+    ``bench/spans.py`` binds ``snr_db_grid`` and ``n_symbols`` by name to
+    count the simulated symbols; keep those parameter names.
     """
     hs = _batch(hypothesis_sets)
-    grid = [float(s) for s in snr_db_grid]
-    if not grid:
-        raise ValueError("empty SNR grid")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("SNR grid must be strictly increasing")
+    grid = _grid(snr_db_grid)
     if n_symbols < 1:
         raise ValueError("n_symbols must be >= 1")
     values = [[] for _ in hs]
@@ -332,52 +321,34 @@ def simulate_ser(
         errors = _map_shared_draws(hs, sigmas, seed, stream, n_symbols, _symbol_errors)
         for curve, counts in zip(values, errors):
             curve.append(sum(counts) / n_symbols)
-    return tuple(
-        Curve(tuple(grid), tuple(v), seed=seed, n=n_symbols) for v in values
-    )
-
-
-def qfunc(x) -> np.ndarray | float:
-    """Standard Gaussian tail probability."""
-    return 0.5 * erfc(np.asarray(x) / math.sqrt(2.0))
-
-
-def union_bound_from_hypotheses(h: HypothesisSet, sigma: float) -> float:
-    """Pairwise union bound (1/M) sum_i sum_{j != i} Q(d_ij / (2 sigma))."""
-    if sigma <= 0:
-        raise ValueError("sigma must be > 0")
-    delta = h.vectors[:, None, :] - h.vectors[None, :, :]
-    d = np.sqrt(np.einsum("ijk,ijk->ij", delta, delta))
-    q = qfunc(d / (2.0 * sigma))
-    np.fill_diagonal(q, 0.0)
-    return float(q.sum()) / h.m
+    return tuple(Curve(grid, tuple(v), seed=seed, n=n_symbols) for v in values)
 
 
 def union_bound_ser(h: HypothesisSet, snr_db_grid) -> tuple[float, ...]:
-    """Union bound of a hypothesis set over an SNR grid."""
-    return tuple(
-        union_bound_from_hypotheses(h, noise_sigma(h.vectors, s))
-        for s in snr_db_grid
-    )
+    """Pairwise union bound (1/M) sum_i sum_{j != i} Q(d_ij / (2 sigma)) of
+    a hypothesis set at each SNR of the grid, with sigma from
+    ``noise_sigma`` of the received vectors and Q(x) = erfc(x / sqrt 2) / 2.
+    The pair distances d_ij are computed once for the whole grid."""
+    delta = h.vectors[:, None, :] - h.vectors[None, :, :]
+    d = np.sqrt(np.einsum("ijk,ijk->ij", delta, delta))
+    bounds = []
+    for snr_db in snr_db_grid:
+        q = 0.5 * erfc(d / (2.0 * noise_sigma(h.vectors, snr_db)) / math.sqrt(2.0))
+        np.fill_diagonal(q, 0.0)
+        bounds.append(float(q.sum()) / h.m)
+    return tuple(bounds)
 
 
 def ser_curves(
-    hypothesis_sets,
-    grid,
-    n_symbols: int,
-    seed: int,
-    config_shas=None,
+    hypothesis_sets, grid, n_symbols: int, seed: int
 ) -> tuple[tuple["Curve", "Curve"], ...]:
     """Per hypothesis set, the Monte Carlo SER curve and its union-bound
-    curve, both stamped with that set's entry of ``config_shas``."""
+    curve over the same grid."""
     hs = _batch(hypothesis_sets)
-    shas = _shas(config_shas, len(hs))
+    grid = _grid(grid)
     return tuple(
-        (
-            replace(ser, config_sha=sha),
-            Curve(ser.snr_db, union_bound_ser(h, grid), seed, n_symbols, sha),
-        )
-        for h, ser, sha in zip(hs, simulate_ser(hs, grid, n_symbols, seed), shas)
+        (ser, Curve(grid, union_bound_ser(h, grid), seed, n_symbols))
+        for h, ser in zip(hs, simulate_ser(hs, grid, n_symbols, seed))
     )
 
 
@@ -442,6 +413,9 @@ def mutual_information(
 
     Averages log2(M p(y|s) / sum_j p(y|s_j)) over draws; the estimate is
     clamped to [0, log2 M].
+
+    ``bench/spans.py`` binds ``n_samples`` by name to count the draws;
+    keep that parameter name.
     """
     hs = _batch(hypothesis_sets)
     sigmas = tuple(float(s) for s in sigmas)
@@ -459,7 +433,7 @@ def mutual_information(
 
 
 def rate_curve(
-    hypothesis_sets, grid, n_samples: int, seed: int, config_shas=None
+    hypothesis_sets, grid, n_samples: int, seed: int
 ) -> tuple["Curve", ...]:
     """Achievable rate in bits/s over an SNR grid, one curve per
     hypothesis set: the bandwidth times the mutual information, at one
@@ -470,8 +444,7 @@ def rate_curve(
     Philox stream i.
     """
     hs = _batch(hypothesis_sets)
-    shas = _shas(config_shas, len(hs))
-    snr_db = tuple(float(s) for s in grid)
+    snr_db = _grid(grid)
     transmit = [h.transmit_vectors() for h in hs]
     per_point = [
         mutual_information(
@@ -480,8 +453,8 @@ def rate_curve(
         for i, snr in enumerate(snr_db)
     ]
     return tuple(
-        Curve(snr_db, tuple(BANDWIDTH_HZ * mi for mi in column), seed, n_samples, sha)
-        for column, sha in zip(zip(*per_point), shas)
+        Curve(snr_db, tuple(BANDWIDTH_HZ * mi for mi in column), seed, n_samples)
+        for column in zip(*per_point)
     )
 
 
@@ -493,7 +466,6 @@ class Curve:
     values: tuple[float, ...]
     seed: int
     n: int
-    config_sha: str = ""
 
 
 def config_digest(payload) -> str:
@@ -502,42 +474,15 @@ def config_digest(payload) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def write_curve_csv(path, curve: Curve) -> None:
-    """Write ``snr_db,value`` rows with full round-trip float text."""
+def write_curve_csv(path, curve: Curve, config_sha: str) -> None:
+    """Write ``snr_db,value`` rows with full round-trip float text under a
+    ``# seed``, ``# n`` and ``# config_sha`` header; ``config_sha`` is the
+    caller's ``config_digest`` of the run that made the curve."""
     lines = [
         f"# seed={curve.seed}",
         f"# n={curve.n}",
-        f"# config_sha={curve.config_sha}",
+        f"# config_sha={config_sha}",
         "snr_db,value",
     ]
     lines.extend(f"{repr(s)},{repr(v)}" for s, v in zip(curve.snr_db, curve.values))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_curve_csv(path) -> Curve:
-    """Parse a curve written by :func:`write_curve_csv`."""
-    meta = {"seed": "0", "n": "0", "config_sha": ""}
-    snr, values = [], []
-    lines = Path(path).read_text().splitlines()
-    body_seen = False
-    for line in lines:
-        m = re.match(r"#\s*(\w+)=(.*)$", line)
-        if m:
-            meta[m.group(1)] = m.group(2)
-            continue
-        if line.strip() == "snr_db,value":
-            body_seen = True
-            continue
-        if line.strip():
-            a, b = line.split(",")
-            snr.append(float(a))
-            values.append(float(b))
-    if not body_seen:
-        raise ValueError(f"{path}: missing snr_db,value header")
-    return Curve(
-        tuple(snr),
-        tuple(values),
-        seed=int(meta["seed"]),
-        n=int(meta["n"]),
-        config_sha=meta["config_sha"],
-    )

@@ -185,7 +185,7 @@ def _sample_point(
     xmin, xmax, ymin, ymax = bbox
     for _attempt in range(10_000):
         p = np.array([rng.uniform(xmin, xmax), rng.uniform(ymin, ymax)])
-        if gamut.signed_distance(ChromaticityPoint(*p)) <= 0.0:
+        if gamut.nearest_boundary(ChromaticityPoint(*p)) <= 0.0:
             return p
     # Pathological gamut; fall back to the vertex mean.
     return np.mean([v.as_array() for v in gamut.vertices], axis=0)
@@ -212,7 +212,7 @@ def design_constellation(
         gamut = spectral_locus()
     # A lower bound on the center's distance to the gamut, so this never
     # rejects a disk that meets it.
-    center_gap = max(gamut.signed_distance(target.center), 0.0)
+    center_gap = max(gamut.nearest_boundary(target.center), 0.0)
     if center_gap > target.radius + BOUNDARY_TOLERANCE:
         raise InfeasibleTargetError(
             f"blue-target disk (center ({target.center.x}, {target.center.y}), "

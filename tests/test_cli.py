@@ -188,6 +188,23 @@ class TestExitCodes:
         assert "1 / (2 sigma**2) must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["ser", "--symbols", "10000"], ["rate", "--scheme", "ucsk"]],
+        ids=["ser", "rate-ucsk"],
+    )
+    def test_step_below_float_spacing_is_usage_error(self, tmp_path, capsys, argv):
+        # At 100 dB the float spacing is 1.4e-14, so a 1e-15 step repeats
+        # points: the grid does not strictly increase.
+        design = _renderable_design(tmp_path / "c.json")
+        out = tmp_path / "curve.csv"
+        argv = [*argv, "--constellation", str(design), "--water", "seawater",
+                "--distance", "10", "--snr", "100:1e-15:100.000000000001",
+                "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert "usage error: --snr STEP" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("subcommand", ["design", "ser", "rate"])
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_out_of_range_is_usage_error(self, tmp_path, capsys, subcommand, seed):

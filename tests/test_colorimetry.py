@@ -257,7 +257,7 @@ class TestSolveFluxes:
         # 7.5e-3 beyond the R-G edge, well past the band that contains()
         # still accepts.
         target = ChromaticityPoint(0.7, 0.31)
-        assert led_triangle_gamut().signed_distance(target) > BOUNDARY_TOLERANCE
+        assert led_triangle_gamut().nearest_boundary(target) > BOUNDARY_TOLERANCE
         with pytest.raises(OutOfGamutError):
             solve_fluxes(DEFAULT_PRIMARIES, target, 1.0)
 
@@ -324,8 +324,8 @@ class TestGamut:
         assert all(locus.contains(v) for v in locus.vertices)
 
     def test_signed_distance_sign(self, locus):
-        assert locus.signed_distance(ChromaticityPoint(0.3, 0.3)) < 0
-        assert locus.signed_distance(ChromaticityPoint(0.9, 0.9)) > 0
+        assert locus.nearest_boundary(ChromaticityPoint(0.3, 0.3)) < 0
+        assert locus.nearest_boundary(ChromaticityPoint(0.9, 0.9)) > 0
 
     def test_hull_halfplanes_of_triangle(self):
         tri = led_triangle_gamut()
@@ -338,7 +338,7 @@ class TestGamut:
         assert np.all(a @ inside < b)
 
     def test_locus_vertices_on_or_inside_hull(self, locus):
-        assert max(locus.signed_distance(v) for v in locus.vertices) <= 1e-12
+        assert max(locus.nearest_boundary(v) for v in locus.vertices) <= 1e-12
 
     @pytest.mark.parametrize("gamut_name", ["locus", "led-triangle"])
     def test_hull_accepts_what_the_polygon_rule_accepted(self, locus, gamut_name):
@@ -367,10 +367,10 @@ class TestGamut:
         for w in rng.dirichlet([1.0, 1.0, 1.0], 500):
             p = ChromaticityPoint(*(w @ corners))
             expected = polygon_signed_distance(tri.vertices, p)
-            assert tri.signed_distance(p) == pytest.approx(expected, abs=1e-15)
+            assert tri.nearest_boundary(p) == pytest.approx(expected, abs=1e-15)
 
     def test_locus_table_shape(self, locus):
-        assert len(locus) == 65
+        assert len(locus.vertices) == 65
         xmin, xmax, ymin, ymax = locus.bounding_box()
         assert 0 < xmin < xmax < 1
         assert 0 < ymin < ymax < 1

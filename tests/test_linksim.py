@@ -8,8 +8,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ucsk.channel import attenuation_coefficient, path_loss
-from ucsk.colorimetry import ChromaticityPoint, centroid, photopic_efficacy
-from ucsk.constellation import FIXED_BLUE, build_constellation
+from ucsk.colorimetry import (
+    ChromaticityPoint,
+    centroid,
+    photopic_efficacy,
+    solve_fluxes,
+)
+from ucsk.constellation import FIXED_BLUE, SYMBOL_LABELS, build_constellation
 from ucsk.linksim import (
     BANDWIDTH_HZ,
     Curve,
@@ -17,19 +22,15 @@ from ucsk.linksim import (
     InfeasibleConstellationError,
     LinkConfig,
     NoiseLevelError,
-    average_symbol_power,
     build_hypotheses,
     detect_ml,
     logsumexp,
     mutual_information,
     noise_sigma,
     ook_hypotheses,
-    qfunc,
     rate_curve,
-    read_curve_csv,
     ser_curves,
     simulate_ser,
-    union_bound_from_hypotheses,
     union_bound_ser,
     write_curve_csv,
 )
@@ -58,14 +59,19 @@ def link10(water):
 
 
 def binary_set(d: float) -> HypothesisSet:
-    return HypothesisSet(
-        vectors=np.array([[0.0, 0.0, 0.0], [d, 0.0, 0.0]]),
-        labels=("off", "on"),
-        band_wavelengths_nm=(460.0, 550.0, 700.0),
-        loss_factors=np.ones(3),
-        fluxes_lm=np.zeros((2, 3)),
-        optical_powers_w=np.zeros((2, 3)),
-    )
+    return HypothesisSet(np.array([[0.0, 0.0, 0.0], [d, 0.0, 0.0]]), np.ones(3))
+
+
+def average_power(vectors: np.ndarray) -> float:
+    """P_avg = sum of squared amplitudes over 3M, written out element by
+    element."""
+    total = sum(float(a) * float(a) for row in vectors for a in row)
+    return total / (3.0 * len(vectors))
+
+
+def gaussian_tail(x: float) -> float:
+    """Q(x), the standard Gaussian tail probability."""
+    return 0.5 * float(scipy.special.erfc(x / math.sqrt(2.0)))
 
 
 def ser_alone(h: HypothesisSet, grid, n: int, seed: int) -> Curve:
@@ -94,25 +100,30 @@ class TestBuildHypotheses:
 
     def test_blue_symbol_uses_only_blue_led(self, water, renderable, link10):
         h = build_hypotheses(renderable, link10)
-        i = h.labels.index("B")
-        np.testing.assert_allclose(h.fluxes_lm[i, :2], 0.0, atol=1e-9)
-        assert h.fluxes_lm[i, 2] == pytest.approx(12.0, rel=1e-9)
+        i = SYMBOL_LABELS.index("B")
+        # The whole 12 lm goes to the blue LED.
+        transmit = h.transmit_vectors()[i]
+        np.testing.assert_allclose(transmit[:2], 0.0, atol=1e-12)
+        full = 0.85 * 0.55 * 12.0 / (683.0 * photopic_efficacy(460.0))
+        assert transmit[2] == pytest.approx(full, rel=1e-9)
         # only the blue band carries power for that symbol
         np.testing.assert_allclose(h.vectors[i, :2], 0.0, atol=1e-12)
         assert h.vectors[i, 2] > 0
 
     def test_pipeline_composition_oracle(self, water, renderable, link10):
-        """Recompute one symbol end to end from the independently tested
+        """Recompute every symbol end to end, in SYMBOL_LABELS order
+        (00->B, 01->G, 10->R, 11->X), from the independently tested
         pieces: flux solve, photopic conversion, Beer-Lambert loss."""
-        from ucsk.colorimetry import solve_fluxes
-
         h = build_hypotheses(renderable, link10)
-        i = h.labels.index("X")
-        fluxes = solve_fluxes(DEFAULT_PRIMARY_CHROMATICITIES, renderable.x, 12.0)
-        for k, wl in enumerate(DEFAULT_PRIMARY_WAVELENGTHS):
-            power = 0.55 * fluxes[k] / (683.0 * photopic_efficacy(wl))
-            loss = path_loss(attenuation_coefficient(water, wl), 10.0)
-            assert h.vectors[i, k] == pytest.approx(0.85 * power * loss, rel=1e-12)
+        assert h.m == len(SYMBOL_LABELS) == 4
+        for i, label in enumerate(SYMBOL_LABELS):
+            point = renderable.point(label)
+            fluxes = solve_fluxes(DEFAULT_PRIMARY_CHROMATICITIES, point, 12.0)
+            for k, wl in enumerate(DEFAULT_PRIMARY_WAVELENGTHS):
+                power = 0.55 * fluxes[k] / (683.0 * photopic_efficacy(wl))
+                loss = path_loss(attenuation_coefficient(water, wl), 10.0)
+                expected = 0.85 * power * loss
+                assert h.vectors[i, k] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_infeasible_point_raises(self, water, link10, locus):
         fx = TABLE1_FIXTURES["table1-t1o1"]
@@ -133,14 +144,17 @@ class TestBuildHypotheses:
                 normal = -normal
             for t in np.linspace(0.01, 0.99, 99):
                 p = ChromaticityPoint(*(a + t * edge + _GAMUT_MARGIN * normal))
-                assert triangle.signed_distance(p) == pytest.approx(_GAMUT_MARGIN)
+                assert triangle.nearest_boundary(p) == pytest.approx(_GAMUT_MARGIN)
                 c = build_constellation(p, inner, FIXED_BLUE, triangle)
                 build_hypotheses(c, link10)
 
     def test_symbol_order_matches_map(self, renderable, link10):
         # Symbol i carries the bits of i: 00->B, 01->G, 10->R, 11->X.
-        h = build_hypotheses(renderable, link10)
-        assert h.labels == ("B", "G", "R", "X")
+        assert SYMBOL_LABELS == ("B", "G", "R", "X")
+        # Bands follow the red, green, blue LEDs; each primary-leaning
+        # symbol drives its own LED hardest.
+        transmit = build_hypotheses(renderable, link10).transmit_vectors()
+        assert list(np.argmax(transmit, axis=0)) == [2, 1, 0]
 
 
 class TestDetect:
@@ -196,7 +210,7 @@ class TestSimulateSer:
         curve = ser_alone(h, [-6.0, 0.0, 6.0], 200_000, seed=5)
         for snr, sim in zip(curve.snr_db, curve.values):
             sigma = noise_sigma(h.vectors, snr)
-            theory = float(qfunc(1.0 / (2.0 * sigma)))
+            theory = gaussian_tail(1.0 / (2.0 * sigma))
             se = math.sqrt(theory * (1 - theory) / 200_000)
             assert abs(sim - theory) <= 3 * se
 
@@ -229,15 +243,25 @@ class TestUnionBound:
         assert bound == pytest.approx(0.0, abs=1e-12)
 
     def test_coincident_pair_floor(self):
+        # Two coincident symbols add Q(0) = 1/2 each way: a floor of
+        # (1/2 + 1/2) / M = 1/4 at every SNR.
         h = HypothesisSet(
-            vectors=np.array([[0.1, 0, 0], [0.1, 0, 0], [0.5, 0, 0], [0, 0.4, 0]]),
-            labels=("a", "b", "c", "d"),
-            band_wavelengths_nm=(460.0, 550.0, 700.0),
-            loss_factors=np.ones(3),
-            fluxes_lm=np.zeros((4, 3)),
-            optical_powers_w=np.zeros((4, 3)),
+            np.array([[0.1, 0, 0], [0.1, 0, 0], [0.5, 0, 0], [0, 0.4, 0]]), np.ones(3)
         )
-        assert union_bound_from_hypotheses(h, 0.01) >= 0.25
+        for bound in union_bound_ser(h, [0.0, 40.0, 200.0]):
+            assert bound >= 0.25
+
+    def test_matches_pairwise_q_sum(self, renderable, link10):
+        h = build_hypotheses(renderable, link10)
+        grid = [0.0, 12.0, 24.0]
+        for snr, bound in zip(grid, union_bound_ser(h, grid)):
+            sigma = noise_sigma(h.vectors, snr)
+            expected = sum(
+                gaussian_tail(float(np.linalg.norm(h.vectors[i] - h.vectors[j]))
+                              / (2.0 * sigma))
+                for i in range(h.m) for j in range(h.m) if i != j
+            ) / h.m
+            assert bound == pytest.approx(expected, rel=1e-12)
 
     def test_bounds_simulation(self, renderable, link10):
         grid = [6.0, 12.0, 18.0]
@@ -262,7 +286,7 @@ class TestMutualInformation:
 
     def test_monotone_in_sigma(self, renderable, link10):
         h = build_hypotheses(renderable, link10)
-        scale = math.sqrt(average_symbol_power(h.vectors))
+        scale = math.sqrt(average_power(h.vectors))
         sigmas = [0.03 * scale, 0.3 * scale, 3.0 * scale]
         mis = [mi_alone(h, s, 50_000, seed=8) for s in sigmas]
         assert mis[0] >= mis[1] >= mis[2]
@@ -290,7 +314,14 @@ class TestNoiseSigma:
         with pytest.raises(NoiseLevelError, match="at 3080.0 dB"):
             noise_sigma(h.vectors, 3080.0)
         sigma = noise_sigma(h.vectors, 3060.0)
-        assert sigma == math.sqrt(average_symbol_power(h.vectors) / 1e306)
+        assert sigma == math.sqrt(average_power(h.vectors) / 1e306)
+
+    def test_average_power_is_sum_of_squares_over_3m(self, renderable, link10):
+        # OOK has one band, yet its power is still averaged over three.
+        for h in (build_hypotheses(renderable, link10), ook_hypotheses(460.0, link10)):
+            for snr in (-10.0, 0.0, 17.0):
+                expected = math.sqrt(average_power(h.vectors) / 10.0 ** (snr / 10.0))
+                assert noise_sigma(h.vectors, snr) == pytest.approx(expected, rel=1e-14)
 
     def test_silent_set_is_rejected(self):
         with pytest.raises(NoiseLevelError):
@@ -315,21 +346,27 @@ class TestSerCurves:
     def test_curve_and_bound_match_their_engines(self, renderable, link10):
         grid = [6.0, 12.0]
         h = build_hypotheses(renderable, link10)
-        ((curve, bound),) = ser_curves([h], grid, 20_000, 4, ["ab"])
-        sim = ser_alone(h, grid, 20_000, 4)
-        assert (curve.snr_db, curve.values) == (sim.snr_db, sim.values)
+        ((curve, bound),) = ser_curves([h], grid, 20_000, 4)
+        assert curve == ser_alone(h, grid, 20_000, 4)
         assert bound.values == union_bound_ser(h, grid)
         assert bound.snr_db == curve.snr_db
-        for c in (curve, bound):
-            assert (c.seed, c.n, c.config_sha) == (4, 20_000, "ab")
+        assert (bound.seed, bound.n) == (4, 20_000)
+
+    def test_one_pass_grid(self, renderable, link10):
+        # A generator is read once: the bound covers the same points as
+        # the simulated curve.
+        h = build_hypotheses(renderable, link10)
+        ((curve, bound),) = ser_curves([h], (s for s in [0.0, 5.0]), 20_000, 4)
+        assert curve.snr_db == bound.snr_db == (0.0, 5.0)
+        assert bound.values == union_bound_ser(h, [0.0, 5.0])
 
 
 class TestRates:
     def test_rate_is_bandwidth_times_mi(self, renderable, link10):
         h = build_hypotheses(renderable, link10)
-        (curve,) = rate_curve([h], [10.0, 200.0], 20_000, 0, ["ff"])
+        (curve,) = rate_curve([h], [10.0, 200.0], 20_000, 0)
         assert curve.snr_db == (10.0, 200.0)
-        assert (curve.seed, curve.n, curve.config_sha) == (0, 20_000, "ff")
+        assert (curve.seed, curve.n) == (0, 20_000)
         for i, snr in enumerate(curve.snr_db):
             sigma = noise_sigma(h.transmit_vectors(), snr)
             mi = mi_alone(h, sigma, 20_000, 0, stream=i)
@@ -344,6 +381,15 @@ class TestRates:
         (curve,) = rate_curve([h], [60.0], 20_000, 0)
         (rate,) = curve.values
         assert rate <= BANDWIDTH_HZ + 1e-6
+
+    def test_empty_grid_rejected(self, mixed_batch):
+        with pytest.raises(ValueError, match="empty SNR grid"):
+            rate_curve(mixed_batch[:2], [], 20_000, 0)
+
+    def test_decreasing_grid_rejected(self, renderable, link10):
+        h = build_hypotheses(renderable, link10)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            rate_curve([h], [10.0, 5.0], 20_000, 0)
 
 
 @pytest.fixture(scope="module")
@@ -386,25 +432,16 @@ class TestBatch:
 
     def test_rate_batch_equals_each_curve_alone(self, mixed_batch):
         grid = [0.0, 15.0]
-        batch = rate_curve(mixed_batch, grid, 20_000, 5, ["a", "b", "c", "d"])
-        for h, sha, curve in zip(mixed_batch, "abcd", batch):
-            assert rate_curve([h], grid, 20_000, 5, [sha]) == (curve,)
+        batch = rate_curve(mixed_batch, grid, 20_000, 5)
+        for h, curve in zip(mixed_batch, batch):
+            assert rate_curve([h], grid, 20_000, 5) == (curve,)
 
     def test_batch_validation(self, mixed_batch):
         with pytest.raises(ValueError):
             simulate_ser([], [0.0], 20_000, 0)
         with pytest.raises(ValueError):
             mutual_information(mixed_batch, [1e-3], 20_000, 0)
-        with pytest.raises(ValueError):
-            rate_curve(mixed_batch, [0.0], 20_000, 0, ["a"])
-        four_bands = HypothesisSet(
-            vectors=np.eye(4),
-            labels=("a", "b", "c", "d"),
-            band_wavelengths_nm=(460.0, 500.0, 550.0, 700.0),
-            loss_factors=np.ones(4),
-            fluxes_lm=np.zeros((4, 3)),
-            optical_powers_w=np.zeros((4, 3)),
-        )
+        four_bands = HypothesisSet(np.eye(4), np.ones(4))
         with pytest.raises(ValueError):
             simulate_ser([four_bands], [0.0], 20_000, 0)
 
@@ -548,21 +585,13 @@ class TestLogsumexp:
 
 
 class TestCurveCsv:
-    def test_round_trip(self, tmp_path):
-        curve = Curve((0.0, 3.0), (0.25, 0.125), seed=7, n=1000, config_sha="ff")
-        path = tmp_path / "curve.csv"
-        write_curve_csv(path, curve)
-        assert read_curve_csv(path) == curve
-
-    def test_full_precision_values(self, tmp_path):
+    def test_header_and_full_precision_values(self, tmp_path):
         value = 1 / 3 + 1e-12
-        curve = Curve((0.0,), (value,), seed=0, n=10)
-        path = tmp_path / "c.csv"
-        write_curve_csv(path, curve)
-        assert read_curve_csv(path).values[0] == value
-
-    def test_missing_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("# seed=0\n0.0,0.1\n")
-        with pytest.raises(ValueError):
-            read_curve_csv(path)
+        path = tmp_path / "curve.csv"
+        write_curve_csv(path, Curve((0.0, 3.0), (0.25, value), seed=7, n=1000), "ff")
+        lines = path.read_text().splitlines()
+        assert lines[:4] == ["# seed=7", "# n=1000", "# config_sha=ff", "snr_db,value"]
+        assert lines[4] == "0.0,0.25"
+        snr, text = lines[5].split(",")
+        assert (float(snr), float(text)) == (3.0, value)
+        assert len(lines) == 6
