@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
@@ -188,6 +189,15 @@ def _load_water(spec: str) -> tuple[WaterProperties, dict[str, str]]:
         return load_water_csv(path), {str(path): _sha256(path)}
 
 
+def _check_writable(directory: Path, prefix: str) -> None:
+    """Exit 3 with ``prefix`` unless a file can be created in
+    ``directory``; commands check before the work whose output would be
+    lost."""
+    with _failing(EXIT_IO, prefix, OSError):
+        with tempfile.TemporaryFile(dir=directory):
+            pass
+
+
 def _write_manifest(
     path: Path, subcommand: str, parameters: dict, inputs: dict[str, str], seed: int
 ) -> None:
@@ -322,9 +332,10 @@ def _cmd_ser(args) -> None:
     )
     with _failing(EXIT_INFEASIBLE, "infeasible constellation", ValueError):
         hypotheses = build_hypotheses(c, link)
+    out = Path(args.out)
+    _check_writable(out.parent, "cannot write output")
     with _failing(EXIT_USAGE, "usage error: --snr", NoiseLevelError):
         ((curve, bound),) = ser_curves([hypotheses], grid, args.symbols, args.seed)
-    out = Path(args.out)
     with _failing(EXIT_IO, "cannot write output", OSError):
         write_curve_csv(out, curve, sha)
         write_curve_csv(_ub_path(out), bound, sha)
@@ -379,9 +390,10 @@ def _cmd_rate(args) -> None:
             },
         )
     )
+    out = Path(args.out)
+    _check_writable(out.parent, "cannot write output")
     with _failing(EXIT_USAGE, "usage error: --snr", NoiseLevelError):
         (curve,) = rate_curve([hypotheses], grid, args.samples, args.seed)
-    out = Path(args.out)
     with _failing(EXIT_IO, "cannot write output", OSError):
         write_curve_csv(out, curve, sha)
         _write_manifest(
@@ -459,9 +471,7 @@ def _cmd_reproduce(args) -> None:
     out_dir = Path(args.out)
     with _failing(EXIT_IO, f"cannot write to {out_dir}", OSError):
         out_dir.mkdir(parents=True, exist_ok=True)
-        probe = out_dir / ".write-probe"
-        probe.write_text("")
-        probe.unlink()
+    _check_writable(out_dir, f"cannot write to {out_dir}")
     cfg = OptimizerConfig(rng_seed=REPRODUCE_DESIGN_SEED)
     gamut = led_triangle_gamut()
     with _failing(EXIT_INFEASIBLE, "design failed", *_DESIGN_FAILED):

@@ -225,19 +225,33 @@ def _scores(received: np.ndarray, h: HypothesisSet) -> np.ndarray:
 
 
 def detect_ml(received: np.ndarray, h: HypothesisSet) -> np.ndarray:
-    """Minimum-distance detection of an (N, K) batch of received vectors,
-    one symbol index per row; ties break to the lowest symbol index.
+    """Minimum-distance detection of an (N, K) batch of finite received
+    vectors, one symbol index per row; ties break to the lowest symbol
+    index.
 
     Detection takes the argmax of the linear discriminants
     r . v_m - |v_m|**2 / 2 of ``_scores``, which is the argmin of the
-    squared distances |r - v_m|**2 up to rounding.  A Fortran-ordered
-    batch is the fast layout.
+    squared distances |r - v_m|**2 up to rounding.  The argmax runs as
+    one pass over each of the M contiguous score columns, keeping the
+    first maximum, so the scores are never copied to row order.  On
+    finite input it equals ``np.argmax(_scores(received, h), axis=1)``.
+    On a row with a nan score the two differ: ``np.argmax`` returns the
+    first nan, the column pass the first maximum of the scores before it.
 
     A received vector nearer to hypothesis i than half the distance from i
     to its nearest other hypothesis always decodes to i.  Half the distance
     to some other neighbour is not enough when a nearer one exists.
     """
-    return np.argmax(_scores(np.asarray(received, dtype=float), h), axis=1)
+    scores = _scores(np.asarray(received, dtype=float), h)
+    best = scores[:, 0].copy()
+    index = np.zeros(len(scores), dtype=np.intp)
+    for m in range(1, h.m):
+        column = scores[:, m]
+        # index < m on every row, so the maximum takes m exactly where
+        # the column is strictly better: a masked store costs far more.
+        np.maximum(index, (column > best) * m, out=index)
+        np.maximum(best, column, out=best)
+    return index
 
 
 def _uniform_blocks(seed: int, stream: int, start: int, count: int) -> np.ndarray:
@@ -247,7 +261,9 @@ def _uniform_blocks(seed: int, stream: int, start: int, count: int) -> np.ndarra
     """
     key = np.array([seed, stream], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key, counter=start))
-    return gen.random((count, 4)) + 2.0**-54
+    u = gen.random((count, 4))
+    u += 2.0**-54
+    return u
 
 
 def _map_shared_draws(hs, sigmas, seed: int, stream: int, n: int, score):
@@ -265,12 +281,17 @@ def _map_shared_draws(hs, sigmas, seed: int, stream: int, n: int, score):
     for a in range(0, n, _CHUNK):
         u = _uniform_blocks(seed, stream, a, min(_CHUNK, n - a))
         z = ndtri(u[:, 1 : 1 + bands], order="F")
+        symbols_of = {
+            m: np.minimum((u[:, 0] * m).astype(np.int64), m - 1)
+            for m in {h.m for h in hs}
+        }
         for h, sigma, out in zip(hs, sigmas, scores):
-            symbols = np.minimum((u[:, 0] * h.m).astype(np.int64), h.m - 1)
-            # Gathering band by band keeps the received batch in Fortran
-            # order, with the same bytes as h.vectors[symbols].
-            gathered = np.take(h.vectors.T, symbols, axis=1).T
-            received = gathered + z[:, : h.bands] * sigma
+            symbols = symbols_of[h.m]
+            # The scaled noise fixes the Fortran order of the received
+            # batch, and the hypotheses are gathered onto it band by band;
+            # sigma z + v rounds as v + sigma z does.
+            received = z[:, : h.bands] * sigma
+            received += np.take(h.vectors.T, symbols, axis=1).T
             out.append(score(h, sigma, symbols, received))
     return scores
 
@@ -365,6 +386,12 @@ def logsumexp(a: np.ndarray) -> np.ndarray:
     Both C and Fortran order match scipy on the same array.  With few
     columns Fortran order is the fast one: each row reduction then runs
     over whole contiguous columns.
+
+    No path in the package calls it: ``_information`` references each
+    draw to its own symbol and needs no row maximum.  It stays, tested,
+    while the benchmark traces it: ``bench/spans.py`` names
+    ``linksim.logsumexp``, and an entry point it cannot find fails the
+    trace check as ``not traced``.
     """
     # An overflow is harmless: a - a_max that rounds to -inf has exp 0,
     # and exp overflows only in the fallback, on rows scipy also takes to
@@ -386,16 +413,38 @@ def logsumexp(a: np.ndarray) -> np.ndarray:
 
 
 def _information(h, sigma, symbols, received) -> float:
-    """Sum over the draws of log2(M p(y|s) / sum_j p(y|s_j)).
+    """Sum over the draws of log2(M p(y|s) / sum_j p(y|s_j)), referenced
+    to each draw's own symbol s.
 
-    The log-likelihoods are the scores over sigma**2; they leave out the
-    -|y|**2 / (2 sigma**2) that every hypothesis shares, which cancels in
-    the ratio.
+    With y = v_s + sigma z, the log-likelihood gap of hypothesis j is
+    d_j = (score_j - score_s) / sigma**2 = z . D / sigma - |D|**2 /
+    (2 sigma**2), D = v_j - v_s, from the scores of ``_scores``.  A draw
+    contributes log2 M - log1p(sum_{j != s} exp(d_j)) / ln 2; the terms
+    are summed draw by draw, because N log2 M minus their sum cancels.
+
+    The exact gap is at most |z|**2 / 2 (maximise over D / sigma).  A
+    noise sample is ndtri of a uniform in [2**-54, 1 - 2**-53] (but for
+    the one 53-bit word in 2**53 that rounds up to 1), so |z_k| <= 8.3
+    and d_j <= 104 on three bands: no row maximum needs to come out
+    before the exp.  d is clipped to [-700, 700] first.  The floor keeps
+    exp off its subnormal slow path, and a term below exp(-700) cannot
+    change the rounded log2 M - log1p(...) / ln 2.  The ceiling keeps the
+    sum finite where a computed gap is the rounding error of the scores:
+    on hypotheses 1e-12 apart at 300 dB it reaches 7e14.
     """
-    ll = _scores(received, h)
-    ll /= sigma * sigma
-    own = ll[np.arange(len(symbols)), symbols]
-    terms = math.log2(h.m) + (own - logsumexp(ll)) / math.log(2.0)
+    d = _scores(received, h)
+    # The own scores, by their index in the column-major buffer of d;
+    # ``_scores`` returns Fortran order, so ``flat`` is a view of d.
+    flat = d.ravel(order="F")
+    own = symbols * len(d) + np.arange(len(d))
+    d -= np.take(flat, own)[:, None]
+    d /= sigma * sigma
+    np.clip(d, -700.0, 700.0, out=d)
+    np.exp(d, out=d)
+    # The own term is exp(0) = 1; leave it out of the sum.
+    flat[own] = 0.0
+    others = np.sum(d, axis=1)
+    terms = math.log2(h.m) - np.log1p(others) / math.log(2.0)
     return float(terms.sum())
 
 

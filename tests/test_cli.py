@@ -31,18 +31,19 @@ MANIFEST_KEYS = {"subcommand", "parameters", "inputs", "tool_version", "seed"}
 GOLDEN_SHA256 = {
     "ser.csv": "c50f16e551f18e4de5bdb0d4ba6d32873b5f50858befcb6c028469ad2d506293",
     "ser.ub.csv": "8a1932eed52596f8557b56e8320238cb8bdde8fdd059e0f855cab81bf9cbe022",
-    "rate-ucsk.csv": "50ae86475f1d1e613d0b8f24027372297dbb8e374dcda85639eeff9b5122fc1d",
+    "rate-ucsk.csv": "0a9b92945efef233a4a4c789294770d1f5f746a28971a0c3c950fee22ac6f3ab",
     "rate-ook.csv": "7fa36dc9d92c69afd04627191f26be8e587180d844db7a150ac627edfd252c88",
 }
 
 # SHA-256 of every file of the ``reproduce`` bundles.  The Monte Carlo
-# SER curves, the OOK blue rates and the manifests date from before the
-# Monte Carlo shared its draws across the curves of a figure; the designs
-# and the union-bound curves were recorded when the optimizer began to
-# keep X strictly inside the disk.  The UCSK and the OOK red and green
-# rates were recorded when the mutual information began to take its
-# log-likelihoods from the linear discriminants, which moved them by at
-# most 1.8e-13 relative (TestKernelOracles bounds that at 1e-12).
+# SER curves, the OOK blue 50 m rates and the manifests date from before
+# the Monte Carlo shared its draws across the curves of a figure; the
+# designs and the union-bound curves were recorded when the optimizer
+# began to keep X strictly inside the disk.  The other rates (and the
+# golden rate-ucsk.csv above) were recorded when the mutual information
+# began to reference each draw's log-likelihood gaps to its own symbol,
+# which moved them by at most 5.1e-13 relative (TestKernelOracles bounds
+# that at 1e-12).
 _DESIGN_SHA256 = {
     "design-target1.json": "9259d81a5c7d749b6b259ef1893f97e6867886223d8a2ae6c05ed26ecf49d071",
     "design-target2.json": "8a5007c713c4aa0d342cc0d0fbb166fde1ae3b478d2a3e02cfd9345d2c5d1d85",
@@ -62,13 +63,13 @@ REPRODUCE_SHA256 = {
     "4b": {
         **_DESIGN_SHA256,
         "manifest.json": "b0bff5f2cba09cbbdbb2c59573ebd6d58438ad7d29ba91a4053574685a9ba54f",
-        "rate-ook-blue-10m.csv": "299f4bec54dbde85c4d7d61b2336caf0af100d52714300df1a4ee917f78ed9bd",
+        "rate-ook-blue-10m.csv": "c9aafe9def03f52a33b9b5dac8d1a67a4f84966a144b21be4c614a1b2d11bf58",
         "rate-ook-blue-50m.csv": "c9812a64554344067110a865c3c6717816ee5139f495015b2132534666d97012",
-        "rate-ook-green-10m.csv": "cc1088ecf42327ae5ce2ac23a34fa9e5fa502c9ea3e009e72da0cdd525817f82",
-        "rate-ook-red-10m.csv": "252a0827387fe041ac65a3ee8bd97a379e134d74c71edaa07359590315164d93",
-        "rate-ucsk-target1-10m.csv": "ce1e22cb8c5429de3d9efe863e21867b6bf57839eff11bea69c86d5bcd1cd076",
-        "rate-ucsk-target2-10m.csv": "2dffc4cb95fb34dea4fdb299c3c0bb4a20a1eca68b469ff5075b3d5d0e65a734",
-        "rate-ucsk-target3-10m.csv": "6b93537f129b19d43f7047b7a073823e89dc3f9f3d54fc14c02a20774467cc90",
+        "rate-ook-green-10m.csv": "d382fbeccc03ae421c51fc1fe7f5f7b7fa05db445486971ad165a6fbc8b346c4",
+        "rate-ook-red-10m.csv": "82735730641eb58294a10f9b131272195234bcee01683110c0efcbd1144843fe",
+        "rate-ucsk-target1-10m.csv": "48b00f5bd46f74793afe760c29a70df5859cd0b39d1ebc4de0696cf46c54323e",
+        "rate-ucsk-target2-10m.csv": "44d14e3691d164698a8c701070cbfe33800df555ab2f9ce8b0116b5e7e626d9b",
+        "rate-ucsk-target3-10m.csv": "a1df6b0317ab567d3d20473d3e29b499ea1affb9dddd8e747a6b6b61106c2047",
     },
 }
 
@@ -399,6 +400,46 @@ class TestExitCodes:
         assert main(["reproduce", "--figure", "4a", "--out", str(out)]) == EXIT_IO
         assert "cannot write output: disk full" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["ser", "rate"])
+    def test_unwritable_out_fails_before_simulating(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        calls = []
+
+        def fail(*args, **kwargs):
+            calls.append(args)
+            raise RuntimeError("simulated before --out was checked")
+
+        monkeypatch.setattr(cli, "ser_curves", fail)
+        monkeypatch.setattr(cli, "rate_curve", fail)
+        out = tmp_path / "missing" / "curve.csv"
+        if command == "ser":
+            argv = _ser_args(_renderable_design(tmp_path / "c.json"), out)
+        else:
+            argv = ["rate", "--scheme", "ook", "--wavelength", "460", "--water",
+                    "seawater", "--distance", "10", "--snr", "10:10:20",
+                    "--out", str(out)]
+        assert main(argv) == EXIT_IO
+        assert capsys.readouterr().err.startswith("cannot write output: ")
+        assert calls == []
+
+    def test_reproduce_unwritable_out_fails_before_designing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+
+        def fail(*args, **kwargs):
+            calls.append(args)
+            raise RuntimeError("designed before --out was checked")
+
+        monkeypatch.setattr(cli, "design_constellation", fail)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "bundle"
+        assert main(["reproduce", "--figure", "4a", "--out", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err.startswith(f"cannot write to {out}: ")
+        assert calls == []
 
     def test_unreadable_constellation_is_io_error(self, tmp_path, capsys):
         argv = _ser_args(tmp_path / "missing.json", tmp_path / "ser.csv")

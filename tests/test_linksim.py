@@ -34,7 +34,13 @@ from ucsk.linksim import (
     union_bound_ser,
     write_curve_csv,
 )
-from ucsk.linksim import _CHUNK, _scores, _uniform_blocks
+from ucsk.linksim import (
+    _CHUNK,
+    _information,
+    _map_shared_draws,
+    _scores,
+    _uniform_blocks,
+)
 from ucsk.optimizer import _GAMUT_MARGIN, OptimizerConfig, design_constellation
 from ucsk.presets import (
     DEFAULT_PRIMARY_CHROMATICITIES,
@@ -521,6 +527,86 @@ class TestKernelOracles:
             assert mi == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+@st.composite
+def tied_batches(draw):
+    """A hypothesis set of small-integer vectors and a batch of received
+    half-integer vectors, some rows forced onto the exact midpoint of two
+    hypotheses.  Every score is then exact, so ties are exact."""
+    m, k = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    small = st.integers(0, 3).map(float)
+    vectors = draw(hnp.arrays(np.float64, (m, k), elements=small))
+    n = draw(st.integers(1, 30))
+    halves = st.integers(-4, 8).map(lambda i: i / 2)
+    received = draw(hnp.arrays(np.float64, (n, k), elements=halves))
+    pair = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
+    for row, (i, j) in enumerate(draw(st.lists(pair, max_size=n))):
+        received[row] = (vectors[i] + vectors[j]) / 2
+    return HypothesisSet(vectors, np.ones(k)), received
+
+
+class TestDetectColumnPass:
+    @given(tied_batches())
+    @settings(deadline=None)
+    def test_matches_argmax_bitwise(self, batch):
+        h, received = batch
+        for layout in (received, np.asfortranarray(received)):
+            expected = np.argmax(_scores(layout, h), axis=1)
+            got = detect_ml(layout, h)
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+
+
+def unclipped_information(h, sigma, symbols, received) -> tuple[float, bool]:
+    """``_information`` without its clip of the score gaps, and whether a
+    gap fell below the clip's floor."""
+    d = _scores(received, h)
+    rows = np.arange(len(symbols))
+    d -= d[rows, symbols][:, None]
+    d /= sigma * sigma
+    e = np.exp(d)
+    e[rows, symbols] = 0.0
+    terms = math.log2(h.m) - np.log1p(e.sum(axis=1)) / math.log(2.0)
+    return float(terms.sum()), bool(np.any(d < -700.0))
+
+
+def near_pair(separation: float) -> HypothesisSet:
+    """Two three-band hypotheses ``separation`` apart in the first band."""
+    a = np.array([1e-3, 2e-3, 5e-4])
+    return HypothesisSet(np.array([a, a + [separation, 0.0, 0.0]]), np.ones(3))
+
+
+class TestInformationRange:
+    """The referenced MI kernel stays finite without a row maximum or a
+    non-finite fallback; pytest turns any overflow or invalid-value
+    RuntimeWarning into a failure."""
+
+    @pytest.mark.parametrize("snr_db", [-300.0, 0.0, 45.0, 300.0])
+    def test_finite_and_in_range(self, reproduce_sets, snr_db):
+        # At 300 dB the score gaps of the pair 1e-12 apart are rounding
+        # error of up to 7e14, which the clip's ceiling holds at 700.
+        hs = [*reproduce_sets, near_pair(1e-9), near_pair(1e-12)]
+        sigmas = [noise_sigma(h.transmit_vectors(), snr_db) for h in hs]
+        for h, mi in zip(hs, mutual_information(hs, sigmas, 20_000, 4242, stream=3)):
+            assert math.isfinite(mi)
+            assert 0.0 <= mi <= math.log2(h.m)
+
+    def test_near_pair_limits(self):
+        # 1e-9 apart: no information at 0 dB, one full bit at 300 dB.
+        h = near_pair(1e-9)
+        for snr_db, expected in ((0.0, 0.0), (300.0, 1.0)):
+            sigma = noise_sigma(h.transmit_vectors(), snr_db)
+            assert mutual_information([h], [sigma], 20_000, 0) == (expected,)
+
+    def test_clip_changes_nothing_at_45_db(self, reproduce_sets):
+        sigmas = [noise_sigma(h.transmit_vectors(), 45.0) for h in reproduce_sets]
+        args = (reproduce_sets, sigmas, 4242, 15, 70_000)
+        unclipped = _map_shared_draws(*args, unclipped_information)
+        # The floor is reached, so the comparison tests it.
+        assert any(below for chunks in unclipped for _, below in chunks)
+        expected = [[total for total, _ in chunks] for chunks in unclipped]
+        assert _map_shared_draws(*args, _information) == expected
+
+
 class TestUniformBlocks:
     @pytest.mark.parametrize(
         "start,count", [(0, 65_536), (65_536, 65_536), (131_072, 18_928), (5, 7)]
@@ -565,7 +651,7 @@ class TestLogsumexp:
         )
         delta = received[:, None, :] - h.vectors[None, :, :]
         ll = -np.einsum("nmk,nmk->nm", delta, delta) / (2 * 0.02**2)
-        # ... and the Fortran-ordered discriminant form of _information.
+        # ... and on the Fortran-ordered discriminants of _scores over sigma**2.
         scaled = _scores(received, h) / 0.02**2
         assert scaled.flags.f_contiguous
         for a in (ll, scaled):
