@@ -8,15 +8,31 @@ SER and rate figures).
 
 Every invocation but ``validate`` writes a run manifest next to its
 outputs, a JSON object with exactly the keys ``subcommand``,
-``parameters``, ``inputs`` (input name to SHA-256), ``tool_version`` and
-``seed``.  Identical arguments and inputs reproduce outputs byte for
-byte.  Exit codes: 0 success, 1 usage error, 2 infeasible target or
-constellation, 3 I/O or file-format error.
+``parameters``, ``inputs``, ``tool_version`` and ``seed``:
+
+- the ``parameters`` of ``design``, ``ser`` and ``rate`` are the parsed
+  options as given, with ``out`` cut to its file name; ``ser`` adds
+  ``union_bound_out`` and ``config_sha``, and ``rate`` adds
+  ``config_sha``.  An option that the chosen mode would ignore is a
+  usage error, so a manifest names only options the run used.
+  ``reproduce`` records its fixed figure settings;
+- ``inputs`` maps each input to the SHA-256 of its bytes, and a bundled
+  fixture to ``config_digest`` of its constellation document;
+- the ``config_sha`` of a ``ser`` or ``rate`` curve is ``config_digest``
+  of the subcommand, the parameters without the file options
+  (``constellation``, ``water``, ``out``) and the sorted input digests,
+  so an input counts by its contents and not by its path.  A
+  ``reproduce`` curve's digest covers its figure settings and file name.
+
+Identical arguments and inputs reproduce outputs byte for byte.  Exit
+codes: 0 success, 1 usage error, 2 infeasible target or constellation,
+3 I/O or file-format error.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import math
@@ -84,6 +100,9 @@ _REPRODUCE_RATE_SAMPLES = 50_000
 _MAX_SNR_POINTS = 10_000
 
 _OOK_WAVELENGTHS = dict(zip(("red", "green", "blue"), DEFAULT_PRIMARY_WAVELENGTHS))
+
+# Options that name files: their contents count through the input digests.
+_FILE_OPTIONS = ("constellation", "water", "out")
 
 # Failures that exit 2: a design that cannot be met, or a constellation
 # that the link cannot render.
@@ -189,13 +208,32 @@ def _load_water(spec: str) -> tuple[WaterProperties, dict[str, str]]:
         return load_water_csv(path), {str(path): _sha256(path)}
 
 
-def _check_writable(directory: Path, prefix: str) -> None:
-    """Exit 3 with ``prefix`` unless a file can be created in
-    ``directory``; commands check before the work whose output would be
-    lost."""
+def _check_writable(path: Path, prefix: str) -> None:
+    """Exit 3 with ``prefix`` if the output file ``path`` is a directory or
+    no file can be created beside it; commands check before the work
+    whose output would be lost."""
     with _failing(EXIT_IO, prefix, OSError):
-        with tempfile.TemporaryFile(dir=directory):
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        with tempfile.TemporaryFile(dir=path.parent):
             pass
+
+
+def _parameters(args) -> dict:
+    """A command's options as given, with ``out`` cut to its file name."""
+    params = {k: v for k, v in vars(args).items() if k not in ("func", "subcommand")}
+    params["out"] = Path(args.out).name
+    return params
+
+
+def _config_sha(args, inputs: dict[str, str]) -> str:
+    """Digest of the subcommand, its options but the file options, and
+    the sorted digests of its inputs."""
+    params = {k: v for k, v in _parameters(args).items() if k not in _FILE_OPTIONS}
+    return config_digest(
+        {"subcommand": args.subcommand, "parameters": params,
+         "inputs": sorted(inputs.values())}
+    )
 
 
 def _write_manifest(
@@ -211,12 +249,25 @@ def _write_manifest(
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
+def _write_run_manifest(args, inputs: dict[str, str], **extra) -> None:
+    """The manifest beside ``--out``: the options as given plus ``extra``."""
+    _write_manifest(
+        Path(f"{Path(args.out)}.manifest.json"),
+        args.subcommand,
+        {**_parameters(args), **extra},
+        inputs,
+        args.seed,
+    )
+
+
 def _gamut_for(name: str):
     return spectral_locus() if name == "horseshoe" else led_triangle_gamut()
 
 
 def _cmd_design(args) -> None:
     if args.preset is not None:
+        if (args.target_center, args.target_radius) != (None, None):
+            raise _usage("--preset sets the disk; drop --target-center/--target-radius")
         target = blue_target_preset(args.preset)
     elif args.target_center and args.target_radius is not None:
         center = _parse_center(args.target_center)
@@ -224,6 +275,8 @@ def _cmd_design(args) -> None:
     else:
         raise _usage("give --preset or both --target-center and --target-radius")
     cfg = _config(OptimizerConfig, multistart_count=args.starts, rng_seed=args.seed)
+    out = Path(args.out)
+    _check_writable(out, "cannot write output")
     gamut = _gamut_for(args.gamut)
     with _failing(EXIT_INFEASIBLE, "design failed", *_DESIGN_FAILED):
         result = design_constellation(target, cfg, gamut)
@@ -231,23 +284,9 @@ def _cmd_design(args) -> None:
         f"ucsk design seed={args.seed} starts={args.starts} gamut={args.gamut}"
     )
     doc = constellation_document(result.constellation, target, provenance)
-    out = Path(args.out)
     with _failing(EXIT_IO, "cannot write output", OSError):
         write_constellation_json(out, doc)
-        _write_manifest(
-            Path(str(out) + ".manifest.json"),
-            "design",
-            {
-                "target_center": [target.center.x, target.center.y],
-                "target_radius": target.radius,
-                "preset": args.preset,
-                "gamut": args.gamut,
-                "starts": args.starts,
-                "out": out.name,
-            },
-            {},
-            args.seed,
-        )
+        _write_run_manifest(args, {})
     print(f"achieved d_min: {result.achieved_dmin:.6f}")
     margin = target.margin(result.constellation.x)
     inside = target.contains(result.constellation.x)
@@ -263,7 +302,7 @@ def _load_constellation_arg(spec: str):
         doc = constellation_document(
             c, blue_target_preset(fx.target_id), f"bundled fixture {spec}"
         )
-        return c, doc, fx.target_id, {f"fixture:{spec}": ""}
+        return c, doc, fx.target_id, {f"fixture:{spec}": config_digest(doc)}
     path = Path(spec)
     with _failing(EXIT_IO, "cannot read constellation", OSError, ValueError):
         doc = read_constellation_json(path)
@@ -302,18 +341,6 @@ def _cmd_validate(args) -> None:
         print("blue target: none given; disk check skipped")
 
 
-def _curve_payload(doc, water_digests, args, extra) -> dict:
-    payload = {
-        "constellation": doc["points"] if doc else None,
-        "water": sorted(water_digests),
-        "distance_m": args.distance,
-        "snr": args.snr,
-        "seed": args.seed,
-    }
-    payload.update(extra)
-    return payload
-
-
 def _ub_path(out: Path) -> Path:
     if out.suffix == ".csv":
         return out.with_suffix(".ub.csv")
@@ -324,36 +351,22 @@ def _cmd_ser(args) -> None:
     grid = parse_snr_grid(args.snr)
     if args.symbols < 10_000:
         raise _usage("--symbols must be >= 10000")
-    c, doc, _, const_inputs = _load_constellation_arg(args.constellation)
+    c, _, _, inputs = _load_constellation_arg(args.constellation)
     water, water_inputs = _load_water(args.water)
+    inputs.update(water_inputs)
     link = _config(LinkConfig, water=water, distance_m=args.distance)
-    sha = config_digest(
-        _curve_payload(doc, water_inputs, args, {"symbols": args.symbols, "kind": "ser"})
-    )
     with _failing(EXIT_INFEASIBLE, "infeasible constellation", ValueError):
         hypotheses = build_hypotheses(c, link)
     out = Path(args.out)
-    _check_writable(out.parent, "cannot write output")
+    _check_writable(out, "cannot write output")
     with _failing(EXIT_USAGE, "usage error: --snr", NoiseLevelError):
         ((curve, bound),) = ser_curves([hypotheses], grid, args.symbols, args.seed)
+    sha = _config_sha(args, inputs)
     with _failing(EXIT_IO, "cannot write output", OSError):
         write_curve_csv(out, curve, sha)
         write_curve_csv(_ub_path(out), bound, sha)
-        _write_manifest(
-            Path(str(out) + ".manifest.json"),
-            "ser",
-            {
-                "constellation": args.constellation,
-                "water": args.water,
-                "distance_m": args.distance,
-                "snr": args.snr,
-                "symbols": args.symbols,
-                "out": out.name,
-                "union_bound_out": _ub_path(out).name,
-                "config_sha": sha,
-            },
-            {**const_inputs, **water_inputs},
-            args.seed,
+        _write_run_manifest(
+            args, inputs, union_bound_out=_ub_path(out).name, config_sha=sha
         )
     print(f"wrote {out} and {_ub_path(out)}")
 
@@ -366,53 +379,27 @@ def _cmd_rate(args) -> None:
         raise _usage("--scheme ook requires --wavelength")
     if args.scheme == "ucsk" and not args.constellation:
         raise _usage("--scheme ucsk requires --constellation")
-    water, water_inputs = _load_water(args.water)
+    ignored = "constellation" if args.scheme == "ook" else "wavelength"
+    if getattr(args, ignored) is not None:
+        raise _usage(f"--scheme {args.scheme} does not take --{ignored}")
+    water, inputs = _load_water(args.water)
     link = _config(LinkConfig, water=water, distance_m=args.distance)
-    doc = None
-    const_inputs: dict[str, str] = {}
     if args.scheme == "ucsk":
-        c, doc, _, const_inputs = _load_constellation_arg(args.constellation)
+        c, _, _, const_inputs = _load_constellation_arg(args.constellation)
+        inputs.update(const_inputs)
     with _failing(EXIT_INFEASIBLE, "infeasible configuration", ValueError):
         if args.scheme == "ucsk":
             hypotheses = build_hypotheses(c, link)
         else:
             hypotheses = ook_hypotheses(args.wavelength, link)
-    sha = config_digest(
-        _curve_payload(
-            doc,
-            water_inputs,
-            args,
-            {
-                "samples": args.samples,
-                "kind": "rate",
-                "scheme": args.scheme,
-                "wavelength": args.wavelength,
-            },
-        )
-    )
     out = Path(args.out)
-    _check_writable(out.parent, "cannot write output")
+    _check_writable(out, "cannot write output")
     with _failing(EXIT_USAGE, "usage error: --snr", NoiseLevelError):
         (curve,) = rate_curve([hypotheses], grid, args.samples, args.seed)
+    sha = _config_sha(args, inputs)
     with _failing(EXIT_IO, "cannot write output", OSError):
         write_curve_csv(out, curve, sha)
-        _write_manifest(
-            Path(str(out) + ".manifest.json"),
-            "rate",
-            {
-                "scheme": args.scheme,
-                "wavelength": args.wavelength,
-                "constellation": args.constellation,
-                "water": args.water,
-                "distance_m": args.distance,
-                "snr": args.snr,
-                "samples": args.samples,
-                "out": out.name,
-                "config_sha": sha,
-            },
-            {**const_inputs, **water_inputs},
-            args.seed,
-        )
+        _write_run_manifest(args, inputs, config_sha=sha)
     print(f"wrote {out}")
 
 
@@ -471,7 +458,7 @@ def _cmd_reproduce(args) -> None:
     out_dir = Path(args.out)
     with _failing(EXIT_IO, f"cannot write to {out_dir}", OSError):
         out_dir.mkdir(parents=True, exist_ok=True)
-    _check_writable(out_dir, f"cannot write to {out_dir}")
+    _check_writable(out_dir / "manifest.json", f"cannot write to {out_dir}")
     cfg = OptimizerConfig(rng_seed=REPRODUCE_DESIGN_SEED)
     gamut = led_triangle_gamut()
     with _failing(EXIT_INFEASIBLE, "design failed", *_DESIGN_FAILED):

@@ -255,14 +255,18 @@ def detect_ml(received: np.ndarray, h: HypothesisSet) -> np.ndarray:
 
 
 def _uniform_blocks(seed: int, stream: int, start: int, count: int) -> np.ndarray:
-    """(count, 4) doubles in (0, 1); symbol n maps to counter block n.
+    """(count, 4) doubles in [2**-54, 1 - 2**-53]; symbol n maps to
+    counter block n.
 
     Each double is (53 high bits of one raw Philox word) * 2**-53 + 2**-54.
+    For the top word that sum is a tie that rounds to 1.0, where ``ndtri``
+    is +inf, so it is clamped to 1 - 2**-53; no other word moves.
     """
     key = np.array([seed, stream], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key, counter=start))
     u = gen.random((count, 4))
     u += 2.0**-54
+    np.minimum(u, 1.0 - 2.0**-53, out=u)
     return u
 
 
@@ -423,12 +427,12 @@ def _information(h, sigma, symbols, received) -> float:
     are summed draw by draw, because N log2 M minus their sum cancels.
 
     The exact gap is at most |z|**2 / 2 (maximise over D / sigma).  A
-    noise sample is ndtri of a uniform in [2**-54, 1 - 2**-53] (but for
-    the one 53-bit word in 2**53 that rounds up to 1), so |z_k| <= 8.3
-    and d_j <= 104 on three bands: no row maximum needs to come out
-    before the exp.  d is clipped to [-700, 700] first.  The floor keeps
-    exp off its subnormal slow path, and a term below exp(-700) cannot
-    change the rounded log2 M - log1p(...) / ln 2.  The ceiling keeps the
+    noise sample is ndtri of a uniform in [2**-54, 1 - 2**-53] (see
+    ``_uniform_blocks``), so |z_k| <= 8.3 and d_j <= 104 on three bands:
+    no row maximum needs to come out before the exp.  d is clipped to
+    [-700, 700] first.  The floor keeps exp off its subnormal slow path,
+    and a term below exp(-700) cannot change the rounded
+    log2 M - log1p(...) / ln 2.  The ceiling keeps the
     sum finite where a computed gap is the rounding error of the scores:
     on hypotheses 1e-12 apart at 300 dB it reaches 7e14.
     """
@@ -525,8 +529,10 @@ def config_digest(payload) -> str:
 
 def write_curve_csv(path, curve: Curve, config_sha: str) -> None:
     """Write ``snr_db,value`` rows with full round-trip float text under a
-    ``# seed``, ``# n`` and ``# config_sha`` header; ``config_sha`` is the
-    caller's ``config_digest`` of the run that made the curve."""
+    ``# seed``, ``# n`` and ``# config_sha`` header.  ``config_sha`` is the
+    caller's ``config_digest`` of the run that made the curve: the CLI
+    digests the subcommand, its options but the file options, and the
+    sorted SHA-256 of its inputs, so an input counts by its contents."""
     lines = [
         f"# seed={curve.seed}",
         f"# n={curve.n}",

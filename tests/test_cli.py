@@ -2,6 +2,7 @@
 byte-identical reruns, curve and bundle bytes pinned by digest, and
 manifests with exactly the documented keys."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -27,12 +28,15 @@ MANIFEST_KEYS = {"subcommand", "parameters", "inputs", "tool_version", "seed"}
 
 # SHA-256 of the small curves written by ``_small_curves``.  For a fixed
 # seed the output bytes must not move; a change in the Monte Carlo
-# streams, the SNR convention or the CSV text shows up here.
+# streams, the SNR convention, the CSV text or the config-digest rule
+# shows up here.  All four were re-recorded when ``config_sha`` became the
+# digest of the subcommand, its non-file options and its input digests;
+# only the ``# config_sha=`` line moved.
 GOLDEN_SHA256 = {
-    "ser.csv": "c50f16e551f18e4de5bdb0d4ba6d32873b5f50858befcb6c028469ad2d506293",
-    "ser.ub.csv": "8a1932eed52596f8557b56e8320238cb8bdde8fdd059e0f855cab81bf9cbe022",
-    "rate-ucsk.csv": "0a9b92945efef233a4a4c789294770d1f5f746a28971a0c3c950fee22ac6f3ab",
-    "rate-ook.csv": "7fa36dc9d92c69afd04627191f26be8e587180d844db7a150ac627edfd252c88",
+    "ser.csv": "c663431e4c2bcd370f89694a2dbec2b2ea879a3c50a59eafc63c280c1d00f69a",
+    "ser.ub.csv": "45e364473c3cc70210189d1c47fd7d3855faf8b8d89d48c7ab557d8ac6440106",
+    "rate-ucsk.csv": "f6e3b95982a51798a9900699e1bc1d2c858ee728ef49e2473b6aefa32df17136",
+    "rate-ook.csv": "07049a22c3803004b92122e828ff7329bb7debdff12d8885eb130ae0939e8074",
 }
 
 # SHA-256 of every file of the ``reproduce`` bundles.  The Monte Carlo
@@ -107,12 +111,34 @@ def _small_curves(tmp_path):
     }
 
 
+_LINK = ["--water", "seawater", "--distance", "10", "--snr", "10:10:20"]
+
+
 def _ser_args(constellation, out, distance="10", water="seawater"):
     return [
         "ser", "--constellation", str(constellation), "--water", str(water),
         "--distance", distance, "--snr", "10:10:20", "--symbols", "10000",
         "--out", str(out),
     ]
+
+
+def _ook_args(out, water="seawater"):
+    return [
+        "rate", "--scheme", "ook", "--wavelength", "460", "--water", str(water),
+        "--distance", "10", "--snr", "10:10:20", "--samples", "10000",
+        "--out", str(out),
+    ]
+
+
+def _manifest(out):
+    return json.loads(Path(f"{out}.manifest.json").read_text())
+
+
+def _option_dests(subcommand):
+    """The dests of a subcommand's options, as its parser defines them."""
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {a.dest for a in sub.choices[subcommand]._actions} - {"help"}
 
 
 def _reproduce(out, figure):
@@ -236,10 +262,12 @@ class TestExitCodes:
     ):
         # Past about 1,146 m the red Beer-Lambert loss of the bundled
         # seawater rounds to 0, and so does every band well before 100 km.
-        design = _renderable_design(tmp_path / "c.json")
         out = tmp_path / "curve.csv"
-        argv = [*argv, "--constellation", str(design), "--water", "seawater",
-                "--distance", distance, "--snr", "10:10:20", "--out", str(out)]
+        if "ook" not in argv:  # OOK takes no --constellation
+            design = _renderable_design(tmp_path / "c.json")
+            argv = [*argv, "--constellation", str(design)]
+        argv = [*argv, "--water", "seawater", "--distance", distance,
+                "--snr", "10:10:20", "--out", str(out)]
         assert main(argv) == EXIT_INFEASIBLE
         message = f"path loss at {band_nm}.0 nm underflows to 0 at {distance}.0 m"
         assert message in capsys.readouterr().err
@@ -424,6 +452,89 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("cannot write output: ")
         assert calls == []
 
+    @pytest.mark.parametrize("command", ["ser", "rate"])
+    def test_directory_out_fails_before_simulating(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        calls = []
+
+        def fail(*args, **kwargs):
+            calls.append(args)
+            raise RuntimeError("simulated before --out was checked")
+
+        monkeypatch.setattr(cli, "ser_curves", fail)
+        monkeypatch.setattr(cli, "rate_curve", fail)
+        out = tmp_path / "curve.csv"
+        out.mkdir()
+        if command == "ser":
+            argv = _ser_args(_renderable_design(tmp_path / "c.json"), out)
+        else:
+            argv = _ook_args(out)
+        assert main(argv) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output: ")
+        assert "Is a directory" in err
+        assert calls == []
+
+    @pytest.mark.parametrize("where", ["missing-parent", "directory"])
+    def test_unwritable_design_out_fails_before_optimizing(
+        self, tmp_path, capsys, monkeypatch, where
+    ):
+        calls = []
+
+        def fail(*args, **kwargs):
+            calls.append(args)
+            raise RuntimeError("optimized before --out was checked")
+
+        monkeypatch.setattr(cli, "design_constellation", fail)
+        if where == "directory":
+            out = tmp_path / "d.json"
+            out.mkdir()
+        else:
+            out = tmp_path / "missing" / "d.json"
+        assert main(["design", "--preset", "1", "--out", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err.startswith("cannot write output: ")
+        assert calls == []
+
+    def test_reproduce_directory_manifest_fails_before_designing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+
+        def fail(*args, **kwargs):
+            calls.append(args)
+            raise RuntimeError("designed before --out was checked")
+
+        monkeypatch.setattr(cli, "design_constellation", fail)
+        out = tmp_path / "bundle"
+        (out / "manifest.json").mkdir(parents=True)
+        assert main(["reproduce", "--figure", "4a", "--out", str(out)]) == EXIT_IO
+        assert "Is a directory" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["design", "--preset", "1", "--target-radius", "0.01"],
+             "--preset sets the disk"),
+            (["rate", "--scheme", "ook", "--wavelength", "460",
+              "--constellation", "missing.json", *_LINK],
+             "--scheme ook does not take --constellation"),
+            (["rate", "--scheme", "ucsk", "--constellation", "table1-t3o1",
+              "--wavelength", "999", *_LINK],
+             "--scheme ucsk does not take --wavelength"),
+        ],
+        ids=["design-preset-radius", "rate-ook-constellation", "rate-ucsk-wavelength"],
+    )
+    def test_option_the_mode_ignores_is_usage_error(
+        self, tmp_path, capsys, argv, message
+    ):
+        # A manifest must not record an option that the run did not use.
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+        assert f"usage error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reproduce_unwritable_out_fails_before_designing(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -549,3 +660,59 @@ class TestManifest:
             manifest = json.loads(path.read_text())
             assert set(manifest) == MANIFEST_KEYS
             assert manifest["subcommand"] == subcommand
+
+    def test_parameters_are_the_options(self, tmp_path):
+        # design, ser and rate record every option as given, --out as its
+        # file name, and nothing else but these extras.
+        assert _design(tmp_path, "d.json", "--gamut", "led-triangle")[0] == EXIT_OK
+        _small_curves(tmp_path)
+        extras = {
+            "design": set(),
+            "ser": {"union_bound_out", "config_sha"},
+            "rate": {"config_sha"},
+        }
+        outs = {"design": "d.json", "ser": "ser.csv", "rate": "rate-ook.csv"}
+        for subcommand, name in outs.items():
+            parameters = _manifest(tmp_path / name)["parameters"]
+            assert set(parameters) == _option_dests(subcommand) | extras[subcommand]
+            assert parameters["out"] == name
+        assert _manifest(tmp_path / "d.json")["parameters"]["preset"] == 1
+        assert _manifest(tmp_path / "ser.csv")["parameters"]["union_bound_out"] == (
+            "ser.ub.csv"
+        )
+
+
+class TestConfigSha:
+    def test_water_table_counts_by_contents(self, tmp_path):
+        tables = [tmp_path / "a" / "water.csv", tmp_path / "b" / "w.csv"]
+        bundled = (Path(cli.__file__).parent / "data" / "seawater.csv").read_bytes()
+        for table in tables:
+            table.parent.mkdir()
+            table.write_bytes(bundled)
+
+        def sha(water, name):
+            assert main(_ook_args(tmp_path / name, water)) == EXIT_OK
+            return _manifest(tmp_path / name)["parameters"]["config_sha"]
+
+        copies = {sha(table, f"copy{i}.csv") for i, table in enumerate(tables)}
+        # The bundled table is the same bytes under another name.
+        assert copies == {sha("seawater", "bundled.csv")}
+        tables[0].write_bytes(bundled.replace(b"460,0.0156", b"460,0.0157"))
+        assert sha(tables[0], "edited.csv") not in copies
+
+    def test_fixtures_differ(self, tmp_path, monkeypatch):
+        # No bundled fixture renders on the LED triangle, so both runs
+        # simulate one renderable design; only the fixture name differs.
+        c = build_constellation(ChromaticityPoint(0.45, 0.30),
+                                ChromaticityPoint(0.30, 0.55))
+        build = cli.build_hypotheses
+        monkeypatch.setattr(cli, "build_hypotheses", lambda _, link: build(c, link))
+        digests, shas = set(), set()
+        for fixture in ("table1-t1o1", "table1-t3o1"):
+            out = tmp_path / f"{fixture}.csv"
+            assert main(_ser_args(fixture, out)) == EXIT_OK
+            manifest = _manifest(out)
+            digests.add(manifest["inputs"][f"fixture:{fixture}"])
+            shas.add(manifest["parameters"]["config_sha"])
+        assert len(digests) == 2 and "" not in digests
+        assert len(shas) == 2

@@ -619,6 +619,22 @@ class TestUniformBlocks:
         expected = (raw.reshape(count, 4) >> np.uint64(11)) * 2.0**-53 + 2.0**-54
         assert _uniform_blocks(4242, 3, start, count).tobytes() == expected.tobytes()
 
+    def test_top_word_stays_below_one(self, monkeypatch):
+        """The top 53-bit word plus 2**-54 rounds to 1.0, whose ndtri is
+        +inf; it is clamped to 1 - 2**-53."""
+
+        class Fake:
+            def __init__(self, bit_generator):
+                pass
+
+            def random(self, shape):
+                return np.full(shape, 1 - 2**-53)
+
+        monkeypatch.setattr(np.random, "Generator", Fake)
+        u = _uniform_blocks(4242, 3, 0, 5)
+        assert (u < 1.0).all()
+        assert np.isfinite(scipy.special.ndtri(u)).all()
+
 
 @st.composite
 def tied_rows(draw):
