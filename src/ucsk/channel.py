@@ -2,8 +2,17 @@
 
 Water is described by sampled absorption a and scattering b coefficients
 (1/m); attenuation is c = a + b, and power decays as exp(-c * d) over a
-path of d meters.  Queries interpolate linearly between samples and
-refuse to extrapolate.
+path of d meters.
+
+The module also holds the one rule for the package's wavelength tables
+(water, CIE 1931 locus, photopic V).  ``read_table`` reads a CSV whose
+first line is the expected header and whose other lines are blank or
+hold exactly one finite number per column; the wavelength column is
+> 0 and has no repeats, and every other cell is >= 0.  Rows come back
+sorted by wavelength, and a malformed table raises TableError naming
+``path:line``.  ``lookup`` interpolates a column linearly and raises
+WavelengthRangeError outside the sampled range instead of
+extrapolating.
 """
 
 from __future__ import annotations
@@ -19,7 +28,9 @@ import numpy as np
 __all__ = [
     "WaterProperties",
     "WavelengthRangeError",
-    "WaterTableError",
+    "TableError",
+    "read_table",
+    "lookup",
     "attenuation_coefficient",
     "path_loss",
     "effective_range",
@@ -27,15 +38,66 @@ __all__ = [
     "seawater",
 ]
 
-WATER_CSV_HEADER = ["wavelength_nm", "a_per_m", "b_per_m"]
+WATER_CSV_HEADER = ("wavelength_nm", "a_per_m", "b_per_m")
 
 
 class WavelengthRangeError(ValueError):
     """Wavelength query outside the sampled table range."""
 
 
-class WaterTableError(ValueError):
-    """Malformed water-properties table."""
+class TableError(ValueError):
+    """Malformed wavelength table."""
+
+
+def read_table(path, header: tuple[str, ...]) -> np.ndarray:
+    """The rows of the wavelength table at ``path``, sorted by wavelength,
+    as an (n, len(header)) array; TableError on any breach of the table
+    rule in the module docstring."""
+    rows: list[list[float]] = []
+    first_line: dict[float, int] = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if [h.strip() for h in next(reader, [])] != list(header):
+            raise TableError(f"{path}:1: expected header {','.join(header)}")
+        for lineno, row in enumerate(reader, start=2):
+            if all(not c.strip() for c in row):
+                continue
+            if len(row) != len(header):
+                raise TableError(f"{path}:{lineno}: expected {len(header)} columns")
+            try:
+                wl, *values = cells = [float(c) for c in row]
+            except ValueError as exc:
+                raise TableError(f"{path}:{lineno}: non-numeric cell") from exc
+            if not all(math.isfinite(v) for v in cells):
+                raise TableError(f"{path}:{lineno}: non-finite cell")
+            if wl <= 0:
+                raise TableError(f"{path}:{lineno}: non-positive wavelength {wl}")
+            for name, v in zip(header[1:], values):
+                if v < 0:
+                    raise TableError(f"{path}:{lineno}: negative {name} {v}")
+            if wl in first_line:
+                raise TableError(
+                    f"{path}:{lineno}: duplicate wavelength {wl} "
+                    f"(first on line {first_line[wl]})"
+                )
+            first_line[wl] = lineno
+            rows.append(cells)
+    if not rows:
+        raise TableError(f"{path}: no data rows")
+    # The wavelengths are distinct, so rows sort by wavelength alone.
+    return np.array(sorted(rows))
+
+
+def lookup(wl: np.ndarray, values: np.ndarray, wavelength: float, name: str) -> float:
+    """``values`` sampled at the increasing wavelengths ``wl``, interpolated
+    linearly at ``wavelength``; WavelengthRangeError outside the samples
+    of the table called ``name``."""
+    lo, hi = float(wl[0]), float(wl[-1])
+    if not lo <= wavelength <= hi:
+        raise WavelengthRangeError(
+            f"{wavelength} nm outside {name!r} table range [{lo}, {hi}]"
+        )
+    return float(np.interp(wavelength, wl, values))
 
 
 @dataclass(frozen=True)
@@ -52,36 +114,24 @@ class WaterProperties:
         a = np.asarray(self.absorption, dtype=float)
         b = np.asarray(self.scattering, dtype=float)
         if not (wl.shape == a.shape == b.shape) or wl.ndim != 1 or wl.size == 0:
-            raise WaterTableError("wavelength/a/b must be equal-length 1-D arrays")
+            raise TableError("wavelength/a/b must be equal-length 1-D arrays")
         if not all(np.isfinite(arr).all() for arr in (wl, a, b)):
-            raise WaterTableError("wavelengths and coefficients must be finite")
+            raise TableError("wavelengths and coefficients must be finite")
         if np.any(np.diff(wl) <= 0):
-            raise WaterTableError("wavelengths must be strictly increasing")
+            raise TableError("wavelengths must be strictly increasing")
         if np.any(a < 0) or np.any(b < 0):
-            raise WaterTableError("absorption and scattering must be >= 0")
+            raise TableError("absorption and scattering must be >= 0")
         for arr, name in ((wl, "wavelength_nm"), (a, "absorption"), (b, "scattering")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def _check_range(self, wavelength: float) -> None:
-        lo, hi = float(self.wavelength_nm[0]), float(self.wavelength_nm[-1])
-        if not (lo <= wavelength <= hi):
-            raise WavelengthRangeError(
-                f"{wavelength} nm outside {self.name!r} table range [{lo}, {hi}]"
-            )
-
-    def a(self, wavelength: float) -> float:
-        self._check_range(wavelength)
-        return float(np.interp(wavelength, self.wavelength_nm, self.absorption))
-
-    def b(self, wavelength: float) -> float:
-        self._check_range(wavelength)
-        return float(np.interp(wavelength, self.wavelength_nm, self.scattering))
-
 
 def attenuation_coefficient(w: WaterProperties, wavelength_nm: float) -> float:
     """c = a + b at the given wavelength (1/m), interpolated linearly."""
-    return w.a(wavelength_nm) + w.b(wavelength_nm)
+    wl = w.wavelength_nm
+    return lookup(wl, w.absorption, wavelength_nm, w.name) + lookup(
+        wl, w.scattering, wavelength_nm, w.name
+    )
 
 
 def path_loss(c: float, d: float) -> float:
@@ -103,48 +153,10 @@ def effective_range(c: float, loss_threshold: float) -> float:
 
 
 def load_water_csv(path) -> WaterProperties:
-    """Parse a water table with header wavelength_nm,a_per_m,b_per_m.
-
-    Rows may appear in any order; they are sorted on load.  Parse errors
-    carry the offending line number.
-    """
-    rows: list[tuple[float, float, float]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != WATER_CSV_HEADER:
-            raise WaterTableError(
-                f"{path}:1: expected header {','.join(WATER_CSV_HEADER)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 3:
-                raise WaterTableError(f"{path}:{lineno}: expected 3 columns")
-            try:
-                wl, a, b = (float(c) for c in row)
-            except ValueError as exc:
-                raise WaterTableError(f"{path}:{lineno}: non-numeric cell") from exc
-            if not all(math.isfinite(v) for v in (wl, a, b)):
-                raise WaterTableError(f"{path}:{lineno}: non-finite cell")
-            if wl <= 0:
-                raise WaterTableError(f"{path}:{lineno}: non-positive wavelength {wl}")
-            if a < 0 or b < 0:
-                raise WaterTableError(f"{path}:{lineno}: negative coefficient")
-            rows.append((wl, a, b))
-    if not rows:
-        raise WaterTableError(f"{path}: no data rows")
-    rows.sort(key=lambda r: r[0])
-    wl = [r[0] for r in rows]
-    if len(set(wl)) != len(wl):
-        dupes = sorted({w for w in wl if wl.count(w) > 1})
-        raise WaterTableError(f"{path}: duplicate wavelength(s) {dupes}")
-    return WaterProperties(
-        np.array(wl),
-        np.array([r[1] for r in rows]),
-        np.array([r[2] for r in rows]),
-        name=str(path),
-    )
+    """The water table at ``path``, with header wavelength_nm,a_per_m,b_per_m
+    and rows in any order, named by its path."""
+    wl, a, b = read_table(path, WATER_CSV_HEADER).T
+    return WaterProperties(wl, a, b, name=str(path))
 
 
 @lru_cache(maxsize=1)
@@ -153,7 +165,5 @@ def seawater() -> WaterProperties:
     700/550/460 nm."""
     ref = resources.files("ucsk.data").joinpath("seawater.csv")
     with resources.as_file(ref) as path:
-        props = load_water_csv(path)
-    return WaterProperties(
-        props.wavelength_nm, props.absorption, props.scattering, name="seawater"
-    )
+        wl, a, b = read_table(path, WATER_CSV_HEADER).T
+    return WaterProperties(wl, a, b, name="seawater")

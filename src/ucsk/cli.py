@@ -44,7 +44,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__
-from .channel import WaterTableError, WaterProperties, load_water_csv, seawater
+from .channel import TableError, WaterProperties, load_water_csv, seawater
 from .colorimetry import (
     ChromaticityPoint,
     OutOfGamutError,
@@ -201,7 +201,7 @@ def _bundled_digest(name: str) -> str:
 
 
 def _load_water(spec: str) -> tuple[WaterProperties, dict[str, str]]:
-    with _failing(EXIT_IO, "cannot read water table", OSError, WaterTableError):
+    with _failing(EXIT_IO, "cannot read water table", OSError, TableError):
         if spec == "seawater":
             return seawater(), {"seawater (bundled)": _bundled_digest("seawater.csv")}
         path = Path(spec)
@@ -211,12 +211,16 @@ def _load_water(spec: str) -> tuple[WaterProperties, dict[str, str]]:
 def _check_writable(path: Path, prefix: str) -> None:
     """Exit 3 with ``prefix`` if the output file ``path`` is a directory or
     no file can be created beside it; commands check before the work
-    whose output would be lost."""
+    whose output would be lost.  The message names ``path``, not the
+    randomly named probe file."""
     with _failing(EXIT_IO, prefix, OSError):
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        with tempfile.TemporaryFile(dir=path.parent):
-            pass
+        try:
+            with tempfile.TemporaryFile(dir=path.parent):
+                pass
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 def _parameters(args) -> dict:
@@ -295,27 +299,28 @@ def _cmd_design(args) -> None:
 
 
 def _load_constellation_arg(spec: str):
-    """A named bundled fixture or a JSON file path."""
+    """A named bundled fixture or a JSON file path, as the constellation,
+    its document and the input digests; a fixture's document carries its
+    preset's disk as ``target``."""
     if spec in TABLE1_FIXTURES:
         fx = TABLE1_FIXTURES[spec]
         c = build_constellation(fx.r, fx.g, fx.b)
         doc = constellation_document(
             c, blue_target_preset(fx.target_id), f"bundled fixture {spec}"
         )
-        return c, doc, fx.target_id, {f"fixture:{spec}": config_digest(doc)}
+        return c, doc, {f"fixture:{spec}": config_digest(doc)}
     path = Path(spec)
     with _failing(EXIT_IO, "cannot read constellation", OSError, ValueError):
         doc = read_constellation_json(path)
         c = document_to_constellation(doc)
-        return c, doc, None, {str(path): _sha256(path)}
+        return c, doc, {str(path): _sha256(path)}
 
 
 def _cmd_validate(args) -> None:
-    c, doc, fixture_target, _ = _load_constellation_arg(args.constellation)
-    preset = args.preset if args.preset is not None else fixture_target
+    c, doc, _ = _load_constellation_arg(args.constellation)
     target = None
-    if preset is not None:
-        target = blue_target_preset(preset)
+    if args.preset is not None:
+        target = blue_target_preset(args.preset)
     elif doc.get("target"):
         t = doc["target"]
         target = BlueTarget(ChromaticityPoint(*t["center"]), t["radius"])
@@ -351,7 +356,7 @@ def _cmd_ser(args) -> None:
     grid = parse_snr_grid(args.snr)
     if args.symbols < 10_000:
         raise _usage("--symbols must be >= 10000")
-    c, _, _, inputs = _load_constellation_arg(args.constellation)
+    c, _, inputs = _load_constellation_arg(args.constellation)
     water, water_inputs = _load_water(args.water)
     inputs.update(water_inputs)
     link = _config(LinkConfig, water=water, distance_m=args.distance)
@@ -385,7 +390,7 @@ def _cmd_rate(args) -> None:
     water, inputs = _load_water(args.water)
     link = _config(LinkConfig, water=water, distance_m=args.distance)
     if args.scheme == "ucsk":
-        c, _, _, const_inputs = _load_constellation_arg(args.constellation)
+        c, _, const_inputs = _load_constellation_arg(args.constellation)
         inputs.update(const_inputs)
     with _failing(EXIT_INFEASIBLE, "infeasible configuration", ValueError):
         if args.scheme == "ucsk":

@@ -8,7 +8,6 @@ visible-light horseshoe or an LED source triangle).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -17,6 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
+
+from .channel import lookup, read_table
 
 __all__ = [
     "ChromaticityPoint",
@@ -220,23 +221,7 @@ class GamutPolygon:
 def load_locus_csv(path) -> GamutPolygon:
     """Load a spectral-locus polygon from a CSV with columns
     wavelength_nm, x, y (the purple line closes the polygon)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["wavelength_nm", "x", "y"]:
-            raise ValueError(f"{path}: expected header wavelength_nm,x,y")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                wl, x, y = (float(c) for c in row)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-numeric cell") from exc
-            rows.append((wl, x, y))
-    if len(rows) < 3:
-        raise ValueError(f"{path}: fewer than 3 locus samples")
-    rows.sort(key=lambda r: r[0])
+    rows = read_table(path, ("wavelength_nm", "x", "y")).tolist()
     return GamutPolygon(ChromaticityPoint(x, y) for _, x, y in rows)
 
 
@@ -253,17 +238,10 @@ def spectral_locus() -> GamutPolygon:
 def _photopic_table() -> tuple[np.ndarray, np.ndarray]:
     ref = resources.files("ucsk.data").joinpath("photopic_5nm.csv")
     with resources.as_file(ref) as path:
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-    return data[:, 0], data[:, 1]
+        return tuple(read_table(path, ("wavelength_nm", "v")).T)
 
 
 def photopic_efficacy(wavelength_nm: float) -> float:
     """CIE photopic luminous-efficiency V at ``wavelength_nm``,
     interpolated linearly between the bundled 5 nm samples."""
-    wl, v = _photopic_table()
-    if not (wl[0] <= wavelength_nm <= wl[-1]):
-        raise ValueError(
-            f"wavelength {wavelength_nm} nm outside photopic table "
-            f"[{wl[0]}, {wl[-1]}]"
-        )
-    return float(np.interp(wavelength_nm, wl, v))
+    return lookup(*_photopic_table(), wavelength_nm, "photopic")

@@ -210,7 +210,8 @@ def noise_sigma(vectors: np.ndarray, snr_db: float) -> float:
 def _scores(received: np.ndarray, h: HypothesisSet) -> np.ndarray:
     """The (N, M) linear discriminants r . v_m - |v_m|**2 / 2 of an (N, K)
     batch of received vectors r against the hypotheses v_m, in Fortran
-    (column-major) order.
+    (column-major) order.  ``detect_ml`` is their one caller: the mutual
+    information forms its gaps from the noise (``_information``).
 
     A row ranks the hypotheses as -|r - v_m|**2 / 2 does: the two differ
     by |r|**2 / 2, which every column of the row shares.  In Fortran
@@ -271,14 +272,15 @@ def _uniform_blocks(seed: int, stream: int, start: int, count: int) -> np.ndarra
 
 
 def _map_shared_draws(hs, sigmas, seed: int, stream: int, n: int, score):
-    """Per hypothesis set, the list of ``score(h, sigma, symbols, received)``
-    over the fixed ``_CHUNK``-symbol chunks of the (seed, stream) draws.
+    """Per hypothesis set, the list of ``score(h, sigma, symbols, z)`` over
+    the fixed ``_CHUNK``-symbol chunks of the (seed, stream) draws, with z
+    the (N, h.bands) standard Gaussian noise.
 
     A chunk's uniforms and Gaussian noise are drawn once for the whole
     batch.  Set h takes its symbols from the first uniform and its noise
     from the next ``h.bands`` ones, exactly as if it were drawn alone.
-    The noise and the received vectors are Fortran-ordered, the fast
-    layout of ``_scores``.
+    The noise is Fortran-ordered, and so are the received batch and the
+    gaps built from it: the fast layout of ``_scores``.
     """
     bands = max(h.bands for h in hs)
     scores = [[] for _ in hs]
@@ -290,13 +292,7 @@ def _map_shared_draws(hs, sigmas, seed: int, stream: int, n: int, score):
             for m in {h.m for h in hs}
         }
         for h, sigma, out in zip(hs, sigmas, scores):
-            symbols = symbols_of[h.m]
-            # The scaled noise fixes the Fortran order of the received
-            # batch, and the hypotheses are gathered onto it band by band;
-            # sigma z + v rounds as v + sigma z does.
-            received = z[:, : h.bands] * sigma
-            received += np.take(h.vectors.T, symbols, axis=1).T
-            out.append(score(h, sigma, symbols, received))
+            out.append(score(h, sigma, symbols_of[h.m], z[:, : h.bands]))
     return scores
 
 
@@ -319,7 +315,12 @@ def _grid(snr_db_grid) -> tuple[float, ...]:
     return grid
 
 
-def _symbol_errors(h, sigma, symbols, received) -> int:
+def _symbol_errors(h, sigma, symbols, z) -> int:
+    # The scaled noise fixes the Fortran order of the received batch, and
+    # the hypotheses are gathered onto it band by band; sigma z + v rounds
+    # as v + sigma z does.
+    received = z * sigma
+    received += np.take(h.vectors.T, symbols, axis=1).T
     return int(np.count_nonzero(detect_ml(received, h) != symbols))
 
 
@@ -416,34 +417,39 @@ def logsumexp(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _information(h, sigma, symbols, received) -> float:
+def _information(h, sigma, symbols, z) -> float:
     """Sum over the draws of log2(M p(y|s) / sum_j p(y|s_j)), referenced
-    to each draw's own symbol s.
+    to each draw's own symbol s, from the draws' noise z.
 
     With y = v_s + sigma z, the log-likelihood gap of hypothesis j is
-    d_j = (score_j - score_s) / sigma**2 = z . D / sigma - |D|**2 /
-    (2 sigma**2), D = v_j - v_s, from the scores of ``_scores``.  A draw
-    contributes log2 M - log1p(sum_{j != s} exp(d_j)) / ln 2; the terms
-    are summed draw by draw, because N log2 M minus their sum cancels.
+    d_j = z . (v_j - v_s) / sigma - |v_j - v_s|**2 / (2 sigma**2).  It is
+    formed from the noise and the scaled hypotheses V / sigma, not as a
+    difference of likelihoods, so hypotheses that nearly coincide keep
+    their gap at any SNR.  A draw contributes
+    log2 M - log1p(sum_{j != s} exp(d_j)) / ln 2; the terms are summed
+    draw by draw, because N log2 M minus their sum cancels.
 
-    The exact gap is at most |z|**2 / 2 (maximise over D / sigma).  A
+    The gap is at most |z|**2 / 2 (maximise over (v_j - v_s) / sigma).  A
     noise sample is ndtri of a uniform in [2**-54, 1 - 2**-53] (see
     ``_uniform_blocks``), so |z_k| <= 8.3 and d_j <= 104 on three bands:
-    no row maximum needs to come out before the exp.  d is clipped to
-    [-700, 700] first.  The floor keeps exp off its subnormal slow path,
-    and a term below exp(-700) cannot change the rounded
-    log2 M - log1p(...) / ln 2.  The ceiling keeps the
-    sum finite where a computed gap is the rounding error of the scores:
-    on hypotheses 1e-12 apart at 300 dB it reaches 7e14.
+    no row maximum needs to come out before the exp.  d is floored at
+    -700, which keeps exp off its subnormal slow path; a term below
+    exp(-700) cannot change the rounded log2 M - log1p(...) / ln 2.
     """
-    d = _scores(received, h)
-    # The own scores, by their index in the column-major buffer of d;
-    # ``_scores`` returns Fortran order, so ``flat`` is a view of d.
+    scaled = h.vectors / sigma
+    d = np.empty((len(z), h.m), order="F")
+    np.einsum("nk,mk->nm", z, scaled, out=d)
+    # The own column, by its index in the column-major buffer of d;
+    # ``flat`` is a view of d.
     flat = d.ravel(order="F")
     own = symbols * len(d) + np.arange(len(d))
     d -= np.take(flat, own)[:, None]
-    d /= sigma * sigma
-    np.clip(d, -700.0, 700.0, out=d)
+    # table[j, s] = |v_j - v_s|**2 / (2 sigma**2); gathering column s per
+    # draw and transposing gives the Fortran order of d.
+    delta = scaled[None, :, :] - scaled[:, None, :]
+    table = 0.5 * np.einsum("sjk,sjk->js", delta, delta)
+    d -= np.take(table, symbols, axis=1).T
+    np.maximum(d, -700.0, out=d)
     np.exp(d, out=d)
     # The own term is exp(0) = 1; leave it out of the sum.
     flat[own] = 0.0

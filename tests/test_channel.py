@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucsk.channel import (
+    TableError,
     WaterProperties,
-    WaterTableError,
     WavelengthRangeError,
     attenuation_coefficient,
     effective_range,
@@ -60,7 +60,7 @@ class TestWaterProperties:
     def test_non_finite_values_are_rejected(self, wl, a, b):
         # Built directly, so load_water_csv's per-line check never runs.
         # A nan wavelength passes the increasing-order check by itself.
-        with pytest.raises(WaterTableError, match="must be finite"):
+        with pytest.raises(TableError, match="must be finite"):
             WaterProperties(np.array(wl), np.array(a), np.array(b))
 
 
@@ -146,13 +146,13 @@ class TestLoadWaterCsv:
     def test_missing_header(self, tmp_path):
         path = tmp_path / "w.csv"
         path.write_text("wl,a,b\n460,0.1,0.1\n")
-        with pytest.raises(WaterTableError, match=":1"):
+        with pytest.raises(TableError, match=":1"):
             load_water_csv(path)
 
     def test_non_numeric_cell_line_number(self, tmp_path):
         path = tmp_path / "w.csv"
         path.write_text("wavelength_nm,a_per_m,b_per_m\n460,0.1,0.1\n550,oops,0.1\n")
-        with pytest.raises(WaterTableError, match=":3"):
+        with pytest.raises(TableError, match=":3"):
             load_water_csv(path)
 
     @pytest.mark.parametrize(
@@ -161,7 +161,7 @@ class TestLoadWaterCsv:
     def test_non_finite_cell_line_number(self, tmp_path, row):
         path = tmp_path / "w.csv"
         path.write_text(f"wavelength_nm,a_per_m,b_per_m\n460,0.1,0.1\n{row}\n")
-        with pytest.raises(WaterTableError, match=":3: non-finite cell"):
+        with pytest.raises(TableError, match=":3: non-finite cell"):
             load_water_csv(path)
 
     def test_duplicate_wavelength(self, tmp_path):
@@ -169,23 +169,23 @@ class TestLoadWaterCsv:
         path.write_text(
             "wavelength_nm,a_per_m,b_per_m\n460,0.1,0.1\n460,0.2,0.1\n"
         )
-        with pytest.raises(WaterTableError, match="duplicate"):
+        with pytest.raises(TableError, match="duplicate"):
             load_water_csv(path)
 
     def test_non_positive_wavelength(self, tmp_path):
         path = tmp_path / "w.csv"
         path.write_text("wavelength_nm,a_per_m,b_per_m\n0,0.1,0.1\n")
-        with pytest.raises(WaterTableError, match=":2"):
+        with pytest.raises(TableError, match=":2"):
             load_water_csv(path)
 
     def test_negative_coefficient(self, tmp_path):
         path = tmp_path / "w.csv"
         path.write_text("wavelength_nm,a_per_m,b_per_m\n460,-0.1,0.1\n")
-        with pytest.raises(WaterTableError, match=":2"):
+        with pytest.raises(TableError, match=":2"):
             load_water_csv(path)
 
     def test_empty_data(self, tmp_path):
         path = tmp_path / "w.csv"
         path.write_text("wavelength_nm,a_per_m,b_per_m\n")
-        with pytest.raises(WaterTableError, match="no data"):
+        with pytest.raises(TableError, match="no data"):
             load_water_csv(path)

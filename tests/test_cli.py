@@ -31,23 +31,26 @@ MANIFEST_KEYS = {"subcommand", "parameters", "inputs", "tool_version", "seed"}
 # streams, the SNR convention, the CSV text or the config-digest rule
 # shows up here.  All four were re-recorded when ``config_sha`` became the
 # digest of the subcommand, its non-file options and its input digests;
-# only the ``# config_sha=`` line moved.
+# only the ``# config_sha=`` line moved.  The two rate curves were
+# re-recorded when the mutual information began to form its
+# log-likelihood gaps from the noise, which moved them by at most 2.5e-16
+# relative.
 GOLDEN_SHA256 = {
     "ser.csv": "c663431e4c2bcd370f89694a2dbec2b2ea879a3c50a59eafc63c280c1d00f69a",
     "ser.ub.csv": "45e364473c3cc70210189d1c47fd7d3855faf8b8d89d48c7ab557d8ac6440106",
-    "rate-ucsk.csv": "f6e3b95982a51798a9900699e1bc1d2c858ee728ef49e2473b6aefa32df17136",
-    "rate-ook.csv": "07049a22c3803004b92122e828ff7329bb7debdff12d8885eb130ae0939e8074",
+    "rate-ucsk.csv": "909973396ba5357058853d6a5bcaeec334a7fa33909e54063624dd32f075f38c",
+    "rate-ook.csv": "7b0b49e84169f16e560b79a4bc5f2b2de3ce38102caac33df25ad5977e0be043",
 }
 
 # SHA-256 of every file of the ``reproduce`` bundles.  The Monte Carlo
-# SER curves, the OOK blue 50 m rates and the manifests date from before
-# the Monte Carlo shared its draws across the curves of a figure; the
-# designs and the union-bound curves were recorded when the optimizer
-# began to keep X strictly inside the disk.  The other rates (and the
-# golden rate-ucsk.csv above) were recorded when the mutual information
-# began to reference each draw's log-likelihood gaps to its own symbol,
-# which moved them by at most 5.1e-13 relative (TestKernelOracles bounds
-# that at 1e-12).
+# SER curves and the manifests date from before the Monte Carlo shared
+# its draws across the curves of a figure; the designs and the
+# union-bound curves were recorded when the optimizer began to keep X
+# strictly inside the disk.  The rates (and the golden rate curves above)
+# were recorded when the mutual information began to form each draw's
+# log-likelihood gaps from its noise, which moved them by at most 2.0e-14
+# relative (TestKernelOracles bounds the kernel at 1e-12 of the
+# distance form).
 _DESIGN_SHA256 = {
     "design-target1.json": "9259d81a5c7d749b6b259ef1893f97e6867886223d8a2ae6c05ed26ecf49d071",
     "design-target2.json": "8a5007c713c4aa0d342cc0d0fbb166fde1ae3b478d2a3e02cfd9345d2c5d1d85",
@@ -67,13 +70,13 @@ REPRODUCE_SHA256 = {
     "4b": {
         **_DESIGN_SHA256,
         "manifest.json": "b0bff5f2cba09cbbdbb2c59573ebd6d58438ad7d29ba91a4053574685a9ba54f",
-        "rate-ook-blue-10m.csv": "c9aafe9def03f52a33b9b5dac8d1a67a4f84966a144b21be4c614a1b2d11bf58",
-        "rate-ook-blue-50m.csv": "c9812a64554344067110a865c3c6717816ee5139f495015b2132534666d97012",
-        "rate-ook-green-10m.csv": "d382fbeccc03ae421c51fc1fe7f5f7b7fa05db445486971ad165a6fbc8b346c4",
-        "rate-ook-red-10m.csv": "82735730641eb58294a10f9b131272195234bcee01683110c0efcbd1144843fe",
-        "rate-ucsk-target1-10m.csv": "48b00f5bd46f74793afe760c29a70df5859cd0b39d1ebc4de0696cf46c54323e",
-        "rate-ucsk-target2-10m.csv": "44d14e3691d164698a8c701070cbfe33800df555ab2f9ce8b0116b5e7e626d9b",
-        "rate-ucsk-target3-10m.csv": "a1df6b0317ab567d3d20473d3e29b499ea1affb9dddd8e747a6b6b61106c2047",
+        "rate-ook-blue-10m.csv": "83331e3d28cbf13c96bac5adfb394cd67fb92fc4a9b9b3433c7c95750a1b1b02",
+        "rate-ook-blue-50m.csv": "79e137435415969f09218a9e1894c16e2d4ba051da816bd7267aad50807b431d",
+        "rate-ook-green-10m.csv": "2dbf43969bb33a5e76ba9dbec486cf0da3469e3dadccaf187848534f2c6042d9",
+        "rate-ook-red-10m.csv": "d51c076014acdbc6c5e86d6d04e40854bb182bad1c347dcd49a35807f92502e9",
+        "rate-ucsk-target1-10m.csv": "c2f5be2e160ce9cb3b8d74cefa184c880daf428978c96d8f93156443231754c3",
+        "rate-ucsk-target2-10m.csv": "1c992b2f5d9f3a77506e3c07ba6fa39949c4c95c70b8cd19ee6e6c24135d4f8a",
+        "rate-ucsk-target3-10m.csv": "3a7677c20acb874ca43c7d181773e3999765f13a75758abe5d3c55ad3403d21d",
     },
 }
 
@@ -495,6 +498,15 @@ class TestExitCodes:
         assert main(["design", "--preset", "1", "--out", str(out)]) == EXIT_IO
         assert capsys.readouterr().err.startswith("cannot write output: ")
         assert calls == []
+
+    def test_unwritable_out_message_names_the_path(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "d.json"
+        messages = []
+        for _ in range(2):
+            assert main(["design", "--preset", "1", "--out", str(out)]) == EXIT_IO
+            messages.append(capsys.readouterr().err)
+        assert messages[0] == messages[1]
+        assert f"'{out}'" in messages[0]
 
     def test_reproduce_directory_manifest_fails_before_designing(
         self, tmp_path, capsys, monkeypatch

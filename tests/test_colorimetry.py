@@ -1,10 +1,12 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from ucsk.channel import TableError, WavelengthRangeError
 from ucsk.colorimetry import (
     BOUNDARY_TOLERANCE,
     MIN_CHROMATICITY_Y,
@@ -14,6 +16,7 @@ from ucsk.colorimetry import (
     GamutPolygon,
     OutOfGamutError,
     Tristimulus,
+    _photopic_table,
     centroid,
     load_locus_csv,
     photopic_efficacy,
@@ -397,6 +400,12 @@ class TestGamut:
         with pytest.raises(ValueError):
             load_locus_csv(path)
 
+    def test_load_locus_csv_row_with_four_cells(self, tmp_path):
+        path = tmp_path / "locus.csv"
+        path.write_text("wavelength_nm,x,y\n500,0.1,0.2,0.3\n")
+        with pytest.raises(TableError, match=":2: expected 3 columns"):
+            load_locus_csv(path)
+
 
 class TestPhotopic:
     def test_known_samples(self):
@@ -408,3 +417,13 @@ class TestPhotopic:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             photopic_efficacy(300.0)
+
+    def test_out_of_range_is_wavelength_range_error(self):
+        with pytest.raises(WavelengthRangeError, match="300.0 nm outside 'photopic'"):
+            photopic_efficacy(300.0)
+
+    def test_table_matches_loadtxt_bitwise(self):
+        ref = resources.files("ucsk.data").joinpath("photopic_5nm.csv")
+        with resources.as_file(ref) as path:
+            expected = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.column_stack(_photopic_table()).tobytes() == expected.tobytes()

@@ -556,13 +556,16 @@ class TestDetectColumnPass:
             assert got.tobytes() == expected.tobytes()
 
 
-def unclipped_information(h, sigma, symbols, received) -> tuple[float, bool]:
-    """``_information`` without its clip of the score gaps, and whether a
-    gap fell below the clip's floor."""
-    d = _scores(received, h)
+def unclipped_information(h, sigma, symbols, z) -> tuple[float, bool]:
+    """``_information`` without its floor on the log-likelihood gaps, and
+    whether a gap fell below that floor."""
+    scaled = h.vectors / sigma
+    d = np.empty((len(z), h.m), order="F")
+    np.einsum("nk,mk->nm", z, scaled, out=d)
     rows = np.arange(len(symbols))
     d -= d[rows, symbols][:, None]
-    d /= sigma * sigma
+    delta = scaled[None, :, :] - scaled[:, None, :]
+    d -= 0.5 * np.einsum("sjk,sjk->js", delta, delta)[:, symbols].T
     e = np.exp(d)
     e[rows, symbols] = 0.0
     terms = math.log2(h.m) - np.log1p(e.sum(axis=1)) / math.log(2.0)
@@ -582,8 +585,8 @@ class TestInformationRange:
 
     @pytest.mark.parametrize("snr_db", [-300.0, 0.0, 45.0, 300.0])
     def test_finite_and_in_range(self, reproduce_sets, snr_db):
-        # At 300 dB the score gaps of the pair 1e-12 apart are rounding
-        # error of up to 7e14, which the clip's ceiling holds at 700.
+        # At 300 dB the gaps of the pair 1e-12 apart are near -3e11, far
+        # below the kernel's floor of -700.
         hs = [*reproduce_sets, near_pair(1e-9), near_pair(1e-12)]
         sigmas = [noise_sigma(h.transmit_vectors(), snr_db) for h in hs]
         for h, mi in zip(hs, mutual_information(hs, sigmas, 20_000, 4242, stream=3)):
@@ -591,11 +594,12 @@ class TestInformationRange:
             assert 0.0 <= mi <= math.log2(h.m)
 
     def test_near_pair_limits(self):
-        # 1e-9 apart: no information at 0 dB, one full bit at 300 dB.
-        h = near_pair(1e-9)
-        for snr_db, expected in ((0.0, 0.0), (300.0, 1.0)):
-            sigma = noise_sigma(h.transmit_vectors(), snr_db)
-            assert mutual_information([h], [sigma], 20_000, 0) == (expected,)
+        # 1e-9 or 1e-12 apart: no information at 0 dB, one full bit at
+        # 300 dB.
+        for h in (near_pair(1e-9), near_pair(1e-12)):
+            for snr_db, expected in ((0.0, 0.0), (300.0, 1.0)):
+                sigma = noise_sigma(h.transmit_vectors(), snr_db)
+                assert mutual_information([h], [sigma], 20_000, 0) == (expected,)
 
     def test_clip_changes_nothing_at_45_db(self, reproduce_sets):
         sigmas = [noise_sigma(h.transmit_vectors(), 45.0) for h in reproduce_sets]
