@@ -128,10 +128,8 @@ class WaterProperties:
 
 def attenuation_coefficient(w: WaterProperties, wavelength_nm: float) -> float:
     """c = a + b at the given wavelength (1/m), interpolated linearly."""
-    wl = w.wavelength_nm
-    return lookup(wl, w.absorption, wavelength_nm, w.name) + lookup(
-        wl, w.scattering, wavelength_nm, w.name
-    )
+    a = lookup(w.wavelength_nm, w.absorption, wavelength_nm, w.name)
+    return a + lookup(w.wavelength_nm, w.scattering, wavelength_nm, w.name)
 
 
 def path_loss(c: float, d: float) -> float:
