@@ -24,6 +24,22 @@ outputs, a JSON object with exactly the keys ``subcommand``,
   so an input counts by its contents and not by its path.  A
   ``reproduce`` curve's digest covers its figure settings and file name.
 
+The files each command writes:
+
+- ``design``: ``--out`` and ``--out`` + ``.manifest.json``;
+- ``ser``: ``--out``, its union-bound curve (``X.csv`` -> ``X.ub.csv``,
+  any other name + ``.ub.csv``) and ``--out`` + ``.manifest.json``;
+- ``rate``: ``--out`` and ``--out`` + ``.manifest.json``;
+- ``reproduce``: ``design-target{1,2,3}.json``, the figure's curves and
+  ``manifest.json`` in the ``--out`` directory.
+
+Each is checked before it is written: it must not be a directory, and a
+file must be creatable in its directory; if one fails, the command exits
+3 and writes nothing.  ``design``, ``ser`` and ``rate`` check all of
+their files before the optimizer or the Monte Carlo runs; ``reproduce``
+checks ``manifest.json`` before designing and every bundle file before
+its first write.
+
 Identical arguments and inputs reproduce outputs byte for byte.  Exit
 codes: 0 success, 1 usage error, 2 infeasible target or constellation,
 3 I/O or file-format error.
@@ -45,12 +61,7 @@ from pathlib import Path
 
 from . import __version__
 from .channel import TableError, WaterProperties, load_water_csv, seawater
-from .colorimetry import (
-    ChromaticityPoint,
-    OutOfGamutError,
-    spectral_locus,
-    xy_distance,
-)
+from .colorimetry import ChromaticityPoint, spectral_locus, xy_distance
 from .constellation import (
     BlueTarget,
     build_constellation,
@@ -60,15 +71,14 @@ from .constellation import (
     write_constellation_json,
 )
 from .linksim import (
-    InfeasibleConstellationError,
+    Curve,
+    HypothesisSet,
     LinkConfig,
     NoiseLevelError,
     build_hypotheses,
-    config_digest,
     ook_hypotheses,
     rate_curve,
     ser_curves,
-    write_curve_csv,
 )
 from .optimizer import (
     ConvergenceError,
@@ -88,13 +98,14 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_IO = 3
 
-# Fixed seeds for the reproduce bundles.
+# Fixed seeds and per-figure settings of the reproduce bundles; a
+# bundle's manifest records the settings and its curve digests cover them.
 REPRODUCE_DESIGN_SEED = 2024
 REPRODUCE_SIM_SEED = 4242
-_REPRODUCE_SER_GRID = "0:3:30"
-_REPRODUCE_RATE_GRID = "0:3:45"
-_REPRODUCE_SER_SYMBOLS = 100_000
-_REPRODUCE_RATE_SAMPLES = 50_000
+_FIGURES = {
+    "4a": {"snr": "0:3:30", "symbols": 100_000, "distance_m": 10.0},
+    "4b": {"snr": "0:3:45", "samples": 50_000},
+}
 
 # Most points one --snr grid may have.
 _MAX_SNR_POINTS = 10_000
@@ -104,10 +115,8 @@ _OOK_WAVELENGTHS = dict(zip(("red", "green", "blue"), DEFAULT_PRIMARY_WAVELENGTH
 # Options that name files: their contents count through the input digests.
 _FILE_OPTIONS = ("constellation", "water", "out")
 
-# Failures that exit 2: a design that cannot be met, or a constellation
-# that the link cannot render.
+# Failures that exit 2: a design that cannot be met.
 _DESIGN_FAILED = (InfeasibleTargetError, ConvergenceError)
-_UNRENDERABLE = (InfeasibleConstellationError, OutOfGamutError)
 
 
 class _Failure(Exception):
@@ -134,6 +143,12 @@ def _failing(code: int, prefix: str, *errors: type[Exception]):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; usage errors are 1
         raise _usage(message)
+
+
+def _rendering():
+    """The one exit-2 rule of hypothesis building: a ValueError there
+    means the link cannot render the constellation or the OOK LED."""
+    return _failing(EXIT_INFEASIBLE, "infeasible constellation", ValueError)
 
 
 def _config(cls, **kwargs):
@@ -190,6 +205,12 @@ def parse_snr_grid(text: str) -> list[float]:
     return grid
 
 
+def config_digest(payload) -> str:
+    """sha256 over the canonical JSON form of a configuration payload."""
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -208,19 +229,25 @@ def _load_water(spec: str) -> tuple[WaterProperties, dict[str, str]]:
         return load_water_csv(path), {str(path): _sha256(path)}
 
 
-def _check_writable(path: Path, prefix: str) -> None:
-    """Exit 3 with ``prefix`` if the output file ``path`` is a directory or
-    no file can be created beside it; commands check before the work
-    whose output would be lost.  The message names ``path``, not the
-    randomly named probe file."""
+def _check_writable(paths, prefix: str = "cannot write output") -> None:
+    """Exit 3 with ``prefix`` if any output file of ``paths`` is a
+    directory or no file can be created beside it.  Each distinct
+    directory is probed once, and the message names the output path,
+    not the randomly named probe file."""
+    probes: dict[Path, Path] = {}
     with _failing(EXIT_IO, prefix, OSError):
-        if path.is_dir():
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        try:
-            with tempfile.TemporaryFile(dir=path.parent):
-                pass
-        except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, str(path)) from None
+        for path in paths:
+            if path.is_dir():
+                raise IsADirectoryError(
+                    errno.EISDIR, os.strerror(errno.EISDIR), str(path)
+                )
+            probes.setdefault(path.parent, path)
+        for parent, path in probes.items():
+            try:
+                with tempfile.TemporaryFile(dir=parent):
+                    pass
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 def _parameters(args) -> dict:
@@ -240,28 +267,41 @@ def _config_sha(args, inputs: dict[str, str]) -> str:
     )
 
 
-def _write_manifest(
-    path: Path, subcommand: str, parameters: dict, inputs: dict[str, str], seed: int
+def _manifest_path(out: Path) -> Path:
+    return Path(f"{out}.manifest.json")
+
+
+def write_curve_csv(path, curve: Curve, config_sha: str) -> None:
+    """Write ``snr_db,value`` rows with full round-trip float text under a
+    ``# seed``, ``# n`` and ``# config_sha`` header; ``config_sha`` is the
+    curve's digest by the rule in the module docstring."""
+    lines = [
+        f"# seed={curve.seed}",
+        f"# n={curve.n}",
+        f"# config_sha={config_sha}",
+        "snr_db,value",
+    ]
+    lines.extend(f"{repr(s)},{repr(v)}" for s, v in zip(curve.snr_db, curve.values))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _write_outputs(
+    curves: dict, manifest: Path, subcommand: str, parameters: dict,
+    inputs: dict[str, str], seed: int,
 ) -> None:
-    manifest = {
+    """Write each ``{path: (curve, digest)}`` curve, then the run manifest
+    at ``manifest``; an OSError exits 3."""
+    document = {
         "subcommand": subcommand,
         "parameters": parameters,
         "inputs": inputs,
         "tool_version": __version__,
         "seed": seed,
     }
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-
-
-def _write_run_manifest(args, inputs: dict[str, str], **extra) -> None:
-    """The manifest beside ``--out``: the options as given plus ``extra``."""
-    _write_manifest(
-        Path(f"{Path(args.out)}.manifest.json"),
-        args.subcommand,
-        {**_parameters(args), **extra},
-        inputs,
-        args.seed,
-    )
+    with _failing(EXIT_IO, "cannot write output", OSError):
+        for path, (curve, sha) in curves.items():
+            write_curve_csv(path, curve, sha)
+        manifest.write_text(json.dumps(document, sort_keys=True, indent=2) + "\n")
 
 
 def _gamut_for(name: str):
@@ -280,7 +320,8 @@ def _cmd_design(args) -> None:
         raise _usage("give --preset or both --target-center and --target-radius")
     cfg = _config(OptimizerConfig, multistart_count=args.starts, rng_seed=args.seed)
     out = Path(args.out)
-    _check_writable(out, "cannot write output")
+    manifest = _manifest_path(out)
+    _check_writable([out, manifest])
     gamut = _gamut_for(args.gamut)
     with _failing(EXIT_INFEASIBLE, "design failed", *_DESIGN_FAILED):
         result = design_constellation(target, cfg, gamut)
@@ -290,7 +331,7 @@ def _cmd_design(args) -> None:
     doc = constellation_document(result.constellation, target, provenance)
     with _failing(EXIT_IO, "cannot write output", OSError):
         write_constellation_json(out, doc)
-        _write_run_manifest(args, {})
+    _write_outputs({}, manifest, args.subcommand, _parameters(args), {}, args.seed)
     print(f"achieved d_min: {result.achieved_dmin:.6f}")
     margin = target.margin(result.constellation.x)
     inside = target.contains(result.constellation.x)
@@ -346,6 +387,20 @@ def _cmd_validate(args) -> None:
         print("blue target: none given; disk check skipped")
 
 
+def _load_link(args) -> tuple[HypothesisSet, dict[str, str]]:
+    """The hypotheses of a ``ser`` or ``rate`` run and its input digests:
+    the --constellation's, or with none the OOK LED's at --wavelength,
+    over --water at --distance."""
+    water, inputs = _load_water(args.water)
+    link = _config(LinkConfig, water=water, distance_m=args.distance)
+    if args.constellation is None:
+        with _rendering():
+            return ook_hypotheses(args.wavelength, link), inputs
+    c, _, const_inputs = _load_constellation_arg(args.constellation)
+    with _rendering():
+        return build_hypotheses(c, link), {**inputs, **const_inputs}
+
+
 def _ub_path(out: Path) -> Path:
     if out.suffix == ".csv":
         return out.with_suffix(".ub.csv")
@@ -356,24 +411,19 @@ def _cmd_ser(args) -> None:
     grid = parse_snr_grid(args.snr)
     if args.symbols < 10_000:
         raise _usage("--symbols must be >= 10000")
-    c, _, inputs = _load_constellation_arg(args.constellation)
-    water, water_inputs = _load_water(args.water)
-    inputs.update(water_inputs)
-    link = _config(LinkConfig, water=water, distance_m=args.distance)
-    with _failing(EXIT_INFEASIBLE, "infeasible constellation", ValueError):
-        hypotheses = build_hypotheses(c, link)
+    hypotheses, inputs = _load_link(args)
     out = Path(args.out)
-    _check_writable(out, "cannot write output")
+    ub, manifest = _ub_path(out), _manifest_path(out)
+    _check_writable([out, ub, manifest])
     with _failing(EXIT_USAGE, "usage error: --snr", NoiseLevelError):
         ((curve, bound),) = ser_curves([hypotheses], grid, args.symbols, args.seed)
     sha = _config_sha(args, inputs)
-    with _failing(EXIT_IO, "cannot write output", OSError):
-        write_curve_csv(out, curve, sha)
-        write_curve_csv(_ub_path(out), bound, sha)
-        _write_run_manifest(
-            args, inputs, union_bound_out=_ub_path(out).name, config_sha=sha
-        )
-    print(f"wrote {out} and {_ub_path(out)}")
+    params = {**_parameters(args), "union_bound_out": ub.name, "config_sha": sha}
+    _write_outputs(
+        {out: (curve, sha), ub: (bound, sha)}, manifest, args.subcommand, params,
+        inputs, args.seed,
+    )
+    print(f"wrote {out} and {ub}")
 
 
 def _cmd_rate(args) -> None:
@@ -387,43 +437,28 @@ def _cmd_rate(args) -> None:
     ignored = "constellation" if args.scheme == "ook" else "wavelength"
     if getattr(args, ignored) is not None:
         raise _usage(f"--scheme {args.scheme} does not take --{ignored}")
-    water, inputs = _load_water(args.water)
-    link = _config(LinkConfig, water=water, distance_m=args.distance)
-    if args.scheme == "ucsk":
-        c, _, const_inputs = _load_constellation_arg(args.constellation)
-        inputs.update(const_inputs)
-    with _failing(EXIT_INFEASIBLE, "infeasible configuration", ValueError):
-        if args.scheme == "ucsk":
-            hypotheses = build_hypotheses(c, link)
-        else:
-            hypotheses = ook_hypotheses(args.wavelength, link)
+    hypotheses, inputs = _load_link(args)
     out = Path(args.out)
-    _check_writable(out, "cannot write output")
+    manifest = _manifest_path(out)
+    _check_writable([out, manifest])
     with _failing(EXIT_USAGE, "usage error: --snr", NoiseLevelError):
         (curve,) = rate_curve([hypotheses], grid, args.samples, args.seed)
     sha = _config_sha(args, inputs)
-    with _failing(EXIT_IO, "cannot write output", OSError):
-        write_curve_csv(out, curve, sha)
-        _write_run_manifest(args, inputs, config_sha=sha)
+    params = {**_parameters(args), "config_sha": sha}
+    _write_outputs(
+        {out: (curve, sha)}, manifest, args.subcommand, params, inputs, args.seed
+    )
     print(f"wrote {out}")
 
 
-def _figure_4a(designs, params: dict) -> dict:
-    """SER and union-bound curves of the designs at 10 m with their config
-    digests, as {file name: (curve, digest)}.  Adds the figure's settings
-    to ``params``, which every digest covers."""
-    grid = parse_snr_grid(_REPRODUCE_SER_GRID)
-    params.update(
-        {"snr": _REPRODUCE_SER_GRID, "symbols": _REPRODUCE_SER_SYMBOLS,
-         "distance_m": 10.0}
-    )
-    link = LinkConfig(water=seawater(), distance_m=10.0)
-    pairs = ser_curves(
-        [build_hypotheses(c, link) for c in designs.values()],
-        grid,
-        _REPRODUCE_SER_SYMBOLS,
-        REPRODUCE_SIM_SEED,
-    )
+def _figure_4a(designs, water, params: dict) -> dict:
+    """SER and union-bound curves of the designs, as {file name: (curve,
+    digest)}; each digest covers ``params`` and the design's target."""
+    link = LinkConfig(water=water, distance_m=params["distance_m"])
+    with _rendering():
+        hypotheses = [build_hypotheses(c, link) for c in designs.values()]
+    grid = parse_snr_grid(params["snr"])
+    pairs = ser_curves(hypotheses, grid, params["symbols"], REPRODUCE_SIM_SEED)
     curves = {}
     for tid, (curve, bound) in zip(designs, pairs):
         sha = config_digest({"figure": "4a", "target": tid, "params": params})
@@ -432,38 +467,33 @@ def _figure_4a(designs, params: dict) -> dict:
     return curves
 
 
-def _figure_4b(designs, params: dict) -> dict:
-    """Rate curves of the designs and of OOK per color with their config
-    digests, as {file name: (curve, digest)}.  Adds the figure's settings
-    to ``params``, which every digest covers."""
-    grid = parse_snr_grid(_REPRODUCE_RATE_GRID)
-    params.update({"snr": _REPRODUCE_RATE_GRID, "samples": _REPRODUCE_RATE_SAMPLES})
-    link10 = LinkConfig(water=seawater(), distance_m=10.0)
-    link50 = LinkConfig(water=seawater(), distance_m=50.0)
-    jobs = [
-        (f"rate-ucsk-target{tid}-10m.csv", build_hypotheses(c, link10))
-        for tid, c in designs.items()
-    ]
-    jobs += [
-        (f"rate-ook-{color}-10m.csv", ook_hypotheses(wl, link10))
-        for color, wl in _OOK_WAVELENGTHS.items()
-    ]
-    blue_nm = _OOK_WAVELENGTHS["blue"]
-    jobs.append(("rate-ook-blue-50m.csv", ook_hypotheses(blue_nm, link50)))
-    curves = rate_curve(
-        [h for _, h in jobs], grid, _REPRODUCE_RATE_SAMPLES, REPRODUCE_SIM_SEED
-    )
+def _figure_4b(designs, water, params: dict) -> dict:
+    """Rate curves of the designs and of OOK per color, as {file name:
+    (curve, digest)}; each digest covers ``params`` and the file name."""
+    link10 = LinkConfig(water=water, distance_m=10.0)
+    link50 = LinkConfig(water=water, distance_m=50.0)
+    with _rendering():
+        jobs = {
+            f"rate-ucsk-target{tid}-10m.csv": build_hypotheses(c, link10)
+            for tid, c in designs.items()
+        }
+        for color, wl in _OOK_WAVELENGTHS.items():
+            jobs[f"rate-ook-{color}-10m.csv"] = ook_hypotheses(wl, link10)
+        jobs["rate-ook-blue-50m.csv"] = ook_hypotheses(_OOK_WAVELENGTHS["blue"], link50)
+    grid = parse_snr_grid(params["snr"])
+    curves = rate_curve(jobs.values(), grid, params["samples"], REPRODUCE_SIM_SEED)
     return {
         name: (curve, config_digest({"figure": "4b", "curve": name, "params": params}))
-        for (name, _), curve in zip(jobs, curves)
+        for name, curve in zip(jobs, curves)
     }
 
 
 def _cmd_reproduce(args) -> None:
     out_dir = Path(args.out)
+    manifest = out_dir / "manifest.json"
     with _failing(EXIT_IO, f"cannot write to {out_dir}", OSError):
         out_dir.mkdir(parents=True, exist_ok=True)
-    _check_writable(out_dir / "manifest.json", f"cannot write to {out_dir}")
+    _check_writable([manifest], f"cannot write to {out_dir}")
     cfg = OptimizerConfig(rng_seed=REPRODUCE_DESIGN_SEED)
     gamut = led_triangle_gamut()
     with _failing(EXIT_INFEASIBLE, "design failed", *_DESIGN_FAILED):
@@ -471,34 +501,31 @@ def _cmd_reproduce(args) -> None:
             tid: design_constellation(blue_target_preset(tid), cfg, gamut).constellation
             for tid in (1, 2, 3)
         }
-    params: dict = {
+    params = {
         "figure": args.figure,
         "design_seed": REPRODUCE_DESIGN_SEED,
         "sim_seed": REPRODUCE_SIM_SEED,
         "gamut": "led-triangle",
         "water": "seawater",
+        **_FIGURES[args.figure],
     }
+    water, inputs = _load_water("seawater")
     figure = _figure_4a if args.figure == "4a" else _figure_4b
-    with _failing(EXIT_INFEASIBLE, "infeasible constellation", *_UNRENDERABLE):
-        curves = figure(designs, params)
-    with _failing(EXIT_IO, "cannot write output", OSError):
-        for tid, c in designs.items():
-            doc = constellation_document(
-                c,
-                blue_target_preset(tid),
-                f"ucsk reproduce preset {tid} seed={REPRODUCE_DESIGN_SEED} "
-                "gamut=led-triangle",
-            )
-            write_constellation_json(out_dir / f"design-target{tid}.json", doc)
-        for name, (curve, sha) in curves.items():
-            write_curve_csv(out_dir / name, curve, sha)
-        _write_manifest(
-            out_dir / "manifest.json",
-            "reproduce",
-            params,
-            {"seawater (bundled)": _bundled_digest("seawater.csv")},
-            REPRODUCE_SIM_SEED,
+    curves = {out_dir / name: v for name, v in figure(designs, water, params).items()}
+    docs = {
+        out_dir / f"design-target{tid}.json": constellation_document(
+            c,
+            blue_target_preset(tid),
+            f"ucsk reproduce preset {tid} seed={REPRODUCE_DESIGN_SEED} "
+            "gamut=led-triangle",
         )
+        for tid, c in designs.items()
+    }
+    _check_writable([*docs, *curves, manifest])
+    with _failing(EXIT_IO, "cannot write output", OSError):
+        for path, doc in docs.items():
+            write_constellation_json(path, doc)
+    _write_outputs(curves, manifest, "reproduce", params, inputs, REPRODUCE_SIM_SEED)
     print(f"wrote bundle to {out_dir}")
 
 

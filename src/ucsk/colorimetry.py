@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .channel import lookup, read_table
+from .channel import TableError, lookup, read_table
 
 __all__ = [
     "ChromaticityPoint",
@@ -220,9 +220,13 @@ class GamutPolygon:
 
 def load_locus_csv(path) -> GamutPolygon:
     """Load a spectral-locus polygon from a CSV with columns
-    wavelength_nm, x, y (the purple line closes the polygon)."""
+    wavelength_nm, x, y (the purple line closes the polygon).  A table
+    whose points make no polygon raises TableError naming ``path``."""
     rows = read_table(path, ("wavelength_nm", "x", "y")).tolist()
-    return GamutPolygon(ChromaticityPoint(x, y) for _, x, y in rows)
+    try:
+        return GamutPolygon(ChromaticityPoint(x, y) for _, x, y in rows)
+    except ValueError as exc:
+        raise TableError(f"{path}: {exc}") from exc
 
 
 @lru_cache(maxsize=1)

@@ -169,9 +169,22 @@ def write_constellation_json(path, doc: dict) -> None:
     Path(path).write_text(text + "\n")
 
 
+def _is_number(value) -> bool:
+    """A JSON number that ``float`` can represent; a bool is not one, and
+    neither is an integer too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
 def read_constellation_json(path) -> dict:
-    """Read and schema-check a constellation document: four points and a
-    ``target`` that is null or a disk that :class:`BlueTarget` accepts."""
+    """Read and schema-check a constellation document: four points of two
+    numbers each and a ``target`` that is null or a disk of numbers that
+    :class:`BlueTarget` accepts."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -184,13 +197,16 @@ def read_constellation_json(path) -> dict:
         if (
             not isinstance(entry, list)
             or len(entry) != 2
-            or not all(isinstance(v, (int, float)) for v in entry)
+            or not all(map(_is_number, entry))
         ):
             raise ValueError(f"{path}: malformed point {label!r}")
     target = doc.get("target")
     if target is not None:
         try:
-            BlueTarget(ChromaticityPoint(*target["center"]), target["radius"])
+            center, radius = target["center"], target["radius"]
+            if not all(map(_is_number, [*center, radius])):
+                raise ValueError("center and radius must be numbers")
+            BlueTarget(ChromaticityPoint(*center), radius)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed target: {exc}") from exc
     return doc

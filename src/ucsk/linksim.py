@@ -6,8 +6,7 @@ Beer-Lambert loss, and detected as a 3-vector of photocurrent amplitudes
 under additive white Gaussian noise.  The module provides Monte Carlo
 symbol-error simulation, the pairwise union bound, and mutual-information
 rate estimates for 4-UCSK and an OOK baseline.  The engines return bare
-curves; the caller that writes one passes its provenance digest to
-``write_curve_csv``.
+curves.
 
 Reproducibility contract: all random draws come from a counter-based
 Philox stream keyed by (seed, stream index) in which symbol n consumes
@@ -20,11 +19,8 @@ curve's bytes do not depend on which other curves share its draws.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import erfc, ndtri
@@ -50,8 +46,6 @@ __all__ = [
     "mutual_information",
     "logsumexp",
     "rate_curve",
-    "write_curve_csv",
-    "config_digest",
 ]
 
 # Luminous-to-radiant conversion: 683 lm/W at the photopic peak.
@@ -526,24 +520,3 @@ class Curve:
     seed: int
     n: int
 
-
-def config_digest(payload) -> str:
-    """sha256 over the canonical JSON form of a configuration payload."""
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def write_curve_csv(path, curve: Curve, config_sha: str) -> None:
-    """Write ``snr_db,value`` rows with full round-trip float text under a
-    ``# seed``, ``# n`` and ``# config_sha`` header.  ``config_sha`` is the
-    caller's ``config_digest`` of the run that made the curve: the CLI
-    digests the subcommand, its options but the file options, and the
-    sorted SHA-256 of its inputs, so an input counts by its contents."""
-    lines = [
-        f"# seed={curve.seed}",
-        f"# n={curve.n}",
-        f"# config_sha={config_sha}",
-        "snr_db,value",
-    ]
-    lines.extend(f"{repr(s)},{repr(v)}" for s, v in zip(curve.snr_db, curve.values))
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -13,14 +13,21 @@ from pathlib import Path
 import pytest
 
 from ucsk import cli, linksim
-from ucsk.cli import EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from ucsk.cli import (
+    EXIT_INFEASIBLE,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_USAGE,
+    main,
+    write_curve_csv,
+)
 from ucsk.colorimetry import ChromaticityPoint
 from ucsk.constellation import (
     build_constellation,
     constellation_document,
     write_constellation_json,
 )
-from ucsk.linksim import InfeasibleConstellationError
+from ucsk.linksim import Curve, InfeasibleConstellationError
 from ucsk.optimizer import ConvergenceError
 from ucsk.presets import led_triangle_gamut
 
@@ -287,12 +294,33 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "target",
-        [{"center": [0.15], "radius": 0.04}, {"center": [0.15, 0.1], "radius": -1}, "x"],
-        ids=["short-center", "negative-radius", "not-a-disk"],
+        [
+            {"center": [0.15], "radius": 0.04},
+            {"center": [0.15, 0.1], "radius": -1},
+            "x",
+            {"center": [0.15, 0.1], "radius": 10**400},
+            {"center": [10**400, 0.1], "radius": 0.04},
+            {"center": [0.15, 0.1], "radius": True},
+        ],
+        ids=["short-center", "negative-radius", "not-a-disk", "huge-radius",
+             "huge-center", "bool-radius"],
     )
     def test_malformed_document_target_is_io_error(self, tmp_path, capsys, target):
         path = _renderable_design(tmp_path / "c.json")
         path.write_text(json.dumps({**json.loads(path.read_text()), "target": target}))
+        assert main(["validate", "--constellation", str(path)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert "cannot read constellation" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("point", [[10**400, 0.3], [True, 0.3]], ids=["huge", "bool"])
+    def test_malformed_document_point_is_io_error(self, tmp_path, capsys, point):
+        # An integer too large for a float is valid JSON; float() of it
+        # raises OverflowError.
+        path = _renderable_design(tmp_path / "c.json")
+        doc = json.loads(path.read_text())
+        doc["points"]["R"] = point
+        path.write_text(json.dumps(doc))
         assert main(["validate", "--constellation", str(path)]) == EXIT_IO
         captured = capsys.readouterr()
         assert "cannot read constellation" in captured.err
@@ -478,6 +506,63 @@ class TestExitCodes:
         assert err.startswith("cannot write output: ")
         assert "Is a directory" in err
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "command, blocked",
+        [("ser", "curve.ub.csv"), ("ser", "curve.csv.manifest.json"),
+         ("rate", "curve.csv.manifest.json"), ("design", "curve.csv.manifest.json")],
+        ids=["ser-ub", "ser-manifest", "rate-manifest", "design-manifest"],
+    )
+    def test_directory_at_any_output_fails_before_the_work(
+        self, tmp_path, capsys, monkeypatch, command, blocked
+    ):
+        calls = []
+
+        def fail(*args, **kwargs):
+            calls.append(args)
+            raise RuntimeError("ran before every output was checked")
+
+        for engine in ("ser_curves", "rate_curve", "design_constellation"):
+            monkeypatch.setattr(cli, engine, fail)
+        design = _renderable_design(tmp_path / "c.json")
+        out = tmp_path / "curve.csv"
+        (tmp_path / blocked).mkdir()
+        argv = {
+            "ser": _ser_args(design, out),
+            "rate": _ook_args(out),
+            "design": ["design", "--preset", "1", "--out", str(out)],
+        }[command]
+        assert main(argv) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output: ")
+        assert f"Is a directory: '{tmp_path / blocked}'" in err
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["c.json", blocked])
+
+    def test_reproduce_directory_at_a_curve_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        (out / "ser-target1.csv").mkdir(parents=True)
+        assert main(["reproduce", "--figure", "4a", "--out", str(out)]) == EXIT_IO
+        assert "Is a directory" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["ser-target1.csv"]
+        assert list((out / "ser-target1.csv").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["ser", "--symbols", "10000"], ["rate", "--scheme", "ucsk"],
+         ["rate", "--scheme", "ook", "--wavelength", "460"]],
+        ids=["ser", "rate-ucsk", "rate-ook"],
+    )
+    def test_unrenderable_link_has_one_prefix(self, tmp_path, capsys, argv):
+        out = tmp_path / "curve.csv"
+        if "ook" not in argv:
+            design = _renderable_design(tmp_path / "c.json")
+            argv = [*argv, "--constellation", str(design)]
+        argv = [*argv, "--water", "seawater", "--distance", "100000",
+                "--snr", "10:10:20", "--out", str(out)]
+        assert main(argv) == EXIT_INFEASIBLE
+        assert capsys.readouterr().err.startswith("infeasible constellation: path loss")
+        assert not out.exists()
 
     @pytest.mark.parametrize("where", ["missing-parent", "directory"])
     def test_unwritable_design_out_fails_before_optimizing(
@@ -728,3 +813,22 @@ class TestConfigSha:
             shas.add(manifest["parameters"]["config_sha"])
         assert len(digests) == 2 and "" not in digests
         assert len(shas) == 2
+
+
+class TestCurveCsv:
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        write_curve_csv(path, Curve((0.0, 3.0), (0.25, 0.125), seed=7, n=1000), "ff")
+        lines = path.read_text().splitlines()
+        assert lines[:4] == ["# seed=7", "# n=1000", "# config_sha=ff", "snr_db,value"]
+        rows = [tuple(map(float, line.split(","))) for line in lines[4:]]
+        assert rows == [(0.0, 0.25), (3.0, 0.125)]
+
+    def test_full_precision_values(self, tmp_path):
+        value = 1 / 3 + 1e-12
+        path = tmp_path / "c.csv"
+        write_curve_csv(path, Curve((0.0,), (value,), seed=0, n=10), "ff")
+        lines = path.read_text().splitlines()
+        assert len(lines) == 5
+        snr, text = lines[4].split(",")
+        assert (float(snr), float(text)) == (0.0, value)

@@ -406,6 +406,13 @@ class TestGamut:
         with pytest.raises(TableError, match=":2: expected 3 columns"):
             load_locus_csv(path)
 
+    def test_load_locus_csv_two_rows_names_the_file(self, tmp_path):
+        path = tmp_path / "locus.csv"
+        path.write_text("wavelength_nm,x,y\n500,0.1,0.2\n600,0.6,0.3\n")
+        with pytest.raises(TableError) as info:
+            load_locus_csv(path)
+        assert str(info.value) == f"{path}: a gamut polygon needs at least 3 vertices"
+
 
 class TestPhotopic:
     def test_known_samples(self):

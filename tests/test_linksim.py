@@ -32,7 +32,6 @@ from ucsk.linksim import (
     ser_curves,
     simulate_ser,
     union_bound_ser,
-    write_curve_csv,
 )
 from ucsk.linksim import (
     _CHUNK,
@@ -688,22 +687,3 @@ class TestLogsumexp:
             np.testing.assert_array_equal(
                 logsumexp(layout), scipy.special.logsumexp(layout, axis=1)
             )
-
-
-class TestCurveCsv:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "curve.csv"
-        write_curve_csv(path, Curve((0.0, 3.0), (0.25, 0.125), seed=7, n=1000), "ff")
-        lines = path.read_text().splitlines()
-        assert lines[:4] == ["# seed=7", "# n=1000", "# config_sha=ff", "snr_db,value"]
-        rows = [tuple(map(float, line.split(","))) for line in lines[4:]]
-        assert rows == [(0.0, 0.25), (3.0, 0.125)]
-
-    def test_full_precision_values(self, tmp_path):
-        value = 1 / 3 + 1e-12
-        path = tmp_path / "c.csv"
-        write_curve_csv(path, Curve((0.0,), (value,), seed=0, n=10), "ff")
-        lines = path.read_text().splitlines()
-        assert len(lines) == 5
-        snr, text = lines[4].split(",")
-        assert (float(snr), float(text)) == (0.0, value)
