@@ -43,6 +43,12 @@ its first write.
 Identical arguments and inputs reproduce outputs byte for byte.  Exit
 codes: 0 success, 1 usage error, 2 infeasible target or constellation,
 3 I/O or file-format error.
+
+Importing this module loads no scipy module.  ``design`` and
+``reproduce`` import ``optimizer`` (``scipy.optimize``), and ``ser``,
+``rate`` and ``reproduce`` import ``linksim`` (``scipy.special``), only
+when they run, and call into both through the module, so a name patched
+there is the name called.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ import tempfile
 from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .channel import TableError, WaterProperties, load_water_csv, seawater
@@ -70,28 +77,15 @@ from .constellation import (
     read_constellation_json,
     write_constellation_json,
 )
-from .linksim import (
-    Curve,
-    HypothesisSet,
-    LinkConfig,
-    NoiseLevelError,
-    build_hypotheses,
-    ook_hypotheses,
-    rate_curve,
-    ser_curves,
-)
-from .optimizer import (
-    ConvergenceError,
-    InfeasibleTargetError,
-    OptimizerConfig,
-    design_constellation,
-)
 from .presets import (
     DEFAULT_PRIMARY_WAVELENGTHS,
     TABLE1_FIXTURES,
     blue_target_preset,
     led_triangle_gamut,
 )
+
+if TYPE_CHECKING:
+    from .linksim import Curve, HypothesisSet
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -114,9 +108,6 @@ _OOK_WAVELENGTHS = dict(zip(("red", "green", "blue"), DEFAULT_PRIMARY_WAVELENGTH
 
 # Options that name files: their contents count through the input digests.
 _FILE_OPTIONS = ("constellation", "water", "out")
-
-# Failures that exit 2: a design that cannot be met.
-_DESIGN_FAILED = (InfeasibleTargetError, ConvergenceError)
 
 
 class _Failure(Exception):
@@ -151,10 +142,31 @@ def _rendering():
     return _failing(EXIT_INFEASIBLE, "infeasible constellation", ValueError)
 
 
+def _designing():
+    """The exit-2 rule of the optimizer: a design that cannot be met."""
+    from . import optimizer
+
+    return _failing(
+        EXIT_INFEASIBLE, "design failed",
+        optimizer.InfeasibleTargetError, optimizer.ConvergenceError,
+    )
+
+
 def _config(cls, **kwargs):
     """Build a validated config; a rejected value is a usage error."""
     with _failing(EXIT_USAGE, "usage error", ValueError):
         return cls(**kwargs)
+
+
+def _wavelength(text: str) -> float:
+    """A --wavelength value: a finite number of nanometres > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
 
 
 def _seed(text: str) -> int:
@@ -309,6 +321,8 @@ def _gamut_for(name: str):
 
 
 def _cmd_design(args) -> None:
+    from . import optimizer
+
     if args.preset is not None:
         if (args.target_center, args.target_radius) != (None, None):
             raise _usage("--preset sets the disk; drop --target-center/--target-radius")
@@ -318,13 +332,15 @@ def _cmd_design(args) -> None:
         target = _config(BlueTarget, center=center, radius=args.target_radius)
     else:
         raise _usage("give --preset or both --target-center and --target-radius")
-    cfg = _config(OptimizerConfig, multistart_count=args.starts, rng_seed=args.seed)
+    cfg = _config(
+        optimizer.OptimizerConfig, multistart_count=args.starts, rng_seed=args.seed
+    )
     out = Path(args.out)
     manifest = _manifest_path(out)
     _check_writable([out, manifest])
     gamut = _gamut_for(args.gamut)
-    with _failing(EXIT_INFEASIBLE, "design failed", *_DESIGN_FAILED):
-        result = design_constellation(target, cfg, gamut)
+    with _designing():
+        result = optimizer.design_constellation(target, cfg, gamut)
     provenance = (
         f"ucsk design seed={args.seed} starts={args.starts} gamut={args.gamut}"
     )
@@ -391,14 +407,16 @@ def _load_link(args) -> tuple[HypothesisSet, dict[str, str]]:
     """The hypotheses of a ``ser`` or ``rate`` run and its input digests:
     the --constellation's, or with none the OOK LED's at --wavelength,
     over --water at --distance."""
+    from . import linksim
+
     water, inputs = _load_water(args.water)
-    link = _config(LinkConfig, water=water, distance_m=args.distance)
+    link = _config(linksim.LinkConfig, water=water, distance_m=args.distance)
     if args.constellation is None:
         with _rendering():
-            return ook_hypotheses(args.wavelength, link), inputs
+            return linksim.ook_hypotheses(args.wavelength, link), inputs
     c, _, const_inputs = _load_constellation_arg(args.constellation)
     with _rendering():
-        return build_hypotheses(c, link), {**inputs, **const_inputs}
+        return linksim.build_hypotheses(c, link), {**inputs, **const_inputs}
 
 
 def _ub_path(out: Path) -> Path:
@@ -408,6 +426,8 @@ def _ub_path(out: Path) -> Path:
 
 
 def _cmd_ser(args) -> None:
+    from . import linksim
+
     grid = parse_snr_grid(args.snr)
     if args.symbols < 10_000:
         raise _usage("--symbols must be >= 10000")
@@ -415,8 +435,10 @@ def _cmd_ser(args) -> None:
     out = Path(args.out)
     ub, manifest = _ub_path(out), _manifest_path(out)
     _check_writable([out, ub, manifest])
-    with _failing(EXIT_USAGE, "usage error: --snr", NoiseLevelError):
-        ((curve, bound),) = ser_curves([hypotheses], grid, args.symbols, args.seed)
+    with _failing(EXIT_USAGE, "usage error: --snr", linksim.NoiseLevelError):
+        ((curve, bound),) = linksim.ser_curves(
+            [hypotheses], grid, args.symbols, args.seed
+        )
     sha = _config_sha(args, inputs)
     params = {**_parameters(args), "union_bound_out": ub.name, "config_sha": sha}
     _write_outputs(
@@ -427,6 +449,8 @@ def _cmd_ser(args) -> None:
 
 
 def _cmd_rate(args) -> None:
+    from . import linksim
+
     grid = parse_snr_grid(args.snr)
     if args.samples < 10_000:
         raise _usage("--samples must be >= 10000")
@@ -441,8 +465,8 @@ def _cmd_rate(args) -> None:
     out = Path(args.out)
     manifest = _manifest_path(out)
     _check_writable([out, manifest])
-    with _failing(EXIT_USAGE, "usage error: --snr", NoiseLevelError):
-        (curve,) = rate_curve([hypotheses], grid, args.samples, args.seed)
+    with _failing(EXIT_USAGE, "usage error: --snr", linksim.NoiseLevelError):
+        (curve,) = linksim.rate_curve([hypotheses], grid, args.samples, args.seed)
     sha = _config_sha(args, inputs)
     params = {**_parameters(args), "config_sha": sha}
     _write_outputs(
@@ -454,11 +478,13 @@ def _cmd_rate(args) -> None:
 def _figure_4a(designs, water, params: dict) -> dict:
     """SER and union-bound curves of the designs, as {file name: (curve,
     digest)}; each digest covers ``params`` and the design's target."""
-    link = LinkConfig(water=water, distance_m=params["distance_m"])
+    from . import linksim
+
+    link = linksim.LinkConfig(water=water, distance_m=params["distance_m"])
     with _rendering():
-        hypotheses = [build_hypotheses(c, link) for c in designs.values()]
+        hypotheses = [linksim.build_hypotheses(c, link) for c in designs.values()]
     grid = parse_snr_grid(params["snr"])
-    pairs = ser_curves(hypotheses, grid, params["symbols"], REPRODUCE_SIM_SEED)
+    pairs = linksim.ser_curves(hypotheses, grid, params["symbols"], REPRODUCE_SIM_SEED)
     curves = {}
     for tid, (curve, bound) in zip(designs, pairs):
         sha = config_digest({"figure": "4a", "target": tid, "params": params})
@@ -470,18 +496,23 @@ def _figure_4a(designs, water, params: dict) -> dict:
 def _figure_4b(designs, water, params: dict) -> dict:
     """Rate curves of the designs and of OOK per color, as {file name:
     (curve, digest)}; each digest covers ``params`` and the file name."""
-    link10 = LinkConfig(water=water, distance_m=10.0)
-    link50 = LinkConfig(water=water, distance_m=50.0)
+    from . import linksim
+
+    link10 = linksim.LinkConfig(water=water, distance_m=10.0)
+    link50 = linksim.LinkConfig(water=water, distance_m=50.0)
+    ook = linksim.ook_hypotheses
     with _rendering():
         jobs = {
-            f"rate-ucsk-target{tid}-10m.csv": build_hypotheses(c, link10)
+            f"rate-ucsk-target{tid}-10m.csv": linksim.build_hypotheses(c, link10)
             for tid, c in designs.items()
         }
         for color, wl in _OOK_WAVELENGTHS.items():
-            jobs[f"rate-ook-{color}-10m.csv"] = ook_hypotheses(wl, link10)
-        jobs["rate-ook-blue-50m.csv"] = ook_hypotheses(_OOK_WAVELENGTHS["blue"], link50)
+            jobs[f"rate-ook-{color}-10m.csv"] = ook(wl, link10)
+        jobs["rate-ook-blue-50m.csv"] = ook(_OOK_WAVELENGTHS["blue"], link50)
     grid = parse_snr_grid(params["snr"])
-    curves = rate_curve(jobs.values(), grid, params["samples"], REPRODUCE_SIM_SEED)
+    curves = linksim.rate_curve(
+        jobs.values(), grid, params["samples"], REPRODUCE_SIM_SEED
+    )
     return {
         name: (curve, config_digest({"figure": "4b", "curve": name, "params": params}))
         for name, curve in zip(jobs, curves)
@@ -489,16 +520,19 @@ def _figure_4b(designs, water, params: dict) -> dict:
 
 
 def _cmd_reproduce(args) -> None:
+    from . import optimizer
+
     out_dir = Path(args.out)
     manifest = out_dir / "manifest.json"
     with _failing(EXIT_IO, f"cannot write to {out_dir}", OSError):
         out_dir.mkdir(parents=True, exist_ok=True)
     _check_writable([manifest], f"cannot write to {out_dir}")
-    cfg = OptimizerConfig(rng_seed=REPRODUCE_DESIGN_SEED)
+    cfg = optimizer.OptimizerConfig(rng_seed=REPRODUCE_DESIGN_SEED)
     gamut = led_triangle_gamut()
-    with _failing(EXIT_INFEASIBLE, "design failed", *_DESIGN_FAILED):
+    design = optimizer.design_constellation
+    with _designing():
         designs = {
-            tid: design_constellation(blue_target_preset(tid), cfg, gamut).constellation
+            tid: design(blue_target_preset(tid), cfg, gamut).constellation
             for tid in (1, 2, 3)
         }
     params = {
@@ -573,7 +607,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("rate", help="achievable-rate curve")
     p.add_argument("--scheme", choices=("ucsk", "ook"), required=True)
-    p.add_argument("--wavelength", type=float, help="OOK wavelength in nm")
+    p.add_argument("--wavelength", type=_wavelength, help="OOK wavelength in nm")
     p.add_argument("--constellation")
     p.add_argument("--water", required=True, help="CSV path or 'seawater'")
     p.add_argument("--distance", type=float, required=True)

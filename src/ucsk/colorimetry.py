@@ -15,7 +15,6 @@ from importlib import resources
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .channel import TableError, lookup, read_table
 
@@ -43,6 +42,12 @@ MIN_CHROMATICITY_Y = 1e-6
 # count as in-gamut; absorbs the rounding of published 4-digit locus
 # tables.
 BOUNDARY_TOLERANCE = 1e-4
+
+# A hull turn whose cross product (twice the area of the triangle of
+# three successive vertices) is at most this counts as straight.  Rounding
+# leaves about 1e-16 on collinear points of the unit square, 7e-20 on the
+# bundled locus's collinear red end; its smallest true turn is 2e-8.
+_FLAT_TURN = 1e-12
 
 
 class DegenerateChromaticityError(ValueError):
@@ -143,8 +148,8 @@ def solve_fluxes(
     outside the triangle's edge lines solves to slightly negative fluxes,
     which are clipped at 0.  Collinear primaries raise
     CollinearPrimariesError, by the same rule: ``GamutPolygon`` rejects
-    primaries whose convex hull Qhull finds flat, even where rounding
-    leaves the 3x3 mixing system solvable.
+    primaries whose convex hull is flat, even where rounding leaves the
+    3x3 mixing system solvable.
     """
     if len(primaries) != 3:
         raise ValueError("expected exactly three primaries")
@@ -176,10 +181,11 @@ class GamutPolygon:
     closed by the purple line; tabulation noise leaves some of them up to
     9.5e-5 inside the hull.  Vertices are kept as given.
 
-    ``halfplanes`` is (A, b), the hull's unit outward normals and offsets
-    from Qhull, with A.p <= b inside.  It is the one gamut rule: the
-    optimizer constrains R and G by it, and ``nearest_boundary`` judges
-    membership by it.  Collinear vertices raise CollinearPrimariesError.
+    ``halfplanes`` is (A, b), the hull's unit outward normals and offsets,
+    with A.p <= b inside (see ``_hull_halfplanes``).  It is the one gamut
+    rule: the optimizer constrains R and G by it, and ``nearest_boundary``
+    judges membership by it.  Collinear vertices raise
+    CollinearPrimariesError.
     """
 
     def __init__(self, vertices: Iterable[ChromaticityPoint]):
@@ -188,13 +194,7 @@ class GamutPolygon:
             raise ValueError("a gamut polygon needs at least 3 vertices")
         self.vertices: tuple[ChromaticityPoint, ...] = tuple(pts)
         self._v = np.array([[p.x, p.y] for p in pts], dtype=float)
-        try:
-            eq = ConvexHull(self._v).equations
-        except QhullError as exc:
-            raise CollinearPrimariesError(
-                "vertices are collinear on the chromaticity plane; their hull is flat"
-            ) from exc
-        self.halfplanes: tuple[np.ndarray, np.ndarray] = (eq[:, :2], -eq[:, 2])
+        self.halfplanes: tuple[np.ndarray, np.ndarray] = _hull_halfplanes(self._v)
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         """(xmin, xmax, ymin, ymax) of the vertex set."""
@@ -216,6 +216,48 @@ class GamutPolygon:
         ``BOUNDARY_TOLERANCE`` outside: the one rule for gamut membership
         and renderability."""
         return self.nearest_boundary(p) <= BOUNDARY_TOLERANCE
+
+
+def _turn(a, b, c) -> float:
+    """Cross product of b - a and c - a: > 0 where a, b, c turn left."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _hull_halfplanes(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A, b) of the convex hull of the (n, 2) points ``v``: one unit
+    outward normal and offset per edge, A.p <= b inside.
+
+    Andrew's monotone chain gives the hull counter-clockwise from its
+    lowest (x, y) vertex and drops every vertex whose turn is within
+    ``_FLAT_TURN`` of straight.  Edge k runs from hull vertex k to k + 1
+    with normal (dy, -dx) / sqrt(dx*dx + dy*dy), and b is the largest
+    projection of a point of ``v`` on it.  The rows come in the order
+    0, m - 1, ..., 1: on the LED triangle this reproduces Qhull's rows bit
+    for bit and in its order, and so the optimizer's designs.  A hull with
+    fewer than three vertices raises CollinearPrimariesError.
+    """
+    points = sorted(set(map(tuple, v.tolist())))
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and _turn(out[-2], out[-1], p) <= _FLAT_TURN:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    hull = np.array(chain(points) + chain(points[::-1]))
+    if len(hull) < 3:
+        raise CollinearPrimariesError(
+            "vertices are collinear on the chromaticity plane; their hull is flat"
+        )
+    order = np.r_[0, len(hull) - 1 : 0 : -1]
+    dx, dy = (np.roll(hull, -1, axis=0) - hull)[order].T
+    norm = np.sqrt(dx * dx + dy * dy)
+    a = np.column_stack([dy / norm, -dx / norm])
+    # Elementwise, not a matrix product, so no fused multiply-add moves b.
+    b = np.max(a[:, :1] * v[:, 0] + a[:, 1:] * v[:, 1], axis=1)
+    return a, b
 
 
 def load_locus_csv(path) -> GamutPolygon:

@@ -15,12 +15,19 @@ fixed seed regardless of chunking.  The Monte Carlo entry points take a
 batch of hypothesis sets and draw each chunk once for the whole batch; a
 set reads only the uniforms and noise columns it would draw alone, so a
 curve's bytes do not depend on which other curves share its draws.
+
+Every chunk-sized intermediate of the Monte Carlo (uniforms, noise,
+symbols, received batch, scores, detector state and mutual-information
+gaps) is written into a ``_Buffers`` that one engine call allocates and
+reuses across its chunks and SNR points.  The arithmetic is the one a
+fresh array would get, so the bytes do not depend on the buffers either.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import erfc, ndtri
@@ -60,6 +67,13 @@ ELECTRO_OPTIC_FACTOR = 0.55
 BANDWIDTH_HZ = 1e8
 
 _CHUNK = 1 << 16
+# Row numbers of a chunk, for the flat index of each draw's own column.
+_ROWS = np.arange(_CHUNK)
+_ROWS.setflags(write=False)
+# Doubles per chunk row that a ``_Buffers`` arena holds.  The SER roles on
+# three bands and four symbols take 22.25 of them, and the rate roles of a
+# batch with four- and two-symbol sets 21.
+_ARENA_COLUMNS = 23
 
 
 class InfeasibleConstellationError(ValueError):
@@ -201,7 +215,44 @@ def noise_sigma(vectors: np.ndarray, snr_db: float) -> float:
     return _checked_sigma(sigma, f"at {snr_db} dB")
 
 
-def _scores(received: np.ndarray, h: HypothesisSet) -> np.ndarray:
+class _Buffers:
+    """Scratch arrays of one engine call, one per role, carved from one
+    allocation of ``_ARENA_COLUMNS`` doubles per row of a ``rows``-row
+    chunk.
+
+    ``get(role, shape)`` returns a view of the role's memory with that
+    shape, contiguous in ``order`` as a fresh array would be, so the
+    arithmetic on it is the same.  A role is carved at its first use, and
+    again when a larger shape is asked for; once the arena is full, a role
+    gets an array of its own.  A caller is done with a view before its
+    role is asked for again; no public function returns one.
+
+    One allocation per engine call, not one per role or per chunk: once
+    glibc has freed one arena, it serves the next one from its heap and
+    keeps that memory mapped, so later engine calls in the same process
+    fault in no new pages.
+    """
+
+    def __init__(self, rows: int):
+        self._arena = np.empty(_ARENA_COLUMNS * max(rows, 1) * 8, np.uint8)
+        self._top = 0
+        self._flat: dict[str, np.ndarray] = {}
+
+    def get(self, role: str, shape, dtype=float, order: str = "C") -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(role)
+        if flat is None or flat.size < size:
+            nbytes = size * np.dtype(dtype).itemsize
+            if self._top + nbytes <= self._arena.size:
+                flat = self._arena[self._top : self._top + nbytes].view(dtype)
+                self._top += -(-nbytes // 64) * 64
+            else:
+                flat = np.empty(size, dtype)
+            self._flat[role] = flat
+        return flat[:size].reshape(shape, order=order)
+
+
+def _scores(received: np.ndarray, h: HypothesisSet, work=None) -> np.ndarray:
     """The (N, M) linear discriminants r . v_m - |v_m|**2 / 2 of an (N, K)
     batch of received vectors r against the hypotheses v_m, in Fortran
     (column-major) order.  ``detect_ml`` is their one caller: the mutual
@@ -211,15 +262,16 @@ def _scores(received: np.ndarray, h: HypothesisSet) -> np.ndarray:
     by |r|**2 / 2, which every column of the row shares.  In Fortran
     order each column is contiguous, so a reduction along a row runs as
     M passes over whole columns.  The product is numpy's own einsum loop,
-    which starts no BLAS threads.
+    which starts no BLAS threads.  ``work`` holds the scores when given.
     """
-    scores = np.empty((len(received), h.m), order="F")
+    work = _Buffers(len(received)) if work is None else work
+    scores = work.get("scores", (len(received), h.m), order="F")
     np.einsum("nk,mk->nm", received, h.vectors, out=scores)
     scores -= 0.5 * np.einsum("mk,mk->m", h.vectors, h.vectors)
     return scores
 
 
-def detect_ml(received: np.ndarray, h: HypothesisSet) -> np.ndarray:
+def detect_ml(received: np.ndarray, h: HypothesisSet, work=None) -> np.ndarray:
     """Minimum-distance detection of an (N, K) batch of finite received
     vectors, one symbol index per row; ties break to the lowest symbol
     index.
@@ -236,22 +288,36 @@ def detect_ml(received: np.ndarray, h: HypothesisSet) -> np.ndarray:
     A received vector nearer to hypothesis i than half the distance from i
     to its nearest other hypothesis always decodes to i.  Half the distance
     to some other neighbour is not enough when a nearer one exists.
+
+    Without ``work`` the result is a new array.  The Monte Carlo passes its
+    ``_Buffers``, and then the result is a view that the next call
+    overwrites.
     """
-    scores = _scores(np.asarray(received, dtype=float), h)
-    best = scores[:, 0].copy()
-    index = np.zeros(len(scores), dtype=np.intp)
+    work = _Buffers(len(received)) if work is None else work
+    scores = _scores(np.asarray(received, dtype=float), h, work)
+    n = len(scores)
+    best = work.get("best", (n,))
+    np.copyto(best, scores[:, 0])
+    index = work.get("index", (n,), np.intp)
+    index.fill(0)
+    better = work.get("better", (n,), bool)
+    step = work.get("step", (n,), np.intp)
     for m in range(1, h.m):
         column = scores[:, m]
         # index < m on every row, so the maximum takes m exactly where
         # the column is strictly better: a masked store costs far more.
-        np.maximum(index, (column > best) * m, out=index)
+        np.multiply(np.greater(column, best, out=better), m, out=step)
+        np.maximum(index, step, out=index)
         np.maximum(best, column, out=best)
     return index
 
 
-def _uniform_blocks(seed: int, stream: int, start: int, count: int) -> np.ndarray:
+def _uniform_blocks(
+    seed: int, stream: int, start: int, count: int, out=None
+) -> np.ndarray:
     """(count, 4) doubles in [2**-54, 1 - 2**-53]; symbol n maps to
-    counter block n.
+    counter block n.  They are written into ``out`` when it is given, and
+    into a new array otherwise.
 
     Each double is (53 high bits of one raw Philox word) * 2**-53 + 2**-54.
     For the top word that sum is a tie that rounds to 1.0, where ``ndtri``
@@ -259,32 +325,37 @@ def _uniform_blocks(seed: int, stream: int, start: int, count: int) -> np.ndarra
     """
     key = np.array([seed, stream], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key, counter=start))
-    u = gen.random((count, 4))
+    u = gen.random((count, 4)) if out is None else gen.random(out=out)
     u += 2.0**-54
     np.minimum(u, 1.0 - 2.0**-53, out=u)
     return u
 
 
-def _map_shared_draws(hs, sigmas, seed: int, stream: int, n: int, score):
+def _map_shared_draws(hs, sigmas, seed: int, stream: int, n: int, score, work=None):
     """Per hypothesis set, the list of ``score(h, sigma, symbols, z)`` over
     the fixed ``_CHUNK``-symbol chunks of the (seed, stream) draws, with z
     the (N, h.bands) standard Gaussian noise.
 
     A chunk's uniforms and Gaussian noise are drawn once for the whole
-    batch.  Set h takes its symbols from the first uniform and its noise
-    from the next ``h.bands`` ones, exactly as if it were drawn alone.
-    The noise is Fortran-ordered, and so are the received batch and the
-    gaps built from it: the fast layout of ``_scores``.
+    batch, into ``work``.  Set h takes its symbols from the first uniform
+    and its noise from the next ``h.bands`` ones, exactly as if it were
+    drawn alone.  The noise is Fortran-ordered, and so are the received
+    batch and the gaps built from it: the fast layout of ``_scores``.
     """
+    work = _Buffers(min(_CHUNK, n)) if work is None else work
     bands = max(h.bands for h in hs)
     scores = [[] for _ in hs]
     for a in range(0, n, _CHUNK):
-        u = _uniform_blocks(seed, stream, a, min(_CHUNK, n - a))
-        z = ndtri(u[:, 1 : 1 + bands], order="F")
-        symbols_of = {
-            m: np.minimum((u[:, 0] * m).astype(np.int64), m - 1)
-            for m in {h.m for h in hs}
-        }
+        count = min(_CHUNK, n - a)
+        u = _uniform_blocks(seed, stream, a, count, work.get("uniforms", (count, 4)))
+        z = ndtri(u[:, 1 : 1 + bands], out=work.get("noise", (count, bands), order="F"))
+        symbols_of = {}
+        for m in {h.m for h in hs}:
+            # min(floor(u * m), m - 1), as ``astype`` would truncate it.
+            scaled = np.multiply(u[:, 0], m, out=work.get("scaled", (count,)))
+            symbols = symbols_of[m] = work.get(f"symbols{m}", (count,), np.int64)
+            np.copyto(symbols, scaled, casting="unsafe")
+            np.minimum(symbols, m - 1, out=symbols)
         for h, sigma, out in zip(hs, sigmas, scores):
             out.append(score(h, sigma, symbols_of[h.m], z[:, : h.bands]))
     return scores
@@ -309,13 +380,18 @@ def _grid(snr_db_grid) -> tuple[float, ...]:
     return grid
 
 
-def _symbol_errors(h, sigma, symbols, z) -> int:
+def _symbol_errors(h, sigma, symbols, z, work: _Buffers) -> int:
     # The scaled noise fixes the Fortran order of the received batch, and
     # the hypotheses are gathered onto it band by band; sigma z + v rounds
-    # as v + sigma z does.
-    received = z * sigma
-    received += np.take(h.vectors.T, symbols, axis=1).T
-    return int(np.count_nonzero(detect_ml(received, h) != symbols))
+    # as v + sigma z does.  Every index is in range, and mode "clip" keeps
+    # ``take`` from buffering its output.
+    n = len(z)
+    received = np.multiply(z, sigma, out=work.get("received", z.shape, order="F"))
+    gathered = work.get("gathered", (h.bands, n))
+    received += np.take(h.vectors.T, symbols, axis=1, out=gathered, mode="clip").T
+    detected = detect_ml(received, h, work)
+    wrong = np.not_equal(detected, symbols, out=work.get("wrong", (n,), bool))
+    return int(np.count_nonzero(wrong))
 
 
 def simulate_ser(
@@ -335,10 +411,14 @@ def simulate_ser(
     grid = _grid(snr_db_grid)
     if n_symbols < 1:
         raise ValueError("n_symbols must be >= 1")
+    work = _Buffers(min(_CHUNK, n_symbols))
+    count_errors = partial(_symbol_errors, work=work)
     values = [[] for _ in hs]
     for stream, snr_db in enumerate(grid):
         sigmas = [noise_sigma(h.vectors, snr_db) for h in hs]
-        errors = _map_shared_draws(hs, sigmas, seed, stream, n_symbols, _symbol_errors)
+        errors = _map_shared_draws(
+            hs, sigmas, seed, stream, n_symbols, count_errors, work
+        )
         for curve, counts in zip(values, errors):
             curve.append(sum(counts) / n_symbols)
     return tuple(Curve(grid, tuple(v), seed=seed, n=n_symbols) for v in values)
@@ -411,7 +491,7 @@ def logsumexp(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _information(h, sigma, symbols, z) -> float:
+def _information(h, sigma, symbols, z, work=None) -> float:
     """Sum over the draws of log2(M p(y|s) / sum_j p(y|s_j)), referenced
     to each draw's own symbol s, from the draws' noise z.
 
@@ -429,26 +509,36 @@ def _information(h, sigma, symbols, z) -> float:
     no row maximum needs to come out before the exp.  d is floored at
     -700, which keeps exp off its subnormal slow path; a term below
     exp(-700) cannot change the rounded log2 M - log1p(...) / ln 2.
+
+    z holds at most ``_CHUNK`` draws.  As in ``_symbol_errors``, mode
+    "clip" keeps ``take`` from buffering; every index is in range.
     """
+    work = _Buffers(len(z)) if work is None else work
+    n = len(z)
     scaled = h.vectors / sigma
-    d = np.empty((len(z), h.m), order="F")
+    d = work.get("gaps", (n, h.m), order="F")
     np.einsum("nk,mk->nm", z, scaled, out=d)
     # The own column, by its index in the column-major buffer of d;
     # ``flat`` is a view of d.
     flat = d.ravel(order="F")
-    own = symbols * len(d) + np.arange(len(d))
-    d -= np.take(flat, own)[:, None]
+    own = np.multiply(symbols, n, out=work.get("own", (n,), np.int64))
+    own += _ROWS[:n]
+    d -= np.take(flat, own, out=work.get("own_gap", (n,)), mode="clip")[:, None]
     # table[j, s] = |v_j - v_s|**2 / (2 sigma**2); gathering column s per
     # draw and transposing gives the Fortran order of d.
     delta = scaled[None, :, :] - scaled[:, None, :]
     table = 0.5 * np.einsum("sjk,sjk->js", delta, delta)
-    d -= np.take(table, symbols, axis=1).T
+    gathered = work.get("gathered", (h.m, n))
+    d -= np.take(table, symbols, axis=1, out=gathered, mode="clip").T
     np.maximum(d, -700.0, out=d)
     np.exp(d, out=d)
     # The own term is exp(0) = 1; leave it out of the sum.
     flat[own] = 0.0
-    others = np.sum(d, axis=1)
-    terms = math.log2(h.m) - np.log1p(others) / math.log(2.0)
+    terms = np.sum(d, axis=1, out=work.get("terms", (n,)))
+    # log2 M - log1p(others) / ln 2, in place.
+    np.log1p(terms, out=terms)
+    terms /= math.log(2.0)
+    np.subtract(math.log2(h.m), terms, out=terms)
     return float(terms.sum())
 
 
@@ -459,13 +549,15 @@ def mutual_information(
     seed: int,
     *,
     stream: int = 0,
+    work=None,
 ) -> tuple[float, ...]:
     """Monte Carlo mutual information (bits/symbol) of the equiprobable
     discrete input over the AWGN vector channel, one estimate per
     hypothesis set at its noise level ``sigmas[k]``.
 
     Averages log2(M p(y|s) / sum_j p(y|s_j)) over draws; the estimate is
-    clamped to [0, log2 M].
+    clamped to [0, log2 M].  ``rate_curve`` passes one ``_Buffers`` as
+    ``work`` to all of its SNR points.
 
     ``bench/spans.py`` binds ``n_samples`` by name to count the draws;
     keep that parameter name.
@@ -478,7 +570,9 @@ def mutual_information(
         _checked_sigma(s, "for mutual information")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    sums = _map_shared_draws(hs, sigmas, seed, stream, n_samples, _information)
+    work = _Buffers(min(_CHUNK, n_samples)) if work is None else work
+    information = partial(_information, work=work)
+    sums = _map_shared_draws(hs, sigmas, seed, stream, n_samples, information, work)
     return tuple(
         min(max(math.fsum(chunks) / n_samples, 0.0), math.log2(h.m))
         for h, chunks in zip(hs, sums)
@@ -499,9 +593,11 @@ def rate_curve(
     hs = _batch(hypothesis_sets)
     snr_db = _grid(grid)
     transmit = [h.transmit_vectors() for h in hs]
+    work = _Buffers(min(_CHUNK, n_samples))
     per_point = [
         mutual_information(
-            hs, [noise_sigma(v, snr) for v in transmit], n_samples, seed, stream=i
+            hs, [noise_sigma(v, snr) for v in transmit], n_samples, seed,
+            stream=i, work=work,
         )
         for i, snr in enumerate(snr_db)
     ]

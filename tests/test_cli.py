@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from ucsk import cli, linksim
+from ucsk import cli, linksim, optimizer
 from ucsk.cli import (
     EXIT_INFEASIBLE,
     EXIT_IO,
@@ -191,6 +191,16 @@ class TestExitCodes:
                     "--snr", "10:10:20", "--out", str(out)]
         assert main(argv) == EXIT_USAGE
         assert "usage error: distance" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("wavelength", ["nan", "inf", "-5", "1e400"])
+    def test_unusable_ook_wavelength_is_usage_error(self, tmp_path, capsys, wavelength):
+        # Not a wavelength at all, unlike one outside the tables (exit 2).
+        out = tmp_path / "rate.csv"
+        argv = ["rate", "--scheme", "ook", f"--wavelength={wavelength}", *_LINK,
+                "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert "usage error: argument --wavelength" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -428,7 +438,7 @@ class TestExitCodes:
         def fail(*args, **kwargs):
             raise ConvergenceError("no start converged", [])
 
-        monkeypatch.setattr(cli, "design_constellation", fail)
+        monkeypatch.setattr(optimizer, "design_constellation", fail)
         argv = ["reproduce", "--figure", "4b", "--out", str(tmp_path / "b")]
         assert main(argv) == EXIT_INFEASIBLE
         assert "design failed: no start converged" in capsys.readouterr().err
@@ -442,7 +452,6 @@ class TestExitCodes:
             raise InfeasibleConstellationError("symbol G is outside")
 
         monkeypatch.setattr(linksim, "build_hypotheses", fail)
-        monkeypatch.setattr(cli, "build_hypotheses", fail)
         out = tmp_path / figure
         code = main(["reproduce", "--figure", figure, "--out", str(out)])
         assert code == EXIT_INFEASIBLE
@@ -470,8 +479,8 @@ class TestExitCodes:
             calls.append(args)
             raise RuntimeError("simulated before --out was checked")
 
-        monkeypatch.setattr(cli, "ser_curves", fail)
-        monkeypatch.setattr(cli, "rate_curve", fail)
+        monkeypatch.setattr(linksim, "ser_curves", fail)
+        monkeypatch.setattr(linksim, "rate_curve", fail)
         out = tmp_path / "missing" / "curve.csv"
         if command == "ser":
             argv = _ser_args(_renderable_design(tmp_path / "c.json"), out)
@@ -493,8 +502,8 @@ class TestExitCodes:
             calls.append(args)
             raise RuntimeError("simulated before --out was checked")
 
-        monkeypatch.setattr(cli, "ser_curves", fail)
-        monkeypatch.setattr(cli, "rate_curve", fail)
+        monkeypatch.setattr(linksim, "ser_curves", fail)
+        monkeypatch.setattr(linksim, "rate_curve", fail)
         out = tmp_path / "curve.csv"
         out.mkdir()
         if command == "ser":
@@ -522,8 +531,9 @@ class TestExitCodes:
             calls.append(args)
             raise RuntimeError("ran before every output was checked")
 
-        for engine in ("ser_curves", "rate_curve", "design_constellation"):
-            monkeypatch.setattr(cli, engine, fail)
+        monkeypatch.setattr(linksim, "ser_curves", fail)
+        monkeypatch.setattr(linksim, "rate_curve", fail)
+        monkeypatch.setattr(optimizer, "design_constellation", fail)
         design = _renderable_design(tmp_path / "c.json")
         out = tmp_path / "curve.csv"
         (tmp_path / blocked).mkdir()
@@ -574,7 +584,7 @@ class TestExitCodes:
             calls.append(args)
             raise RuntimeError("optimized before --out was checked")
 
-        monkeypatch.setattr(cli, "design_constellation", fail)
+        monkeypatch.setattr(optimizer, "design_constellation", fail)
         if where == "directory":
             out = tmp_path / "d.json"
             out.mkdir()
@@ -602,7 +612,7 @@ class TestExitCodes:
             calls.append(args)
             raise RuntimeError("designed before --out was checked")
 
-        monkeypatch.setattr(cli, "design_constellation", fail)
+        monkeypatch.setattr(optimizer, "design_constellation", fail)
         out = tmp_path / "bundle"
         (out / "manifest.json").mkdir(parents=True)
         assert main(["reproduce", "--figure", "4a", "--out", str(out)]) == EXIT_IO
@@ -641,7 +651,7 @@ class TestExitCodes:
             calls.append(args)
             raise RuntimeError("designed before --out was checked")
 
-        monkeypatch.setattr(cli, "design_constellation", fail)
+        monkeypatch.setattr(optimizer, "design_constellation", fail)
         blocker = tmp_path / "file"
         blocker.write_text("")
         out = blocker / "bundle"
@@ -802,8 +812,8 @@ class TestConfigSha:
         # simulate one renderable design; only the fixture name differs.
         c = build_constellation(ChromaticityPoint(0.45, 0.30),
                                 ChromaticityPoint(0.30, 0.55))
-        build = cli.build_hypotheses
-        monkeypatch.setattr(cli, "build_hypotheses", lambda _, link: build(c, link))
+        build = linksim.build_hypotheses
+        monkeypatch.setattr(linksim, "build_hypotheses", lambda _, link: build(c, link))
         digests, shas = set(), set()
         for fixture in ("table1-t1o1", "table1-t3o1"):
             out = tmp_path / f"{fixture}.csv"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull, QhullError
 
 from ucsk.channel import TableError, WavelengthRangeError
 from ucsk.colorimetry import (
@@ -412,6 +413,87 @@ class TestGamut:
         with pytest.raises(TableError) as info:
             load_locus_csv(path)
         assert str(info.value) == f"{path}: a gamut polygon needs at least 3 vertices"
+
+
+def qhull_halfplanes(vertices):
+    """Qhull's unit outward normals and offsets, A.p <= b inside."""
+    eq = ConvexHull(np.array([[v.x, v.y] for v in vertices])).equations
+    return eq[:, :2], -eq[:, 2]
+
+
+def assert_same_rows(ours, theirs, tol=1e-12):
+    """Each row of one (A, b) is within ``tol`` of some row of the other,
+    and both have as many rows."""
+    x, y = (np.column_stack(h) for h in (ours, theirs))
+    assert x.shape == y.shape
+    gap = np.abs(x[:, None, :] - y[None, :, :]).max(axis=2)
+    assert gap.min(axis=1).max() <= tol
+    assert gap.min(axis=0).max() <= tol
+
+
+# Points on a 1/16 grid of the unit square: collinear triples are exactly
+# collinear, and any other turn is at least 1/256, far from both hulls'
+# tolerances, so Qhull and the chain agree on every vertex.
+grid_points = st.lists(
+    st.builds(
+        lambda i, j: ChromaticityPoint(i / 16, j / 16),
+        st.integers(0, 16), st.integers(0, 16),
+    ),
+    min_size=3, max_size=16,
+)
+
+
+class TestHull:
+    """The monotone-chain hull against Qhull, which built the half-planes
+    when the digests were recorded."""
+
+    def test_led_rows_equal_qhull_bitwise_in_order(self):
+        tri = led_triangle_gamut()
+        a, b = tri.halfplanes
+        qa, qb = qhull_halfplanes(tri.vertices)
+        assert a.tobytes() == qa.tobytes()
+        assert b.tobytes() == qb.tobytes()
+
+    def test_locus_matches_qhull(self, locus):
+        assert_same_rows(locus.halfplanes, qhull_halfplanes(locus.vertices))
+
+    def test_locus_facet_count(self, locus):
+        # 39 edges in exact arithmetic; the red end's vertices (0.7347,
+        # 0.2653), (0.7346, 0.2654) and (0.7334, 0.2666) lie on x + y = 1,
+        # and both hulls merge their edges.
+        assert len(locus.halfplanes[0]) == len(qhull_halfplanes(locus.vertices)[0])
+        assert len(locus.halfplanes[0]) == 37
+
+    @pytest.mark.parametrize("gamut_name", ["locus", "led-triangle"])
+    def test_every_vertex_inside(self, locus, gamut_name):
+        gamut = locus if gamut_name == "locus" else led_triangle_gamut()
+        assert max(gamut.nearest_boundary(v) for v in gamut.vertices) <= 1e-15
+
+    @given(grid_points)
+    @settings(deadline=None)
+    def test_point_sets_match_qhull(self, points):
+        try:
+            expected = qhull_halfplanes(points)
+        except QhullError:
+            with pytest.raises(CollinearPrimariesError):
+                GamutPolygon(points)
+            return
+        gamut = GamutPolygon(points)
+        assert_same_rows(gamut.halfplanes, expected)
+        assert max(gamut.nearest_boundary(v) for v in points) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(0.1, 0.1), (0.2, 0.2), (0.3, 0.3), (0.2, 0.2)],
+            [(0.7347, 0.2653), (0.7346, 0.2654), (0.7334, 0.2666)],
+            [(0.3, 0.3)] * 3,
+        ],
+        ids=["diagonal", "locus-red-end", "one-point"],
+    )
+    def test_collinear_raises(self, points):
+        with pytest.raises(CollinearPrimariesError):
+            GamutPolygon(ChromaticityPoint(x, y) for x, y in points)
 
 
 class TestPhotopic:

@@ -203,6 +203,13 @@ class TestDetect:
         out = detect_ml(h.vectors, h)
         np.testing.assert_array_equal(out, [0, 1, 2, 3])
 
+    def test_result_outlives_the_next_call(self, renderable, link10):
+        # The Monte Carlo reuses its buffers; a caller's result must not.
+        h = build_hypotheses(renderable, link10)
+        first = detect_ml(h.vectors, h)
+        detect_ml(h.vectors[::-1].copy(), h)
+        np.testing.assert_array_equal(first, [0, 1, 2, 3])
+
 
 class TestSimulateSer:
     def test_noiseless_limit(self, renderable, link10):
@@ -621,6 +628,13 @@ class TestUniformBlocks:
         raw = np.random.Philox(key=key, counter=start).random_raw(4 * count)
         expected = (raw.reshape(count, 4) >> np.uint64(11)) * 2.0**-53 + 2.0**-54
         assert _uniform_blocks(4242, 3, start, count).tobytes() == expected.tobytes()
+
+    def test_result_outlives_the_next_call(self):
+        first = _uniform_blocks(4242, 3, 0, 1000)
+        kept = first.copy()
+        second = _uniform_blocks(4242, 4, 0, 1000)
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == kept.tobytes()
 
     def test_top_word_stays_below_one(self, monkeypatch):
         """The top 53-bit word plus 2**-54 rounds to 1.0, whose ndtri is
