@@ -11,4 +11,4 @@ Import the submodules directly: ``ucsk.colorimetry``, ``ucsk.channel``,
 ``ucsk.linksim`` and ``ucsk.cli``.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -164,12 +164,19 @@ def solve_fluxes(
         raise CollinearPrimariesError(
             "primaries are collinear on the chromaticity plane"
         ) from exc
-    if not GamutPolygon(primaries).contains(target):
+    if not _primaries_gamut(tuple(primaries)).contains(target):
         raise OutOfGamutError(
             f"target ({target.x}, {target.y}) is outside the source triangle; "
             f"required fluxes {fluxes.tolist()}"
         )
     return np.clip(fluxes, 0.0, None)
+
+
+@lru_cache(maxsize=16)
+def _primaries_gamut(primaries: tuple[ChromaticityPoint, ...]) -> GamutPolygon:
+    """``GamutPolygon(primaries)``, built once per distinct set of
+    primaries: ``build_hypotheses`` solves every symbol at the same three."""
+    return GamutPolygon(primaries)
 
 
 class GamutPolygon:

@@ -8,19 +8,30 @@ symbol-error simulation, the pairwise union bound, and mutual-information
 rate estimates for 4-UCSK and an OOK baseline.  The engines return bare
 curves.
 
-Reproducibility contract: all random draws come from a counter-based
-Philox stream keyed by (seed, stream index) in which symbol n consumes
-exactly one counter block.  Results are therefore bit-identical for a
-fixed seed regardless of chunking.  The Monte Carlo entry points take a
-batch of hypothesis sets and draw each chunk once for the whole batch; a
-set reads only the uniforms and noise columns it would draw alone, so a
-curve's bytes do not depend on which other curves share its draws.
+Reproducibility contract: all random draws come from one counter-based
+Philox stream, keyed by (seed, 0), in which symbol n consumes exactly one
+counter block.  Every point of an SNR grid and every curve of a batch
+reads the same draws (common random numbers): symbol n has the same
+uniforms and the same standard noise everywhere, scaled by each point's
+sigma.  So a point's value depends on the seed, its SNR, the sample
+count and the hypotheses only, not on its index in the grid or on the
+other points and curves, and it is bit-identical for any chunking.  A
+set reads only the uniform and noise columns it would draw alone.  The
+Monte Carlo draws each chunk once, with one ``ndtri`` pass, and scores
+every (grid point, set) pair on it.
+
+Along a grid a draw's received vector moves toward its own hypothesis as
+sigma falls, and every minimum-distance decision cell is convex and holds
+its own hypothesis.  So a decision that is right at one SNR stays right at
+every higher one, and a simulated SER curve is non-increasing, up to
+rounding at a cell boundary.
 
 Every chunk-sized intermediate of the Monte Carlo (uniforms, noise,
 symbols, received batch, scores, detector state and mutual-information
 gaps) is written into a ``_Buffers`` that one engine call allocates and
-reuses across its chunks and SNR points.  The arithmetic is the one a
-fresh array would get, so the bytes do not depend on the buffers either.
+reuses across its chunks, SNR points and sets.  The arithmetic is the one
+a fresh array would get, so the bytes do not depend on the buffers
+either.
 """
 
 from __future__ import annotations
@@ -331,23 +342,27 @@ def _uniform_blocks(
     return u
 
 
-def _map_shared_draws(hs, sigmas, seed: int, stream: int, n: int, score, work=None):
-    """Per hypothesis set, the list of ``score(h, sigma, symbols, z)`` over
-    the fixed ``_CHUNK``-symbol chunks of the (seed, stream) draws, with z
-    the (N, h.bands) standard Gaussian noise.
+def _map_shared_draws(hs, sigma_grid, seed: int, n: int, score, work=None):
+    """Per grid point and hypothesis set, the list of
+    ``score(h, sigma, symbols, z)`` over the fixed ``_CHUNK``-symbol chunks
+    of the (seed, 0) draws.  ``sigma_grid`` has one row per grid point and
+    one sigma per set in each row; z is the (N, h.bands) standard Gaussian
+    noise.
 
-    A chunk's uniforms and Gaussian noise are drawn once for the whole
-    batch, into ``work``.  Set h takes its symbols from the first uniform
-    and its noise from the next ``h.bands`` ones, exactly as if it were
-    drawn alone.  The noise is Fortran-ordered, and so are the received
-    batch and the gaps built from it: the fast layout of ``_scores``.
+    The chunk grid is the outer loop: a chunk's uniforms, Gaussian noise
+    and symbols are drawn once, into ``work``, and every (grid point, set)
+    pair is scored on them.  Set h takes its symbols from the first
+    uniform and its noise from the next ``h.bands`` ones, exactly as if it
+    were drawn alone.  The noise is Fortran-ordered, and so are the
+    received batch and the gaps built from it: the fast layout of
+    ``_scores``.
     """
     work = _Buffers(min(_CHUNK, n)) if work is None else work
     bands = max(h.bands for h in hs)
-    scores = [[] for _ in hs]
+    scores = [[[] for _ in hs] for _ in sigma_grid]
     for a in range(0, n, _CHUNK):
         count = min(_CHUNK, n - a)
-        u = _uniform_blocks(seed, stream, a, count, work.get("uniforms", (count, 4)))
+        u = _uniform_blocks(seed, 0, a, count, work.get("uniforms", (count, 4)))
         z = ndtri(u[:, 1 : 1 + bands], out=work.get("noise", (count, bands), order="F"))
         symbols_of = {}
         for m in {h.m for h in hs}:
@@ -356,8 +371,9 @@ def _map_shared_draws(hs, sigmas, seed: int, stream: int, n: int, score, work=No
             symbols = symbols_of[m] = work.get(f"symbols{m}", (count,), np.int64)
             np.copyto(symbols, scaled, casting="unsafe")
             np.minimum(symbols, m - 1, out=symbols)
-        for h, sigma, out in zip(hs, sigmas, scores):
-            out.append(score(h, sigma, symbols_of[h.m], z[:, : h.bands]))
+        for sigmas, point in zip(sigma_grid, scores):
+            for h, sigma, out in zip(hs, sigmas, point):
+                out.append(score(h, sigma, symbols_of[h.m], z[:, : h.bands]))
     return scores
 
 
@@ -400,9 +416,10 @@ def simulate_ser(
     """Monte Carlo symbol error rate over an SNR grid, one curve per
     hypothesis set.
 
-    Noise for symbol n of grid point i comes from the (seed, i) Philox
-    stream at counter n, so each curve is reproducible bit-for-bit for any
-    chunking or batch it is simulated in.
+    Symbol n at every grid point carries the draws of counter n of the
+    (seed, 0) Philox stream, scaled by that point's sigma, so each point is
+    reproducible bit-for-bit for any grid, chunking or batch it is
+    simulated in, and each curve is non-increasing up to rounding.
 
     ``bench/spans.py`` binds ``snr_db_grid`` and ``n_symbols`` by name to
     count the simulated symbols; keep those parameter names.
@@ -411,17 +428,14 @@ def simulate_ser(
     grid = _grid(snr_db_grid)
     if n_symbols < 1:
         raise ValueError("n_symbols must be >= 1")
+    sigma_grid = [[noise_sigma(h.vectors, snr_db) for h in hs] for snr_db in grid]
     work = _Buffers(min(_CHUNK, n_symbols))
     count_errors = partial(_symbol_errors, work=work)
-    values = [[] for _ in hs]
-    for stream, snr_db in enumerate(grid):
-        sigmas = [noise_sigma(h.vectors, snr_db) for h in hs]
-        errors = _map_shared_draws(
-            hs, sigmas, seed, stream, n_symbols, count_errors, work
-        )
-        for curve, counts in zip(values, errors):
-            curve.append(sum(counts) / n_symbols)
-    return tuple(Curve(grid, tuple(v), seed=seed, n=n_symbols) for v in values)
+    errors = _map_shared_draws(hs, sigma_grid, seed, n_symbols, count_errors, work)
+    return tuple(
+        Curve(grid, tuple(sum(c) / n_symbols for c in per_point), seed, n_symbols)
+        for per_point in zip(*errors)
+    )
 
 
 def union_bound_ser(h: HypothesisSet, snr_db_grid) -> tuple[float, ...]:
@@ -543,39 +557,39 @@ def _information(h, sigma, symbols, z, work=None) -> float:
 
 
 def mutual_information(
-    hypothesis_sets,
-    sigmas,
-    n_samples: int,
-    seed: int,
-    *,
-    stream: int = 0,
-    work=None,
-) -> tuple[float, ...]:
+    hypothesis_sets, sigma_grid, n_samples: int, seed: int
+) -> tuple[tuple[float, ...], ...]:
     """Monte Carlo mutual information (bits/symbol) of the equiprobable
-    discrete input over the AWGN vector channel, one estimate per
-    hypothesis set at its noise level ``sigmas[k]``.
+    discrete input over the AWGN vector channel.  ``sigma_grid`` has one
+    row of noise levels per grid point, one per hypothesis set, and the
+    result one tuple of estimates per row.
 
     Averages log2(M p(y|s) / sum_j p(y|s_j)) over draws; the estimate is
-    clamped to [0, log2 M].  ``rate_curve`` passes one ``_Buffers`` as
-    ``work`` to all of its SNR points.
+    clamped to [0, log2 M].  Draw n at every grid point is counter n of
+    the (seed, 0) Philox stream, so an estimate depends on its sigma, the
+    seed, ``n_samples`` and its hypothesis set only.
 
     ``bench/spans.py`` binds ``n_samples`` by name to count the draws;
     keep that parameter name.
     """
     hs = _batch(hypothesis_sets)
-    sigmas = tuple(float(s) for s in sigmas)
-    if len(sigmas) != len(hs):
-        raise ValueError("need one sigma per hypothesis set")
-    for s in sigmas:
-        _checked_sigma(s, "for mutual information")
+    sigma_grid = [tuple(float(s) for s in row) for row in sigma_grid]
+    for row in sigma_grid:
+        if len(row) != len(hs):
+            raise ValueError("need one sigma per hypothesis set")
+        for s in row:
+            _checked_sigma(s, "for mutual information")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    work = _Buffers(min(_CHUNK, n_samples)) if work is None else work
+    work = _Buffers(min(_CHUNK, n_samples))
     information = partial(_information, work=work)
-    sums = _map_shared_draws(hs, sigmas, seed, stream, n_samples, information, work)
+    sums = _map_shared_draws(hs, sigma_grid, seed, n_samples, information, work)
     return tuple(
-        min(max(math.fsum(chunks) / n_samples, 0.0), math.log2(h.m))
-        for h, chunks in zip(hs, sums)
+        tuple(
+            min(max(math.fsum(chunks) / n_samples, 0.0), math.log2(h.m))
+            for h, chunks in zip(hs, point)
+        )
+        for point in sums
     )
 
 
@@ -587,20 +601,15 @@ def rate_curve(
     symbol per hertz.
 
     The SNR is referenced to transmit power, so path loss shows up as the
-    color- and distance-dependent penalty it is.  Grid point i draws from
-    Philox stream i.
+    color- and distance-dependent penalty it is.  One
+    ``mutual_information`` call covers the whole grid, so every point
+    reads the same (seed, 0) Philox draws.
     """
     hs = _batch(hypothesis_sets)
     snr_db = _grid(grid)
     transmit = [h.transmit_vectors() for h in hs]
-    work = _Buffers(min(_CHUNK, n_samples))
-    per_point = [
-        mutual_information(
-            hs, [noise_sigma(v, snr) for v in transmit], n_samples, seed,
-            stream=i, work=work,
-        )
-        for i, snr in enumerate(snr_db)
-    ]
+    sigma_grid = [[noise_sigma(v, snr) for v in transmit] for snr in snr_db]
+    per_point = mutual_information(hs, sigma_grid, n_samples, seed)
     return tuple(
         Curve(snr_db, tuple(BANDWIDTH_HZ * mi for mi in column), seed, n_samples)
         for column in zip(*per_point)

@@ -35,29 +35,27 @@ MANIFEST_KEYS = {"subcommand", "parameters", "inputs", "tool_version", "seed"}
 
 # SHA-256 of the small curves written by ``_small_curves``.  For a fixed
 # seed the output bytes must not move; a change in the Monte Carlo
-# streams, the SNR convention, the CSV text or the config-digest rule
-# shows up here.  All four were re-recorded when ``config_sha`` became the
-# digest of the subcommand, its non-file options and its input digests;
-# only the ``# config_sha=`` line moved.  The two rate curves were
-# re-recorded when the mutual information began to form its
-# log-likelihood gaps from the noise, which moved them by at most 2.5e-16
-# relative.
+# draws, the SNR convention, the CSV text or the config-digest rule
+# shows up here.  ``ser.csv`` and both rate curves were re-recorded when
+# every point of an SNR grid began to read the (seed, 0) Philox draws
+# (version 0.2.0): the first row of each kept its bytes, and every other
+# row moved by Monte Carlo noise.  ``ser.ub.csv`` dates from when
+# ``config_sha`` became the digest of the subcommand, its non-file
+# options and its input digests.
 GOLDEN_SHA256 = {
-    "ser.csv": "c663431e4c2bcd370f89694a2dbec2b2ea879a3c50a59eafc63c280c1d00f69a",
+    "ser.csv": "42f1028d1a4f79ad916494385c7be1a788455e508fca2db512f7524430374d6a",
     "ser.ub.csv": "45e364473c3cc70210189d1c47fd7d3855faf8b8d89d48c7ab557d8ac6440106",
-    "rate-ucsk.csv": "909973396ba5357058853d6a5bcaeec334a7fa33909e54063624dd32f075f38c",
-    "rate-ook.csv": "7b0b49e84169f16e560b79a4bc5f2b2de3ce38102caac33df25ad5977e0be043",
+    "rate-ucsk.csv": "4ab81454ead01ed2f6e2a14e65305e468ee3495dd1cdc24b3bbec136fe30829f",
+    "rate-ook.csv": "84d366e85f4b5bb30245f78837ff46bb01d41f3bd7ff08bd623883d0f6e2f152",
 }
 
 # SHA-256 of every file of the ``reproduce`` bundles.  The Monte Carlo
-# SER curves and the manifests date from before the Monte Carlo shared
-# its draws across the curves of a figure; the designs and the
-# union-bound curves were recorded when the optimizer began to keep X
-# strictly inside the disk.  The rates (and the golden rate curves above)
-# were recorded when the mutual information began to form each draw's
-# log-likelihood gaps from its noise, which moved them by at most 2.0e-14
-# relative (TestKernelOracles bounds the kernel at 1e-12 of the
-# distance form).
+# SER and rate curves and both manifests were recorded when every point
+# of an SNR grid began to read the (seed, 0) Philox draws, version 0.2.0
+# (the manifests move with ``tool_version``): each curve's first row kept
+# its bytes, and every other point moved by at most 2.2 combined standard
+# errors.  The designs and the union-bound curves were recorded when the
+# optimizer began to keep X strictly inside the disk.
 _DESIGN_SHA256 = {
     "design-target1.json": "9259d81a5c7d749b6b259ef1893f97e6867886223d8a2ae6c05ed26ecf49d071",
     "design-target2.json": "8a5007c713c4aa0d342cc0d0fbb166fde1ae3b478d2a3e02cfd9345d2c5d1d85",
@@ -66,24 +64,24 @@ _DESIGN_SHA256 = {
 REPRODUCE_SHA256 = {
     "4a": {
         **_DESIGN_SHA256,
-        "manifest.json": "fc600868908cc687252cdca6934a097cc15f8b1c52e9bb69c5a9f0e82ff0c277",
-        "ser-target1.csv": "d09159409ef2ee27f6a3d058262e5a886cf7e7328dc1a18e224c1cdb37cd2f8b",
+        "manifest.json": "ea90a98f1ba424f372f4c39593b21f5a32c755204c47d52929e798ae74127591",
+        "ser-target1.csv": "426b305ba4a5f0b93a298394ebbc5b3d485be38be004b3b4e7956e92b90c7c1f",
         "ser-target1.ub.csv": "f878c9847f58da33878c52c2f5fe0d87f49dceaf4e9c52333624e89dd43f24b3",
-        "ser-target2.csv": "49b1d652b542d3f248d3594177e4db5652e590849fd65c5b4cb57b411fed48ea",
+        "ser-target2.csv": "05c713ce3dedbe9ecdb19961d77b4fb3f3f7f82121df8afe122d4a2726a3ba90",
         "ser-target2.ub.csv": "44c703b7c2f9ca95cacf534f19769d10f2213a806f8676c0b5ae5678fed38fe2",
-        "ser-target3.csv": "ca59671c4f63cc12aa901a4b8d587b9b28ce88a854caf6e30bbb06de78bbd408",
+        "ser-target3.csv": "a33c52d317f9577dcbc75ad5d10b833b91523dbbbc371a2269acfe3ca13adc92",
         "ser-target3.ub.csv": "163125de0604042c3291a99ed48c9c2ee675e506cafde3a0839cbde69474610f",
     },
     "4b": {
         **_DESIGN_SHA256,
-        "manifest.json": "b0bff5f2cba09cbbdbb2c59573ebd6d58438ad7d29ba91a4053574685a9ba54f",
-        "rate-ook-blue-10m.csv": "83331e3d28cbf13c96bac5adfb394cd67fb92fc4a9b9b3433c7c95750a1b1b02",
-        "rate-ook-blue-50m.csv": "79e137435415969f09218a9e1894c16e2d4ba051da816bd7267aad50807b431d",
-        "rate-ook-green-10m.csv": "2dbf43969bb33a5e76ba9dbec486cf0da3469e3dadccaf187848534f2c6042d9",
-        "rate-ook-red-10m.csv": "d51c076014acdbc6c5e86d6d04e40854bb182bad1c347dcd49a35807f92502e9",
-        "rate-ucsk-target1-10m.csv": "c2f5be2e160ce9cb3b8d74cefa184c880daf428978c96d8f93156443231754c3",
-        "rate-ucsk-target2-10m.csv": "1c992b2f5d9f3a77506e3c07ba6fa39949c4c95c70b8cd19ee6e6c24135d4f8a",
-        "rate-ucsk-target3-10m.csv": "3a7677c20acb874ca43c7d181773e3999765f13a75758abe5d3c55ad3403d21d",
+        "manifest.json": "0960de0141d021b8438e31e1e82dacb1cbde9938ef928de4439ad07045101b32",
+        "rate-ook-blue-10m.csv": "9685907afc4bcb3e0513e504fd578c2237a2a51c0790e6c0c4bfc98e55bef9d3",
+        "rate-ook-blue-50m.csv": "9ca508186fc75126c16b5f0f82d0e85355baa72ea98c858b06d554577d92cf9f",
+        "rate-ook-green-10m.csv": "4e8c2698f4030c5c6a32993c78b24493418548757b399126ba029315c139bf72",
+        "rate-ook-red-10m.csv": "7f63a7de75f81fee3ada8a624679b1fb03d903e1aedc2d7cd8fb2fc31b102430",
+        "rate-ucsk-target1-10m.csv": "8b6596ef9a910b56782d5bfb65e9b93a201ad3a6039effa1ac1c73a516d57cb3",
+        "rate-ucsk-target2-10m.csv": "d620c8af7f0db3460c24cf1f1b2ed6894ba27439bb76c4794ca60901dcbc8e71",
+        "rate-ucsk-target3-10m.csv": "9aa60d156c05862fe552eac16aa701b16575561eda4d8cd2ee7d25cedeb3b90b",
     },
 }
 
@@ -705,6 +703,27 @@ class TestReproducibility:
 
     def test_small_curves_match_recorded_digests(self, tmp_path):
         assert _small_curves(tmp_path) == GOLDEN_SHA256
+
+    @pytest.mark.parametrize(
+        "command",
+        [["ser", "--symbols", "10000"],
+         ["rate", "--scheme", "ucsk", "--samples", "10000"]],
+        ids=["ser", "rate"],
+    )
+    def test_grid_point_row_does_not_depend_on_the_grid(self, tmp_path, command):
+        # Every point of a grid reads the same draws, so the 21 dB row of
+        # a 0:3:30 grid is the row of a grid of that point alone.
+        design = _renderable_design(tmp_path / "c.json")
+        rows = []
+        for name, snr in (("grid.csv", "0:3:30"), ("point.csv", "21:3:21")):
+            out = tmp_path / name
+            argv = [*command, "--constellation", str(design), "--water", "seawater",
+                    "--distance", "10", "--snr", snr, "--seed", "7", "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            lines = out.read_text().splitlines()
+            rows.append([r for r in lines if r.startswith("21.0,")])
+        assert len(rows[0]) == 1
+        assert rows[0] == rows[1]
 
 
 class TestReports:

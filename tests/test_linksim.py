@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from ucsk import cli
 from ucsk.channel import attenuation_coefficient, path_loss
 from ucsk.colorimetry import (
     ChromaticityPoint,
@@ -85,9 +86,10 @@ def ser_alone(h: HypothesisSet, grid, n: int, seed: int) -> Curve:
     return curve
 
 
-def mi_alone(h: HypothesisSet, sigma: float, n: int, seed: int, stream: int = 0):
-    """The mutual information of one hypothesis set, without a batch."""
-    (mi,) = mutual_information([h], [sigma], n, seed, stream=stream)
+def mi_alone(h: HypothesisSet, sigma: float, n: int, seed: int):
+    """The mutual information of one hypothesis set at one noise level,
+    without a batch or a grid."""
+    ((mi,),) = mutual_information([h], [[sigma]], n, seed)
     return mi
 
 
@@ -375,15 +377,18 @@ class TestSerCurves:
 
 class TestRates:
     def test_rate_is_bandwidth_times_mi(self, renderable, link10):
+        # Every point reads the same draws: point i is the mutual
+        # information at its own sigma alone, whatever its index.
         h = build_hypotheses(renderable, link10)
-        (curve,) = rate_curve([h], [10.0, 200.0], 20_000, 0)
-        assert curve.snr_db == (10.0, 200.0)
+        (curve,) = rate_curve([h], [10.0, 20.0, 200.0], 20_000, 0)
+        assert curve.snr_db == (10.0, 20.0, 200.0)
         assert (curve.seed, curve.n) == (0, 20_000)
         for i, snr in enumerate(curve.snr_db):
             sigma = noise_sigma(h.transmit_vectors(), snr)
-            mi = mi_alone(h, sigma, 20_000, 0, stream=i)
+            mi = mi_alone(h, sigma, 20_000, 0)
             assert curve.values[i] == BANDWIDTH_HZ * mi
-        assert curve.values[1] == pytest.approx(2 * BANDWIDTH_HZ, rel=1e-5)
+        assert curve.values[0] < curve.values[1] < 2 * BANDWIDTH_HZ
+        assert curve.values[2] == pytest.approx(2 * BANDWIDTH_HZ, rel=1e-5)
 
     def test_ook_off_symbol_and_cap(self, water):
         cfg = LinkConfig(water=water, distance_m=10.0)
@@ -434,10 +439,9 @@ class TestBatch:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_mi_batch_equals_each_alone(self, mixed_batch, seed):
         sigmas = [noise_sigma(h.transmit_vectors(), 6.0) for h in mixed_batch]
-        batch = mutual_information(mixed_batch, sigmas, self.N, seed, stream=2)
+        (batch,) = mutual_information(mixed_batch, [sigmas], self.N, seed)
         alone = tuple(
-            mi_alone(h, s, self.N, seed, stream=2)
-            for h, s in zip(mixed_batch, sigmas)
+            mi_alone(h, s, self.N, seed) for h, s in zip(mixed_batch, sigmas)
         )
         assert batch == alone
         assert 0.0 < min(batch) and max(batch) < 2.0
@@ -452,7 +456,7 @@ class TestBatch:
         with pytest.raises(ValueError):
             simulate_ser([], [0.0], 20_000, 0)
         with pytest.raises(ValueError):
-            mutual_information(mixed_batch, [1e-3], 20_000, 0)
+            mutual_information(mixed_batch, [[1e-3]], 20_000, 0)
         four_bands = HypothesisSet(np.eye(4), np.ones(4))
         with pytest.raises(ValueError):
             simulate_ser([four_bands], [0.0], 20_000, 0)
@@ -484,15 +488,13 @@ def min_distance_oracle(received: np.ndarray, h: HypothesisSet) -> np.ndarray:
     return np.argmin(np.einsum("nmk,nmk->nm", delta, delta), axis=1)
 
 
-def delta_form_information(
-    h: HypothesisSet, sigma: float, n: int, seed: int, stream: int
-) -> float:
-    """Mutual information over the draws of ``mutual_information``, from
-    the (n, M, K) differences and full log-likelihoods -|y - v_m|**2 /
-    (2 sigma**2) with scipy's logsumexp."""
+def delta_form_information(h: HypothesisSet, sigma: float, n: int, seed: int) -> float:
+    """Mutual information over the (seed, 0) draws of
+    ``mutual_information``, from the (n, M, K) differences and full
+    log-likelihoods -|y - v_m|**2 / (2 sigma**2) with scipy's logsumexp."""
     sums = []
     for a in range(0, n, _CHUNK):
-        u = _uniform_blocks(seed, stream, a, min(_CHUNK, n - a))
+        u = _uniform_blocks(seed, 0, a, min(_CHUNK, n - a))
         symbols = np.minimum((u[:, 0] * h.m).astype(np.int64), h.m - 1)
         noise = scipy.special.ndtri(u[:, 1 : 1 + h.bands])
         received = h.vectors[symbols] + noise * sigma
@@ -521,15 +523,15 @@ class TestKernelOracles:
             fortran = np.asfortranarray(received)
             np.testing.assert_array_equal(detect_ml(fortran, h), expected)
 
-    @pytest.mark.parametrize("stream, snr_db", [(0, 0.0), (5, 15.0), (10, 30.0),
-                                                (15, 45.0)])
-    def test_mi_matches_delta_form(self, reproduce_sets, stream, snr_db):
+    @pytest.mark.parametrize("seed, snr_db", [(0, 0.0), (5, 15.0), (10, 30.0),
+                                              (15, 45.0)])
+    def test_mi_matches_delta_form(self, reproduce_sets, seed, snr_db):
         # Two chunks, the second one partial.
-        n, seed = 70_000, 4242
+        n = 70_000
         sigmas = [noise_sigma(h.transmit_vectors(), snr_db) for h in reproduce_sets]
-        got = mutual_information(reproduce_sets, sigmas, n, seed, stream=stream)
+        (got,) = mutual_information(reproduce_sets, [sigmas], n, seed)
         for h, sigma, mi in zip(reproduce_sets, sigmas, got):
-            expected = delta_form_information(h, sigma, n, seed, stream)
+            expected = delta_form_information(h, sigma, n, seed)
             assert mi == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
@@ -595,7 +597,8 @@ class TestInformationRange:
         # below the kernel's floor of -700.
         hs = [*reproduce_sets, near_pair(1e-9), near_pair(1e-12)]
         sigmas = [noise_sigma(h.transmit_vectors(), snr_db) for h in hs]
-        for h, mi in zip(hs, mutual_information(hs, sigmas, 20_000, 4242, stream=3)):
+        (mis,) = mutual_information(hs, [sigmas], 20_000, 4245)
+        for h, mi in zip(hs, mis):
             assert math.isfinite(mi)
             assert 0.0 <= mi <= math.log2(h.m)
 
@@ -605,16 +608,75 @@ class TestInformationRange:
         for h in (near_pair(1e-9), near_pair(1e-12)):
             for snr_db, expected in ((0.0, 0.0), (300.0, 1.0)):
                 sigma = noise_sigma(h.transmit_vectors(), snr_db)
-                assert mutual_information([h], [sigma], 20_000, 0) == (expected,)
+                assert mutual_information([h], [[sigma]], 20_000, 0) == ((expected,),)
 
     def test_clip_changes_nothing_at_45_db(self, reproduce_sets):
         sigmas = [noise_sigma(h.transmit_vectors(), 45.0) for h in reproduce_sets]
-        args = (reproduce_sets, sigmas, 4242, 15, 70_000)
-        unclipped = _map_shared_draws(*args, unclipped_information)
+        args = (reproduce_sets, [sigmas], 4257, 70_000)
+        (unclipped,) = _map_shared_draws(*args, unclipped_information)
         # The floor is reached, so the comparison tests it.
         assert any(below for chunks in unclipped for _, below in chunks)
-        expected = [[total for total, _ in chunks] for chunks in unclipped]
+        expected = [[[total for total, _ in chunks] for chunks in unclipped]]
         assert _map_shared_draws(*args, _information) == expected
+
+
+class TestCommonDraws:
+    """Every grid point reads the (seed, 0) draws, so a point's value
+    depends on its SNR, the seed, the count and the hypotheses only."""
+
+    N = 70_000  # two chunks, the second one partial
+
+    def test_ser_point_does_not_depend_on_its_index(self, mixed_batch):
+        grid = [0.0, 9.0, 18.0]
+        curves = simulate_ser(mixed_batch, grid, self.N, 3)
+        for i, snr in enumerate(grid):
+            alone = simulate_ser(mixed_batch, [snr], self.N, 3)
+            assert tuple(c.values[i] for c in curves) == tuple(
+                a.values[0] for a in alone
+            )
+
+    def test_mi_point_does_not_depend_on_its_index(self, mixed_batch):
+        sigma_grid = [
+            [noise_sigma(h.transmit_vectors(), snr) for h in mixed_batch]
+            for snr in (0.0, 9.0, 18.0)
+        ]
+        per_point = mutual_information(mixed_batch, sigma_grid, self.N, 3)
+        assert len(per_point) == len(sigma_grid)
+        for sigmas, mis in zip(sigma_grid, per_point):
+            assert mutual_information(mixed_batch, [sigmas], self.N, 3) == (mis,)
+
+
+@pytest.fixture(scope="module")
+def figure_4a_curves(reproduce_sets):
+    """The SER curves of ``reproduce 4a``: its three designs over its grid."""
+    settings = cli._FIGURES["4a"]
+    grid = cli.parse_snr_grid(settings["snr"])
+    return simulate_ser(
+        reproduce_sets[:3], grid, settings["symbols"], cli.REPRODUCE_SIM_SEED
+    )
+
+
+class TestReproduceCurves:
+    def test_ser_is_non_increasing_over_the_4a_grid(self, figure_4a_curves):
+        # A draw decoded right at one sigma stays right at every smaller one.
+        for curve in figure_4a_curves:
+            assert len(curve.values) == 11
+            assert list(curve.values) == sorted(curve.values, reverse=True)
+
+    def test_first_ser_row_is_the_first_point_alone(self, reproduce_sets,
+                                                    figure_4a_curves):
+        snr = figure_4a_curves[0].snr_db[0]
+        for h, curve in zip(reproduce_sets, figure_4a_curves):
+            alone = ser_alone(h, [snr], curve.n, curve.seed)
+            assert curve.values[0] == alone.values[0]
+
+    def test_first_rate_row_is_the_first_point_alone(self, reproduce_sets):
+        settings = cli._FIGURES["4b"]
+        grid = cli.parse_snr_grid(settings["snr"])
+        n, seed = settings["samples"], cli.REPRODUCE_SIM_SEED
+        for h, curve in zip(reproduce_sets, rate_curve(reproduce_sets, grid, n, seed)):
+            sigma = noise_sigma(h.transmit_vectors(), grid[0])
+            assert curve.values[0] == BANDWIDTH_HZ * mi_alone(h, sigma, n, seed)
 
 
 class TestUniformBlocks:
