@@ -12,18 +12,25 @@ pairs, |u|^2 <= 1 (less a small slack, so X ends strictly inside the
 disk at every radius), and A.R <= b, A.G <= b for the gamut's unit
 half-planes (A, b) = GamutPolygon.halfplanes, which are linear in z.
 Every constraint is smooth, so one SLSQP solve (Kraft's sequential
-least-squares QP) per start suffices.  The non-convex landscape is swept
-by deterministic multistart.  A start counts when SLSQP converged and it
+least-squares QP) per start suffices.  Each start is one loop around
+scipy's SLSQP kernel (minimize below), the loop that
+scipy.optimize.minimize(method="SLSQP") runs, without its per-call and
+per-iteration wrapping.  The constraints are m = 7 + 2|half-planes| rows,
+written in place: the 6 pairs, then the disk, then A.R <= b and
+A.G <= b.  The non-convex landscape is swept by deterministic
+multistart.  A start counts when SLSQP converged and it
 passes the rules the rest of the package uses: GamutPolygon.contains for
 R and G, which reads the same half-planes, and BlueTarget.contains for X.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize._slsqplib import slsqp
 
 from .colorimetry import (
     BOUNDARY_TOLERANCE,
@@ -144,36 +151,105 @@ def _point_map(blue: np.ndarray, target: BlueTarget) -> tuple[np.ndarray, np.nda
     return jac, offset
 
 
-def _constraints(
-    blue: np.ndarray, target: BlueTarget, gamut: GamutPolygon
-) -> list[dict]:
-    """SLSQP constraint dicts (fun >= 0) over z = (R, u, t)."""
+class _Problem(NamedTuple):
+    """The constraints c(z) >= 0 of one design as in-place evaluators.
+
+    values(z, d) writes c(z) into d.  normals(z, C) writes the rows of
+    its Jacobian that vary with z into C; normals0 is a Fortran-ordered
+    (m, 5) Jacobian that holds the constant entries (the gamut rows, and
+    the zeros of the disk row), so each start copies it once.  Rows are
+    the 6 pairs, then the disk, then A.R <= b and A.G <= b.
+    """
+
+    values: Callable[[np.ndarray, np.ndarray], None]
+    normals: Callable[[np.ndarray, np.ndarray], None]
+    normals0: np.ndarray
+
+
+def _problem(blue: np.ndarray, target: BlueTarget, gamut: GamutPolygon) -> _Problem:
+    """The pair, disk and gamut constraints over z = (R, u, t)."""
     jac, offset = _point_map(blue, target)
     pair_jac = jac[_PAIR_I] - jac[_PAIR_J]
     pair_offset = offset[_PAIR_I] - offset[_PAIR_J]
-
-    def pair_fun(z):
-        d = pair_jac @ z[:4] + pair_offset
-        return np.einsum("ij,ij->i", d, d) - z[4] ** 2
-
-    def pair_grad(z):
-        grad = np.empty((6, 5))
-        d = pair_jac @ z[:4] + pair_offset
-        grad[:, :4] = 2.0 * np.einsum("ij,ijk->ik", d, pair_jac)
-        grad[:, 4] = -2.0 * z[4]
-        return grad
-
-    disk = {
-        "type": "ineq",
-        "fun": lambda z: np.array([1.0 - _DISK_SLACK - z[2:4] @ z[2:4]]),
-        "jac": lambda z: np.array([[0.0, 0.0, -2.0 * z[2], -2.0 * z[3], 0.0]]),
-    }
     # A.R <= b and A.G <= b, each offset by the gamut margin.
     a, b = gamut.halfplanes
     lin_a = np.hstack([np.vstack([a @ jac[0], a @ jac[1]]), np.zeros((2 * len(b), 1))])
     lin_b = np.concatenate([b - a @ offset[0], b - a @ offset[1]]) + _GAMUT_MARGIN
-    hull = {"type": "ineq", "fun": lambda z: lin_b - lin_a @ z, "jac": lambda z: -lin_a}
-    return [{"type": "ineq", "fun": pair_fun, "jac": pair_grad}, disk, hull]
+    normals0 = np.zeros((7 + len(lin_b), 5), order="F")
+    normals0[7:] = -lin_a
+
+    def values(z, d):
+        p = pair_jac @ z[:4] + pair_offset
+        d[:6] = np.einsum("ij,ij->i", p, p) - z[4] ** 2
+        d[6] = 1.0 - _DISK_SLACK - z[2:4] @ z[2:4]
+        d[7:] = lin_b - lin_a @ z
+
+    def normals(z, C):
+        p = pair_jac @ z[:4] + pair_offset
+        C[:6, :4] = 2.0 * np.einsum("ij,ijk->ik", p, pair_jac)
+        C[:6, 4] = -2.0 * z[4]
+        C[6, 2:4] = -2.0 * z[2:4]
+
+    return _Problem(values, normals, normals0)
+
+
+class _Solution(NamedTuple):
+    """End of one SLSQP solve: the point, whether the kernel converged,
+    its iteration count and its exit mode (0 on convergence)."""
+
+    x: np.ndarray
+    success: bool
+    nit: int
+    mode: int
+
+
+def minimize(
+    fun: Callable[[np.ndarray], float],
+    x0: np.ndarray,
+    grad: np.ndarray,
+    problem: _Problem,
+) -> _Solution:
+    """Minimize fun, a linear objective with gradient grad, subject to
+    problem's constraints >= 0, by Kraft's SLSQP kernel.
+
+    This is the loop of scipy.optimize.minimize(method="SLSQP") with
+    inequality constraints only and no bounds: the same kernel state and
+    workspace, accuracy _FTOL and iteration cap _MAX_ITERATIONS.  Mode 1
+    asks for fun and the constraint values at the new x, mode -1 for the
+    normals; the constant gradient and constant normal rows are written
+    once.  Any other mode ends the solve.
+    """
+    x = np.array(x0, dtype=np.float64)
+    n, m = x.size, len(problem.normals0)
+    state = {
+        "acc": _FTOL, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0, "h2": 0.0,
+        "h3": 0.0, "h4": 0.0, "t": 0.0, "t0": 0.0, "tol": 10.0 * _FTOL,
+        "exact": 0, "inconsistent": 0, "reset": 0, "iter": 0,
+        "itermax": _MAX_ITERATIONS, "line": 0, "m": m, "meq": 0, "mode": 0,
+        "n": n,
+    }
+    # Kraft's worst-case workspace with no equality constraints.
+    buffer = np.zeros(n * (n + 1) // 2 + 3 * m * n + 9 * m + 8 * n * n + 35 * n + 28)
+    indices = np.zeros(m + 2 * n + 2, dtype=np.int32)
+    mult = np.zeros(m + 2 * n + 2)
+    # NaN bounds mark every variable free.
+    xl, xu = np.full(n, np.nan), np.full(n, np.nan)
+    g = np.array(grad, dtype=np.float64)
+    C = problem.normals0.copy(order="F")
+    d = np.empty(m)
+    fx = fun(x)
+    problem.values(x, d)
+    problem.normals(x, C)
+    while True:
+        slsqp(state, fx, g, C, d, x, mult, xl, xu, buffer, indices)
+        mode = state["mode"]
+        if mode == 1:
+            fx = fun(x)
+            problem.values(x, d)
+        elif mode == -1:
+            problem.normals(x, C)
+        else:
+            return _Solution(x, mode == 0, state["iter"], mode)
 
 
 def _sample_point(
@@ -226,9 +302,8 @@ def design_constellation(
 
     blue = FIXED_BLUE.as_array()
     jac, offset = _point_map(blue, target)
-    constraints = _constraints(blue, target, gamut)
+    problem = _problem(blue, target, gamut)
     bbox = gamut.bounding_box()
-    options = {"maxiter": _MAX_ITERATIONS, "ftol": _FTOL}
 
     feasible: list[tuple] = []
     diagnostics: list[dict] = []
@@ -245,12 +320,7 @@ def design_constellation(
         # at the start's own d_min instead lost the LED-triangle preset-2
         # optimum at 4 of seeds 0-99; from 0 no seed lost it.
         res = minimize(
-            lambda z: -z[4],
-            np.concatenate([r0, u0, [0.0]]),
-            jac=lambda z: _NEG_T_GRAD,
-            method="SLSQP",
-            constraints=constraints,
-            options=options,
+            lambda z: -z[4], np.concatenate([r0, u0, [0.0]]), _NEG_T_GRAD, problem
         )
         pts = jac @ res.x[:4] + offset
         dmin = float(np.linalg.norm(pts[_PAIR_I] - pts[_PAIR_J], axis=1).min())
@@ -264,9 +334,11 @@ def design_constellation(
             {
                 "start_index": k,
                 "d_min": dmin,
-                "converged": bool(res.success),
+                "converged": res.success,
                 "in_gamut": in_gamut,
                 "constraint_residual": residual,
+                "iterations": res.nit,
+                "exit_mode": res.mode,
             }
         )
 

@@ -2,7 +2,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.optimize
 
+from ucsk import optimizer
 from ucsk.colorimetry import ChromaticityPoint, spectral_locus, xy_distance
 from ucsk.constellation import (
     DISK_TOLERANCE,
@@ -15,7 +17,7 @@ from ucsk.optimizer import (
     ConvergenceError,
     InfeasibleTargetError,
     OptimizerConfig,
-    _constraints,
+    _problem,
     design_constellation,
     dmin_upper_bound,
 )
@@ -51,6 +53,23 @@ def _central_difference(fun, z, h=1e-7):
     return np.stack(cols, axis=1)
 
 
+def _evaluators(problem):
+    """(fun, jac) returning fresh arrays from the in-place evaluators."""
+    m = len(problem.normals0)
+
+    def fun(z):
+        d = np.empty(m)
+        problem.values(z, d)
+        return d
+
+    def jac(z):
+        C = problem.normals0.copy(order="F")
+        problem.normals(z, C)
+        return C
+
+    return fun, jac
+
+
 class TestJacobians:
     @pytest.mark.parametrize(
         "target",
@@ -58,26 +77,29 @@ class TestJacobians:
         ids=["disk", "zero-radius-disk"],
     )
     def test_match_central_differences(self, locus, target):
-        # pair, disk and gamut half-planes: inequalities at every radius
-        constraints = _constraints(FIXED_BLUE.as_array(), target, locus)
-        assert tuple(c["type"] for c in constraints) == ("ineq",) * 3
+        # 6 pair rows, 1 disk row and 2 gamut rows per half-plane, all
+        # inequalities at every radius
+        problem = _problem(FIXED_BLUE.as_array(), target, locus)
+        assert problem.normals0.shape == (7 + 2 * len(locus.halfplanes[1]), 5)
+        assert problem.normals0.flags.f_contiguous
+        fun, jac = _evaluators(problem)
         rng = np.random.default_rng(3)
         for _ in range(12):
             z = rng.uniform([0.05, 0.05, -1.5, -1.5, 0.01], [0.6, 0.7, 1.5, 1.5, 0.3])
-            for c in constraints:
-                np.testing.assert_allclose(
-                    c["jac"](z), _central_difference(c["fun"], z),
-                    rtol=1e-6, atol=1e-8,
-                )
+            np.testing.assert_allclose(
+                jac(z), _central_difference(fun, z), rtol=1e-6, atol=1e-8
+            )
 
     def test_pair_residuals_are_squared_distances(self):
         target = blue_target_preset(3)
-        pair = _constraints(FIXED_BLUE.as_array(), target, led_triangle_gamut())[0]
+        fun, _ = _evaluators(
+            _problem(FIXED_BLUE.as_array(), target, led_triangle_gamut())
+        )
         fx = TABLE1_FIXTURES["table1-t3o1"]
         c = build_constellation(fx.r, fx.g)
         u = (c.x.as_array() - target.center.as_array()) / target.radius
         t = 0.05
-        res = pair["fun"](np.array([fx.r.x, fx.r.y, *u, t]))
+        res = fun(np.array([fx.r.x, fx.r.y, *u, t]))[:6]
         expect = sorted(xy_distance(p, q) ** 2 - t**2 for p, q in combinations(
             (c.r, c.g, c.b, c.x), 2
         ))
@@ -144,7 +166,13 @@ class TestDesign:
         cfg = OptimizerConfig(multistart_count=3, rng_seed=0)
         with pytest.raises(ConvergenceError) as err:
             design_constellation(target, cfg, tri)
-        assert len(err.value.diagnostics) == 3
+        diagnostics = err.value.diagnostics
+        assert len(diagnostics) == 3
+        for diag in diagnostics:
+            assert type(diag["iterations"]) is int
+            assert 1 <= diag["iterations"] <= optimizer._MAX_ITERATIONS
+            assert type(diag["exit_mode"]) is int
+            assert diag["converged"] == (diag["exit_mode"] == 0)
 
     def test_labels_canonical(self, locus):
         result = design_constellation(blue_target_preset(3), FAST, locus)
@@ -193,6 +221,44 @@ class TestCap:
         assert result.starts_converged == 32
         assert result.best_start_index == 1
         assert result.achieved_dmin == 0.17147647168797064
+
+
+class TestKernelDriver:
+    # optimizer.minimize drives SLSQP's private kernel directly.  Every
+    # start must end where scipy.optimize.minimize ends on the same
+    # problem, bit for bit, so a change of the kernel or of scipy's loop
+    # around it fails here rather than in a distant digest.
+    @pytest.mark.parametrize("seed", (0, 2024))
+    @pytest.mark.parametrize("preset", (1, 2, 3))
+    @pytest.mark.parametrize("gamut_name", ("horseshoe", "led-triangle"))
+    def test_matches_scipy_minimize(self, monkeypatch, gamut_name, preset, seed):
+        driver = optimizer.minimize
+        starts = []
+
+        def both(fun, x0, grad, problem):
+            res = driver(fun, x0, grad, problem)
+            con_fun, con_jac = _evaluators(problem)
+            ref = scipy.optimize.minimize(
+                fun,
+                x0,
+                jac=lambda z: grad,
+                method="SLSQP",
+                constraints=[{"type": "ineq", "fun": con_fun, "jac": con_jac}],
+                options={"maxiter": optimizer._MAX_ITERATIONS, "ftol": optimizer._FTOL},
+            )
+            starts.append(
+                ((res.x.tobytes(), res.success, res.nit, res.mode),
+                 (ref.x.tobytes(), ref.success, ref.nit, ref.status))
+            )
+            return res
+
+        monkeypatch.setattr(optimizer, "minimize", both)
+        design_constellation(
+            blue_target_preset(preset), OptimizerConfig(rng_seed=seed), GAMUTS[gamut_name]()
+        )
+        assert len(starts) == 32
+        for k, (ours, ref) in enumerate(starts):
+            assert ours == ref, f"start {k}"
 
 
 class TestDiskContainment:
