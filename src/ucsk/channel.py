@@ -12,7 +12,9 @@ hold exactly one finite number per column; the wavelength column is
 sorted by wavelength, and a malformed table raises TableError naming
 ``path:line``.  ``lookup`` interpolates a column linearly and raises
 WavelengthRangeError outside the sampled range instead of
-extrapolating.
+extrapolating.  ``WaterProperties`` checks only the shape of its
+arrays: its values come from ``read_table`` rows, which the table rule
+has already checked.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ __all__ = [
     "lookup",
     "attenuation_coefficient",
     "path_loss",
-    "effective_range",
     "load_water_csv",
     "seawater",
 ]
@@ -102,7 +103,8 @@ def lookup(wl: np.ndarray, values: np.ndarray, wavelength: float, name: str) -> 
 
 @dataclass(frozen=True)
 class WaterProperties:
-    """Sorted per-wavelength absorption and scattering table."""
+    """Per-wavelength absorption and scattering, in the sorted rows of a
+    ``read_table`` water table; only the shape is checked here."""
 
     wavelength_nm: np.ndarray
     absorption: np.ndarray
@@ -115,12 +117,6 @@ class WaterProperties:
         b = np.asarray(self.scattering, dtype=float)
         if not (wl.shape == a.shape == b.shape) or wl.ndim != 1 or wl.size == 0:
             raise TableError("wavelength/a/b must be equal-length 1-D arrays")
-        if not all(np.isfinite(arr).all() for arr in (wl, a, b)):
-            raise TableError("wavelengths and coefficients must be finite")
-        if np.any(np.diff(wl) <= 0):
-            raise TableError("wavelengths must be strictly increasing")
-        if np.any(a < 0) or np.any(b < 0):
-            raise TableError("absorption and scattering must be >= 0")
         for arr, name in ((wl, "wavelength_nm"), (a, "absorption"), (b, "scattering")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -139,15 +135,6 @@ def path_loss(c: float, d: float) -> float:
     if d < 0:
         raise ValueError(f"distance must be >= 0, got {d}")
     return math.exp(-c * d)
-
-
-def effective_range(c: float, loss_threshold: float) -> float:
-    """Distance at which the loss factor drops to ``loss_threshold``."""
-    if c <= 0:
-        raise ValueError(f"attenuation must be > 0, got {c}")
-    if not (0.0 < loss_threshold < 1.0):
-        raise ValueError(f"loss threshold must be in (0, 1), got {loss_threshold}")
-    return -math.log(loss_threshold) / c
 
 
 def load_water_csv(path) -> WaterProperties:

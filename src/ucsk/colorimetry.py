@@ -55,7 +55,7 @@ class DegenerateChromaticityError(ValueError):
 
 
 class CollinearPrimariesError(ValueError):
-    """Three primaries are collinear; the mixing system is singular."""
+    """The sources are collinear: their convex hull is flat."""
 
 
 class OutOfGamutError(ValueError):
@@ -146,10 +146,10 @@ def solve_fluxes(
     ``GamutPolygon(primaries).contains(target)``, and raises
     OutOfGamutError otherwise.  A target up to ``BOUNDARY_TOLERANCE``
     outside the triangle's edge lines solves to slightly negative fluxes,
-    which are clipped at 0.  Collinear primaries raise
-    CollinearPrimariesError, by the same rule: ``GamutPolygon`` rejects
-    primaries whose convex hull is flat, even where rounding leaves the
-    3x3 mixing system solvable.
+    which are clipped at 0.  The hull is also the one collinearity rule:
+    ``GamutPolygon`` raises CollinearPrimariesError for primaries whose
+    convex hull is flat, before the 3x3 mixing system is solved, so a
+    system that rounding leaves solvable is rejected all the same.
     """
     if len(primaries) != 3:
         raise ValueError("expected exactly three primaries")
@@ -157,19 +157,11 @@ def solve_fluxes(
         raise ValueError(f"Y_total must be positive, got {Y_total}")
     m = _mixing_matrix(primaries)
     b = xy_to_tristimulus(target, Y_total)
-    rhs = np.array([b.X, b.Y, b.Z], dtype=float)
-    try:
-        fluxes = np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise CollinearPrimariesError(
-            "primaries are collinear on the chromaticity plane"
-        ) from exc
     if not _primaries_gamut(tuple(primaries)).contains(target):
         raise OutOfGamutError(
-            f"target ({target.x}, {target.y}) is outside the source triangle; "
-            f"required fluxes {fluxes.tolist()}"
+            f"target ({target.x}, {target.y}) is outside the source triangle"
         )
-    return np.clip(fluxes, 0.0, None)
+    return np.clip(np.linalg.solve(m, [b.X, b.Y, b.Z]), 0.0, None)
 
 
 @lru_cache(maxsize=16)

@@ -181,10 +181,15 @@ def _is_number(value) -> bool:
     return True
 
 
+def _is_xy(value) -> bool:
+    """A list of exactly two ``_is_number`` values."""
+    return isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
+
+
 def read_constellation_json(path) -> dict:
     """Read and schema-check a constellation document: four points of two
-    numbers each and a ``target`` that is null or a disk of numbers that
-    :class:`BlueTarget` accepts."""
+    numbers each and a ``target`` that is null or a disk, with a center of
+    two numbers and a radius, that :class:`BlueTarget` accepts."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -193,19 +198,16 @@ def read_constellation_json(path) -> dict:
         raise ValueError(f"{path}: not a constellation document")
     points = doc["points"]
     for label in SYMBOL_LABELS:
-        entry = points.get(label)
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(map(_is_number, entry))
-        ):
+        if not _is_xy(points.get(label)):
             raise ValueError(f"{path}: malformed point {label!r}")
     target = doc.get("target")
     if target is not None:
         try:
             center, radius = target["center"], target["radius"]
-            if not all(map(_is_number, [*center, radius])):
-                raise ValueError("center and radius must be numbers")
+            if not _is_xy(center):
+                raise ValueError("center must be [x, y]")
+            if not _is_number(radius):
+                raise ValueError("radius must be a number")
             BlueTarget(ChromaticityPoint(*center), radius)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed target: {exc}") from exc

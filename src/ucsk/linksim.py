@@ -457,11 +457,11 @@ def ser_curves(
     hypothesis_sets, grid, n_symbols: int, seed: int
 ) -> tuple[tuple["Curve", "Curve"], ...]:
     """Per hypothesis set, the Monte Carlo SER curve and its union-bound
-    curve over the same grid."""
-    hs = _batch(hypothesis_sets)
-    grid = _grid(grid)
+    curve over the same grid; ``simulate_ser`` checks the sets and the
+    grid."""
+    hs = tuple(hypothesis_sets)
     return tuple(
-        (ser, Curve(grid, union_bound_ser(h, grid), seed, n_symbols))
+        (ser, Curve(ser.snr_db, union_bound_ser(h, ser.snr_db), seed, n_symbols))
         for h, ser in zip(hs, simulate_ser(hs, grid, n_symbols, seed))
     )
 

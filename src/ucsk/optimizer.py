@@ -37,7 +37,6 @@ from .colorimetry import (
     ChromaticityPoint,
     GamutPolygon,
     centroid,
-    spectral_locus,
     xy_distance,
 )
 from .constellation import FIXED_BLUE, BlueTarget, Constellation4, build_constellation
@@ -268,9 +267,7 @@ def _sample_point(
 
 
 def design_constellation(
-    target: BlueTarget,
-    cfg: OptimizerConfig = OptimizerConfig(),
-    gamut: GamutPolygon | None = None,
+    target: BlueTarget, cfg: OptimizerConfig, gamut: GamutPolygon
 ) -> DesignResult:
     """Search for the maximin constellation meeting a blue target.
 
@@ -284,8 +281,6 @@ def design_constellation(
     disk from the gamut or the fixed blue lies outside it,
     ConvergenceError when no start converges to a feasible design.
     """
-    if gamut is None:
-        gamut = spectral_locus()
     # A lower bound on the center's distance to the gamut, so this never
     # rejects a disk that meets it.
     center_gap = max(gamut.nearest_boundary(target.center), 0.0)

@@ -82,19 +82,6 @@ TABLE1_FIXTURES: dict[str, Table1Fixture] = {
     )
 }
 
-# Rows whose tabulated d_min is reproduced to 1e-3 by recomputation from
-# their own coordinates.  t1o2's tabulated X is inconsistent with its own
-# R and G (the recomputed centroid reproduces its d_min exactly), and the
-# two t2 rows appear transposed; all nine still agree to 0.01.
-CONSISTENT_FIXTURES = (
-    "table1-t1o1",
-    "table1-t1o3",
-    "table1-t2o3",
-    "table1-t3o1",
-    "table1-t3o2",
-    "table1-t3o3",
-)
-
 # Channel wavelengths of the red, green, and blue LEDs.  The red and
 # green chromaticities default to the spectral locus at these
 # wavelengths; blue keeps its fixed design chromaticity.

@@ -9,7 +9,6 @@ from ucsk.channel import (
     WaterProperties,
     WavelengthRangeError,
     attenuation_coefficient,
-    effective_range,
     load_water_csv,
     path_loss,
     seawater,
@@ -47,23 +46,6 @@ class TestAttenuation:
             attenuation_coefficient(water, 750.0)
 
 
-class TestWaterProperties:
-    @pytest.mark.parametrize(
-        "wl, a, b",
-        [
-            ([460.0, math.nan, 700.0], [0.1] * 3, [0.0] * 3),
-            ([460.0, 550.0, 700.0], [0.1, math.inf, 0.1], [0.0] * 3),
-            ([460.0, 550.0, 700.0], [0.1] * 3, [0.0, 0.0, math.nan]),
-        ],
-        ids=["nan-wavelength", "inf-absorption", "nan-scattering"],
-    )
-    def test_non_finite_values_are_rejected(self, wl, a, b):
-        # Built directly, so load_water_csv's per-line check never runs.
-        # A nan wavelength passes the increasing-order check by itself.
-        with pytest.raises(TableError, match="must be finite"):
-            WaterProperties(np.array(wl), np.array(a), np.array(b))
-
-
 class TestPathLoss:
     def test_zero_distance(self):
         assert path_loss(12.3, 0.0) == 1.0
@@ -98,32 +80,12 @@ class TestPathLoss:
         loss = path_loss(attenuation, 50.0)
         assert loss == pytest.approx(math.exp(-0.98), rel=1e-12)
 
-
-class TestEffectiveRange:
-    def test_blue_reaches_80m(self):
-        # solves exp(-0.0196 d) = 0.208
-        assert effective_range(0.0196, 0.208) == pytest.approx(80.11, abs=0.01)
-
-    def test_red_barely_5m(self):
-        assert effective_range(0.6507, 0.04) == pytest.approx(4.947, abs=5e-3)
-
-    def test_threshold_near_one(self):
-        assert effective_range(0.5, 0.999999) == pytest.approx(0.0, abs=1e-5)
-
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            effective_range(0.0, 0.5)
-        with pytest.raises(ValueError):
-            effective_range(0.5, 0.0)
-        with pytest.raises(ValueError):
-            effective_range(0.5, 1.0)
-
-    def test_color_ordering_for_all_thresholds(self, water):
+    def test_blue_loses_least_at_every_distance(self, water):
         c = {wl: attenuation_coefficient(water, wl) for wl in (460.0, 550.0, 700.0)}
-        for tau in (0.001, 0.04, 0.2, 0.5, 0.9, 0.99):
-            blue = effective_range(c[460.0], tau)
-            green = effective_range(c[550.0], tau)
-            red = effective_range(c[700.0], tau)
+        for d in (0.1, 1.0, 5.0, 10.0, 50.0, 100.0):
+            blue = path_loss(c[460.0], d)
+            green = path_loss(c[550.0], d)
+            red = path_loss(c[700.0], d)
             assert blue > green > red
 
 
@@ -156,7 +118,9 @@ class TestLoadWaterCsv:
             load_water_csv(path)
 
     @pytest.mark.parametrize(
-        "row", ["nan,0.1,0.1", "inf,0.1,0.1", "550,nan,0.1", "550,0.1,inf"]
+        "row",
+        ["nan,0.1,0.1", "inf,0.1,0.1", "550,nan,0.1", "550,inf,0.1",
+         "550,0.1,inf", "550,0.1,nan"],
     )
     def test_non_finite_cell_line_number(self, tmp_path, row):
         path = tmp_path / "w.csv"

@@ -301,24 +301,28 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "target",
+        "target, message",
         [
-            {"center": [0.15], "radius": 0.04},
-            {"center": [0.15, 0.1], "radius": -1},
-            "x",
-            {"center": [0.15, 0.1], "radius": 10**400},
-            {"center": [10**400, 0.1], "radius": 0.04},
-            {"center": [0.15, 0.1], "radius": True},
+            ({"center": [0.15], "radius": 0.04}, "center must be [x, y]"),
+            ({"center": [0.15, 0.1, 0.2], "radius": 0.04}, "center must be [x, y]"),
+            ({"center": [0.15, 0.1], "radius": -1}, "malformed target"),
+            ("x", "malformed target"),
+            ({"center": [0.15, 0.1], "radius": 10**400}, "radius must be a number"),
+            ({"center": [10**400, 0.1], "radius": 0.04}, "center must be [x, y]"),
+            ({"center": [0.15, 0.1], "radius": True}, "radius must be a number"),
         ],
-        ids=["short-center", "negative-radius", "not-a-disk", "huge-radius",
-             "huge-center", "bool-radius"],
+        ids=["short-center", "long-center", "negative-radius", "not-a-disk",
+             "huge-radius", "huge-center", "bool-radius"],
     )
-    def test_malformed_document_target_is_io_error(self, tmp_path, capsys, target):
+    def test_malformed_document_target_is_io_error(
+        self, tmp_path, capsys, target, message
+    ):
         path = _renderable_design(tmp_path / "c.json")
         path.write_text(json.dumps({**json.loads(path.read_text()), "target": target}))
         assert main(["validate", "--constellation", str(path)]) == EXIT_IO
         captured = capsys.readouterr()
         assert "cannot read constellation" in captured.err
+        assert message in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("point", [[10**400, 0.3], [True, 0.3]], ids=["huge", "bool"])

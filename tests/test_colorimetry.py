@@ -306,8 +306,8 @@ class TestSolveFluxes:
     @settings(deadline=None)
     def test_collinear_always_raises(self, ax, ay, dx, dy, t):
         # a, a + d and a + t d, with the target a + d/2 on their line:
-        # rounding often leaves the 3x3 mixing system solvable, but Qhull
-        # finds the hull flat.
+        # rounding often leaves the 3x3 mixing system solvable, but the
+        # monotone-chain hull of _hull_halfplanes finds it flat.
         prims = tuple(
             ChromaticityPoint(ax + k * dx, ay + k * dy) for k in (0.0, 1.0, t)
         )

@@ -14,10 +14,19 @@ from ucsk.constellation import (
     read_constellation_json,
     write_constellation_json,
 )
-from ucsk.presets import (
-    CONSISTENT_FIXTURES,
-    TABLE1_FIXTURES,
-    blue_target_preset,
+from ucsk.presets import TABLE1_FIXTURES, blue_target_preset
+
+# Rows whose tabulated d_min is reproduced to 1e-3 by recomputation from
+# their own coordinates.  t1o2's tabulated X is inconsistent with its own
+# R and G (the recomputed centroid reproduces its d_min exactly), and the
+# two t2 rows appear transposed; all nine still agree to 0.01.
+CONSISTENT_FIXTURES = (
+    "table1-t1o1",
+    "table1-t1o3",
+    "table1-t2o3",
+    "table1-t3o1",
+    "table1-t3o2",
+    "table1-t3o3",
 )
 
 
@@ -168,17 +177,25 @@ class TestJsonRoundTrip:
             read_constellation_json(path)
 
     @pytest.mark.parametrize(
-        "target",
-        [{"center": [0.15], "radius": 0.04}, {"center": [0.15, 0.1], "radius": -1},
-         {"center": [0.15, 0.1]}, "x", {}],
-        ids=["short-center", "negative-radius", "no-radius", "not-a-disk", "empty"],
+        "target, match",
+        [
+            ({"center": [0.15], "radius": 0.04}, r"target: center must be \[x, y\]"),
+            ({"center": [0.15, 0.1, 0.2], "radius": 0.04},
+             r"target: center must be \[x, y\]"),
+            ({"center": [0.15, 0.1], "radius": -1}, "target"),
+            ({"center": [0.15, 0.1]}, "target"),
+            ("x", "target"),
+            ({}, "target"),
+        ],
+        ids=["short-center", "long-center", "negative-radius", "no-radius",
+             "not-a-disk", "empty"],
     )
-    def test_malformed_target(self, tmp_path, target):
+    def test_malformed_target(self, tmp_path, target, match):
         c = fixture_constellation("table1-t3o1", None)
         doc = {**constellation_document(c), "target": target}
         path = tmp_path / "bad-target.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="target"):
+        with pytest.raises(ValueError, match=match):
             read_constellation_json(path)
 
     def test_truncated_file(self, tmp_path):
