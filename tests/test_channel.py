@@ -128,6 +128,16 @@ class TestLoadWaterCsv:
         with pytest.raises(TableError, match=":3: non-finite cell"):
             load_water_csv(path)
 
+    def test_nan_wavelength_between_sorted_rows(self, tmp_path):
+        # A nan between increasing wavelengths fails no ordering or
+        # duplicate comparison, so only the finite check can catch it.
+        path = tmp_path / "w.csv"
+        path.write_text(
+            "wavelength_nm,a_per_m,b_per_m\n460,0.1,0\nnan,0.1,0\n700,0.1,0\n"
+        )
+        with pytest.raises(TableError, match=":3: non-finite cell"):
+            load_water_csv(path)
+
     def test_duplicate_wavelength(self, tmp_path):
         path = tmp_path / "w.csv"
         path.write_text(
