@@ -40,6 +40,13 @@ their files before the optimizer or the Monte Carlo runs; ``reproduce``
 checks ``manifest.json`` before designing and every bundle file before
 its first write.
 
+``design`` runs at most ``--starts`` optimizer starts.  It stops at the
+first start that is certified optimal, whose d_min reaches the analytic
+cap |center - B| + radius less radius * 1e-9 (the disk slack), and it
+prints the achieved d_min, the cap, the gap to it and ``starts run: k of
+N``, noting when it stopped at the cap.  ``validate`` checks gamut
+membership against ``--gamut``, the horseshoe by default.
+
 Identical arguments and inputs reproduce outputs byte for byte.  Exit
 codes: 0 success, 1 usage error, 2 infeasible target or constellation,
 3 I/O or file-format error.
@@ -316,6 +323,9 @@ def _write_outputs(
         manifest.write_text(json.dumps(document, sort_keys=True, indent=2) + "\n")
 
 
+_GAMUTS = ("horseshoe", "led-triangle")
+
+
 def _gamut_for(name: str):
     return spectral_locus() if name == "horseshoe" else led_triangle_gamut()
 
@@ -349,6 +359,13 @@ def _cmd_design(args) -> None:
         write_constellation_json(out, doc)
     _write_outputs({}, manifest, args.subcommand, _parameters(args), {}, args.seed)
     print(f"achieved d_min: {result.achieved_dmin:.6f}")
+    cap = optimizer.dmin_upper_bound(target)
+    print(f"d_min cap: {cap:.6f} (gap {cap - result.achieved_dmin:.3g})")
+    stopped = result.starts_used < args.starts
+    print(
+        f"starts run: {result.starts_used} of {args.starts}"
+        + (" (stopped at the cap)" if stopped else "")
+    )
     margin = target.margin(result.constellation.x)
     inside = target.contains(result.constellation.x)
     print(f"constraint margin: {margin:+.6f} (inside={inside})")
@@ -381,7 +398,7 @@ def _cmd_validate(args) -> None:
     elif doc.get("target"):
         t = doc["target"]
         target = BlueTarget(ChromaticityPoint(*t["center"]), t["radius"])
-    gamut = spectral_locus()
+    gamut = _gamut_for(args.gamut)
     stored_x = ChromaticityPoint(*doc["points"]["X"])
     centroid_offset = xy_distance(stored_x, c.x)
     print(f"d_min: {c.d_min:.4f} attained by pair {c.d_min_pair}")
@@ -573,10 +590,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--target-center", help="disk center as 'x,y'")
     p.add_argument("--target-radius", type=float)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--starts", type=int, default=32)
+    p.add_argument(
+        "--starts",
+        type=int,
+        default=32,
+        help="most optimizer starts to run; the search stops at the first "
+        "start whose d_min reaches the analytic cap |center - B| + radius, "
+        "less radius * 1e-9, as such a start is optimal",
+    )
     p.add_argument(
         "--gamut",
-        choices=("horseshoe", "led-triangle"),
+        choices=_GAMUTS,
         default="horseshoe",
         help="design inside the full visible gamut or the LED source "
         "triangle; ser and rate can simulate only LED-triangle designs "
@@ -588,11 +612,18 @@ def _build_parser() -> _Parser:
     p = sub.add_parser(
         "validate",
         help="report on a constellation file or fixture; gamut membership "
-        "is checked against the horseshoe",
+        "is checked against --gamut",
     )
     p.add_argument("--constellation", required=True,
                    help="JSON file or bundled fixture name (e.g. table1-t3o1)")
     p.add_argument("--preset", type=int, choices=(1, 2, 3))
+    p.add_argument(
+        "--gamut",
+        choices=_GAMUTS,
+        default="horseshoe",
+        help="check membership in the full visible gamut or the LED source "
+        "triangle",
+    )
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("ser", help="Monte Carlo SER plus union bound")

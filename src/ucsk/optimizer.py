@@ -21,6 +21,12 @@ A.G <= b.  The non-convex landscape is swept by deterministic
 multistart.  A start counts when SLSQP converged and it
 passes the rules the rest of the package uses: GamutPolygon.contains for
 R and G, which reads the same half-planes, and BlueTarget.contains for X.
+
+The search stops at the first counted start that is certified optimal:
+its d_min reaches dmin_upper_bound(target) less radius * _DISK_SLACK,
+so no start can beat it by more than that.  On the horseshoe, presets 2
+and 3 certify within their first 3 starts; where no start certifies
+(horseshoe preset 1, every LED-triangle preset) all starts run.
 """
 
 from __future__ import annotations
@@ -113,6 +119,7 @@ class DesignResult:
     constraint_residual: float
     starts_converged: int
     best_start_index: int
+    starts_used: int
 
 
 def dmin_upper_bound(target: BlueTarget) -> float:
@@ -274,8 +281,14 @@ def design_constellation(
     R and G of each start are sampled uniformly in the gamut (rejection
     sampling in its bounding box), each start seeded from
     (rng_seed, start_index) only, so results are deterministic and
-    independent of evaluation order.  The best feasible start by
-    (hard d_min, lowest index) wins.
+    independent of evaluation order.
+
+    cfg.multistart_count is an upper bound on the starts run.  The loop
+    stops at the first feasible start whose d_min is certified optimal,
+    d_min >= dmin_upper_bound(target) - radius * _DISK_SLACK, and that
+    start wins.  With no certified start, all starts run and the best
+    feasible start by (hard d_min, lowest index) wins.
+    DesignResult.starts_used counts the starts run.
 
     Raises InfeasibleTargetError when one gamut half-plane separates the
     disk from the gamut or the fixed blue lies outside it,
@@ -299,6 +312,9 @@ def design_constellation(
     jac, offset = _point_map(blue, target)
     problem = _problem(blue, target, gamut)
     bbox = gamut.bounding_box()
+    # A feasible start at or above this d_min is optimal to within
+    # radius * _DISK_SLACK, the disk slack, by the cap's own argument.
+    certified = dmin_upper_bound(target) - target.radius * _DISK_SLACK
 
     feasible: list[tuple] = []
     diagnostics: list[dict] = []
@@ -323,7 +339,8 @@ def design_constellation(
         x_pt = centroid([r_pt, g_pt, FIXED_BLUE])
         residual = max(-target.margin(x_pt), 0.0)
         in_gamut = gamut.contains(r_pt) and gamut.contains(g_pt)
-        if res.success and in_gamut and target.contains(x_pt):
+        ok = res.success and in_gamut and target.contains(x_pt)
+        if ok:
             feasible.append((dmin, k, r_pt, g_pt, residual))
         diagnostics.append(
             {
@@ -336,6 +353,8 @@ def design_constellation(
                 "exit_mode": res.mode,
             }
         )
+        if ok and dmin >= certified:
+            break
 
     if not feasible:
         raise ConvergenceError(
@@ -343,7 +362,8 @@ def design_constellation(
             "in the gamut and X in the disk",
             diagnostics,
         )
-    # Highest hard d_min wins; ties go to the lowest start index.
+    # Highest hard d_min wins; ties go to the lowest start index.  A
+    # certified start, which ended the loop, is the highest.
     _, best_k, r_pt, g_pt, residual = max(
         feasible, key=lambda item: (item[0], -item[1])
     )
@@ -357,4 +377,5 @@ def design_constellation(
         constraint_residual=residual,
         starts_converged=len(feasible),
         best_start_index=best_k,
+        starts_used=len(diagnostics),
     )

@@ -769,9 +769,40 @@ class TestReports:
         assert code == EXIT_OK
         assert capsys.readouterr().out == (
             "achieved d_min: 0.171476\n"
+            "d_min cap: 0.280703 (gap 0.109)\n"
+            "starts run: 2 of 2\n"
             "constraint margin: +0.000000 (inside=True)\n"
             f"wrote {out}\n"
         )
+
+    def test_design_reports_stop_at_the_cap(self, tmp_path, capsys):
+        # Horseshoe preset 3 reaches its cap, to the disk slack, at start 0.
+        out = tmp_path / "d.json"
+        assert main(["design", "--preset", "3", "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "achieved d_min: 0.101844\n"
+            "d_min cap: 0.101844 (gap 2e-11)\n"
+            "starts run: 1 of 32 (stopped at the cap)\n"
+            "constraint margin: +0.000000 (inside=True)\n"
+            f"wrote {out}\n"
+        )
+
+    def test_validate_gamut_led_triangle(self, tmp_path, capsys):
+        # The horseshoe design of preset 3 puts G and X outside the LED
+        # triangle; validate reads the horseshoe unless told otherwise.
+        out = tmp_path / "d.json"
+        assert main(["design", "--preset", "3", "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        reports = {}
+        for gamut in ("horseshoe", "led-triangle"):
+            argv = ["validate", "--constellation", str(out), "--gamut", gamut]
+            assert main(argv) == EXIT_OK
+            reports[gamut] = capsys.readouterr().out
+        assert main(["validate", "--constellation", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == reports["horseshoe"]
+        membership = "gamut membership: {'R': True, 'G': %s, 'B': True, 'X': %s}\n"
+        assert membership % (True, True) in reports["horseshoe"]
+        assert membership % (False, False) in reports["led-triangle"]
 
 
 class TestManifest:

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -227,7 +228,8 @@ class TestKernelDriver:
     # optimizer.minimize drives SLSQP's private kernel directly.  Every
     # start must end where scipy.optimize.minimize ends on the same
     # problem, bit for bit, so a change of the kernel or of scipy's loop
-    # around it fails here rather than in a distant digest.
+    # around it fails here rather than in a distant digest.  An infinite
+    # cap certifies no start, so all 32 run at every case.
     @pytest.mark.parametrize("seed", (0, 2024))
     @pytest.mark.parametrize("preset", (1, 2, 3))
     @pytest.mark.parametrize("gamut_name", ("horseshoe", "led-triangle"))
@@ -253,12 +255,50 @@ class TestKernelDriver:
             return res
 
         monkeypatch.setattr(optimizer, "minimize", both)
+        monkeypatch.setattr(optimizer, "dmin_upper_bound", lambda target: math.inf)
         design_constellation(
             blue_target_preset(preset), OptimizerConfig(rng_seed=seed), GAMUTS[gamut_name]()
         )
         assert len(starts) == 32
         for k, (ours, ref) in enumerate(starts):
             assert ours == ref, f"start {k}"
+
+
+class TestCertificate:
+    # A feasible start within radius * _DISK_SLACK of dmin_upper_bound
+    # is optimal, so the search stops there.  On the horseshoe only
+    # presets 2 and 3 reach the cap; (X, B) is their one binding pair.
+    @pytest.mark.parametrize("seed", (*range(10), 2024))
+    @pytest.mark.parametrize("preset", (2, 3))
+    def test_horseshoe_stops_at_the_cap(self, monkeypatch, locus, preset, seed):
+        target = blue_target_preset(preset)
+        cfg = OptimizerConfig(rng_seed=seed)
+        result = design_constellation(target, cfg, locus)
+        assert result.starts_used <= 3
+        assert result.best_start_index == result.starts_used - 1
+        monkeypatch.setattr(optimizer, "dmin_upper_bound", lambda target: math.inf)
+        full = design_constellation(target, cfg, locus)
+        assert full.starts_used == 32
+        slack = target.radius * optimizer._DISK_SLACK
+        assert result.achieved_dmin >= full.achieved_dmin - slack
+
+    @pytest.mark.parametrize(
+        "gamut_name, preset",
+        [("horseshoe", 1), ("led-triangle", 1), ("led-triangle", 2),
+         ("led-triangle", 3)],
+    )
+    def test_below_the_cap_runs_every_start(self, gamut_name, preset):
+        result = design_constellation(
+            blue_target_preset(preset), OptimizerConfig(rng_seed=2024),
+            GAMUTS[gamut_name](),
+        )
+        assert result.starts_used == 32
+
+    def test_zero_radius_disk_at_blue_stops_at_first_feasible_start(self, locus):
+        # The cap is 0, so any feasible start certifies.
+        result = design_constellation(BlueTarget(FIXED_BLUE, 0.0), FAST, locus)
+        assert result.starts_used == result.best_start_index + 1
+        assert result.starts_converged == 1
 
 
 class TestDiskContainment:
