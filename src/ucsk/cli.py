@@ -361,10 +361,9 @@ def _cmd_design(args) -> None:
     print(f"achieved d_min: {result.achieved_dmin:.6f}")
     cap = optimizer.dmin_upper_bound(target)
     print(f"d_min cap: {cap:.6f} (gap {cap - result.achieved_dmin:.3g})")
-    stopped = result.starts_used < args.starts
     print(
         f"starts run: {result.starts_used} of {args.starts}"
-        + (" (stopped at the cap)" if stopped else "")
+        + (" (stopped at the cap)" if result.certified else "")
     )
     margin = target.margin(result.constellation.x)
     inside = target.contains(result.constellation.x)

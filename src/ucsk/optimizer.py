@@ -120,6 +120,8 @@ class DesignResult:
     starts_converged: int
     best_start_index: int
     starts_used: int
+    # True when the winning start met the cap and ended the search.
+    certified: bool
 
 
 def dmin_upper_bound(target: BlueTarget) -> float:
@@ -288,7 +290,8 @@ def design_constellation(
     d_min >= dmin_upper_bound(target) - radius * _DISK_SLACK, and that
     start wins.  With no certified start, all starts run and the best
     feasible start by (hard d_min, lowest index) wins.
-    DesignResult.starts_used counts the starts run.
+    DesignResult.starts_used counts the starts run, and
+    DesignResult.certified says whether the search stopped at the cap.
 
     Raises InfeasibleTargetError when one gamut half-plane separates the
     disk from the gamut or the fixed blue lies outside it,
@@ -314,7 +317,8 @@ def design_constellation(
     bbox = gamut.bounding_box()
     # A feasible start at or above this d_min is optimal to within
     # radius * _DISK_SLACK, the disk slack, by the cap's own argument.
-    certified = dmin_upper_bound(target) - target.radius * _DISK_SLACK
+    cap_floor = dmin_upper_bound(target) - target.radius * _DISK_SLACK
+    certified = False
 
     feasible: list[tuple] = []
     diagnostics: list[dict] = []
@@ -353,7 +357,8 @@ def design_constellation(
                 "exit_mode": res.mode,
             }
         )
-        if ok and dmin >= certified:
+        if ok and dmin >= cap_floor:
+            certified = True
             break
 
     if not feasible:
@@ -378,4 +383,5 @@ def design_constellation(
         starts_converged=len(feasible),
         best_start_index=best_k,
         starts_used=len(diagnostics),
+        certified=certified,
     )

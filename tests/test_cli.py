@@ -775,14 +775,17 @@ class TestReports:
             f"wrote {out}\n"
         )
 
-    def test_design_reports_stop_at_the_cap(self, tmp_path, capsys):
-        # Horseshoe preset 3 reaches its cap, to the disk slack, at start 0.
+    @pytest.mark.parametrize("starts", (32, 1))
+    def test_design_reports_stop_at_the_cap(self, tmp_path, capsys, starts):
+        # Horseshoe preset 3 reaches its cap, to the disk slack, at start 0,
+        # which is also the last start allowed under --starts 1.
         out = tmp_path / "d.json"
-        assert main(["design", "--preset", "3", "--out", str(out)]) == EXIT_OK
+        argv = ["design", "--preset", "3", "--starts", str(starts), "--out", str(out)]
+        assert main(argv) == EXIT_OK
         assert capsys.readouterr().out == (
             "achieved d_min: 0.101844\n"
             "d_min cap: 0.101844 (gap 2e-11)\n"
-            "starts run: 1 of 32 (stopped at the cap)\n"
+            f"starts run: 1 of {starts} (stopped at the cap)\n"
             "constraint margin: +0.000000 (inside=True)\n"
             f"wrote {out}\n"
         )

@@ -274,11 +274,11 @@ class TestCertificate:
         target = blue_target_preset(preset)
         cfg = OptimizerConfig(rng_seed=seed)
         result = design_constellation(target, cfg, locus)
-        assert result.starts_used <= 3
+        assert result.certified and result.starts_used <= 3
         assert result.best_start_index == result.starts_used - 1
         monkeypatch.setattr(optimizer, "dmin_upper_bound", lambda target: math.inf)
         full = design_constellation(target, cfg, locus)
-        assert full.starts_used == 32
+        assert not full.certified and full.starts_used == 32
         slack = target.radius * optimizer._DISK_SLACK
         assert result.achieved_dmin >= full.achieved_dmin - slack
 
@@ -292,11 +292,12 @@ class TestCertificate:
             blue_target_preset(preset), OptimizerConfig(rng_seed=2024),
             GAMUTS[gamut_name](),
         )
-        assert result.starts_used == 32
+        assert not result.certified and result.starts_used == 32
 
     def test_zero_radius_disk_at_blue_stops_at_first_feasible_start(self, locus):
         # The cap is 0, so any feasible start certifies.
         result = design_constellation(BlueTarget(FIXED_BLUE, 0.0), FAST, locus)
+        assert result.certified
         assert result.starts_used == result.best_start_index + 1
         assert result.starts_converged == 1
 
