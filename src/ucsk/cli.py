@@ -51,13 +51,17 @@ membership against ``--gamut``, the horseshoe by default.
 
 Identical arguments and inputs reproduce outputs byte for byte.  Exit
 codes: 0 success, 1 usage error, 2 infeasible target or constellation,
-3 I/O or file-format error.
+3 I/O or file-format error.  ``design`` and ``reproduce`` also exit 3,
+with a one-line message that names the scipy version, when the installed
+scipy lacks the private SLSQP kernel ``scipy.optimize._slsqplib.slsqp``
+or the kernel rejects the call (an ImportError or a TypeError): the
+installed library is then not one this package can run.
 
 Importing this module loads no scipy module.  ``design`` and
-``reproduce`` import ``optimizer`` (``scipy.optimize``), and ``ser``,
-``rate`` and ``reproduce`` import ``linksim`` (``scipy.special``), only
-when they run, and call into both through the module, so a name patched
-there is the name called.
+``reproduce`` import ``optimizer`` (which loads ``scipy.optimize`` when
+its first start runs), and ``ser``, ``rate`` and ``reproduce`` import
+``linksim`` (``scipy.special``), only when they run, and call into both
+through the module, so a name patched there is the name called.
 """
 
 from __future__ import annotations
@@ -151,14 +155,17 @@ def _rendering():
     return _failing(EXIT_INFEASIBLE, "infeasible constellation", ValueError)
 
 
+@contextmanager
 def _designing():
-    """The exit-2 rule of the optimizer: a design that cannot be met."""
+    """The exit rules of the optimizer: 2 for a design that cannot be met,
+    3 for a scipy without the SLSQP kernel it calls."""
     from . import optimizer
 
-    return _failing(
+    with _failing(EXIT_IO, "unsupported scipy", optimizer.KernelError), _failing(
         EXIT_INFEASIBLE, "design failed",
         optimizer.InfeasibleTargetError, optimizer.ConvergenceError,
-    )
+    ):
+        yield
 
 
 def _config(cls, **kwargs):

@@ -17,22 +17,26 @@ sigma.  So a point's value depends on the seed, its SNR, the sample
 count and the hypotheses only, not on its index in the grid or on the
 other points and curves, and it is bit-identical for any chunking.  A
 set reads only the uniform and noise columns it would draw alone.  The
-Monte Carlo draws each chunk once, with one ``ndtri`` pass, and scores
-every (grid point, set) pair on it.
+Monte Carlo draws each chunk once, with one ``ndtri`` pass.  Per set it
+then forms the part of every draw that sigma does not change, once: for
+a draw of symbol s and each other hypothesis j, the projection
+a_j = z . (v_j - v_s) of its standard noise z and the half squared
+distance b_j = |v_j - v_s|**2 / 2.  Each grid point does only the part
+that depends on its sigma.
 
-Along a grid a draw's received vector moves toward its own hypothesis as
-sigma falls, and every minimum-distance decision cell is convex and holds
-its own hypothesis.  So a decision that is right at one SNR stays right at
-every higher one, and a simulated SER curve is non-increasing, up to
-rounding at a cell boundary.
+Minimum-distance detection decodes that draw as j at sigma when
+sigma a_j - b_j > 0, or >= 0 for j < s, since ties go to the lower
+index.  So each draw has one critical value kappa, the largest a_j / b_j
+(taken one float up for j < s), and it is decoded wrong exactly when
+kappa > 1 / sigma.  A decision that is right at one SNR stays right at
+every higher one, and a simulated SER curve is non-increasing.
 
 Every chunk-sized intermediate of the Monte Carlo (uniforms, noise,
-symbols, received batch, scores, detector state and mutual-information
-gaps) is written into one ``_Buffers``.  ``_map_shared_draws`` owns it:
-it allocates the arena once per engine call and hands it to each score
-it runs, across the chunks, SNR points and sets.  The arithmetic is the
-one a fresh array would get, so the bytes do not depend on the buffers
-either.
+symbols, pair projections, critical values and mutual-information gaps)
+is written into one ``_Buffers``.  ``_map_shared_draws`` owns it: it
+allocates the arena once per engine call and hands it to each score it
+runs, across the chunks and sets.  The arithmetic is the one a fresh
+array would get, so the bytes do not depend on the buffers either.
 """
 
 from __future__ import annotations
@@ -78,13 +82,15 @@ ELECTRO_OPTIC_FACTOR = 0.55
 BANDWIDTH_HZ = 1e8
 
 _CHUNK = 1 << 16
-# Row numbers of a chunk, for the flat index of each draw's own column.
-_ROWS = np.arange(_CHUNK)
-_ROWS.setflags(write=False)
-# Doubles per chunk row that a ``_Buffers`` arena holds.  The SER roles on
-# three bands and four symbols take 22.25 of them, and the rate roles of a
-# batch with four- and two-symbol sets 21.
-_ARENA_COLUMNS = 23
+# Doubles per chunk row that a ``_Buffers`` arena holds.  The draws of a
+# chunk take 9 of them on three bands: uniforms 4, noise 3, the symbol
+# scale 1 and symbols 1, plus 1 for a second alphabet size.  The pair
+# projections and half squared distances of a four-symbol set take 6, and
+# one band's terms of them, later the mutual-information gaps, 3.  SER
+# adds the lower-index mask 0.375, critical values 1 and the error mask
+# 0.125, 19.5 in all; rates add per-draw terms 1, 20 in all for a batch
+# with four- and two-symbol sets.
+_ARENA_COLUMNS = 21
 
 
 class InfeasibleConstellationError(ValueError):
@@ -263,7 +269,7 @@ class _Buffers:
         return flat[:size].reshape(shape, order=order)
 
 
-def detect_ml(received: np.ndarray, h: HypothesisSet, work=None) -> np.ndarray:
+def detect_ml(received: np.ndarray, h: HypothesisSet) -> np.ndarray:
     """Minimum-distance detection of an (N, K) batch of finite received
     vectors, one symbol index per row; ties break to the lowest symbol
     index.
@@ -284,22 +290,22 @@ def detect_ml(received: np.ndarray, h: HypothesisSet, work=None) -> np.ndarray:
     to its nearest other hypothesis always decodes to i.  Half the distance
     to some other neighbour is not enough when a nearer one exists.
 
-    Without ``work`` the result is a new array.  The Monte Carlo passes
-    the ``_Buffers`` of ``_map_shared_draws``, and then the result is a
-    view that the next call overwrites.
+    No path in the package calls it: the Monte Carlo decides each draw by
+    its critical value (``_symbol_errors``), and the tests check those
+    decisions against this function, which stays their definition.  It
+    stays public while the benchmark traces it: ``bench/spans.py`` names
+    ``linksim.detect_ml``, and an entry point it cannot find fails the
+    trace check as ``not traced``.
     """
     received = np.asarray(received, dtype=float)
     n = len(received)
-    work = _Buffers(n) if work is None else work
-    scores = work.get("scores", (n, h.m), order="F")
+    scores = np.empty((n, h.m), order="F")
     np.einsum("nk,mk->nm", received, h.vectors, out=scores)
     scores -= 0.5 * np.einsum("mk,mk->m", h.vectors, h.vectors)
-    best = work.get("best", (n,))
-    np.copyto(best, scores[:, 0])
-    index = work.get("index", (n,), np.intp)
-    index.fill(0)
-    better = work.get("better", (n,), bool)
-    step = work.get("step", (n,), np.intp)
+    best = scores[:, 0].copy()
+    index = np.zeros(n, np.intp)
+    better = np.empty(n, bool)
+    step = np.empty(n, np.intp)
     for m in range(1, h.m):
         column = scores[:, m]
         # index < m on every row, so the maximum takes m exactly where
@@ -327,27 +333,45 @@ def _uniform_blocks(seed: int, start: int, out: np.ndarray) -> np.ndarray:
     return u
 
 
-def _map_shared_draws(hs, sigma_grid, seed: int, n: int, score):
-    """Per grid point and hypothesis set, the list of
-    ``score(h, sigma, symbols, z, work)`` over the fixed ``_CHUNK``-symbol
-    chunks of the (seed, 0) draws.  ``sigma_grid`` has one row per grid
-    point and one sigma per set in each row; z is the (N, h.bands)
-    standard Gaussian noise, and ``work`` the one ``_Buffers`` of the call.
+def _pair_table(h: HypothesisSet) -> np.ndarray:
+    """The (K + 1, M - 1, M) table whose column s holds, for the other
+    hypotheses j != s in increasing order, the K components of
+    v_j - v_s and then b_j = |v_j - v_s|**2 / 2."""
+    others = np.array(
+        [[j for j in range(h.m) if j != s] for s in range(h.m)], dtype=np.intp
+    ).reshape(h.m, h.m - 1)
+    delta = h.vectors[others] - h.vectors[:, None, :]
+    half = 0.5 * np.einsum("sjk,sjk->sj", delta, delta)
+    return np.concatenate([delta.transpose(2, 1, 0), half.T[None]])
 
-    The chunk grid is the outer loop: a chunk's uniforms, Gaussian noise
-    and symbols are drawn once, into ``work``, and every (grid point, set)
-    pair is scored on them.  Set h takes its symbols from the first
-    uniform and its noise from the next ``h.bands`` ones, exactly as if it
-    were drawn alone.  The noise is Fortran-ordered, and so are the
-    received batch and the gaps built from it: the fast layout of the
-    scores of ``detect_ml``.
+
+def _map_shared_draws(hs, sigma_grid, seed: int, n: int, score):
+    """Per hypothesis set, the list over the fixed ``_CHUNK``-symbol
+    chunks of the (seed, 0) draws of ``score(h, sigmas, symbols, a, b,
+    work)``, each a sequence with one value per grid point.
+    ``sigma_grid`` has one row per grid point and one sigma per set in
+    each row, and ``sigmas`` is the set's column of it; ``work`` is the
+    one ``_Buffers`` of the call.
+
+    The loop runs chunk, then set, then (inside ``score``) grid point.  A
+    chunk's uniforms, Gaussian noise z and symbols are drawn once, into
+    ``work``.  Set h takes its symbols from the first uniform and its
+    noise from the next ``h.bands`` ones, exactly as if it were drawn
+    alone.  Per set, the part of every draw that sigma does not change is
+    formed once: ``a`` and ``b`` are (M - 1, N) views whose column n holds, for the
+    other hypotheses j of draw n's symbol s in increasing order, the
+    projection a_j = z_n . (v_j - v_s) and b_j = |v_j - v_s|**2 / 2.  Each
+    row is contiguous, the fast layout of a reduction over j.  A score
+    may overwrite ``a`` and ``b``: the next set forms its own.
     """
     work = _Buffers(min(_CHUNK, n))
     bands = max(h.bands for h in hs)
-    scores = [[[] for _ in hs] for _ in sigma_grid]
-    for a in range(0, n, _CHUNK):
-        count = min(_CHUNK, n - a)
-        u = _uniform_blocks(seed, a, work.get("uniforms", (count, 4)))
+    tables = [_pair_table(h) for h in hs]
+    columns = list(zip(*sigma_grid))
+    scores = [[] for _ in hs]
+    for start in range(0, n, _CHUNK):
+        count = min(_CHUNK, n - start)
+        u = _uniform_blocks(seed, start, work.get("uniforms", (count, 4)))
         z = ndtri(u[:, 1 : 1 + bands], out=work.get("noise", (count, bands), order="F"))
         symbols_of = {}
         for m in {h.m for h in hs}:
@@ -356,9 +380,21 @@ def _map_shared_draws(hs, sigma_grid, seed: int, n: int, score):
             symbols = symbols_of[m] = work.get(f"symbols{m}", (count,), np.int64)
             np.copyto(symbols, scaled, casting="unsafe")
             np.minimum(symbols, m - 1, out=symbols)
-        for sigmas, point in zip(sigma_grid, scores):
-            for h, sigma, out in zip(hs, sigmas, point):
-                out.append(score(h, sigma, symbols_of[h.m], z[:, : h.bands], work))
+        for h, table, sigmas, out in zip(hs, tables, columns, scores):
+            symbols = symbols_of[h.m]
+            # Every index is in range; mode "clip" keeps ``take`` from
+            # buffering its output.
+            a, b = work.get("pairs", (2, h.m - 1, count))
+            np.take(table[-1], symbols, axis=1, out=b, mode="clip")
+            # a = sum over the bands of z_k (v_j - v_s)_k, in band order.
+            np.take(table[0], symbols, axis=1, out=a, mode="clip")
+            a *= z[:, 0]
+            for k in range(1, h.bands):
+                term = work.get("pair_terms", a.shape)
+                np.take(table[k], symbols, axis=1, out=term, mode="clip")
+                term *= z[:, k]
+                a += term
+            out.append(score(h, sigmas, symbols, a, b, work))
     return scores
 
 
@@ -381,18 +417,49 @@ def _grid(snr_db_grid) -> tuple[float, ...]:
     return grid
 
 
-def _symbol_errors(h, sigma, symbols, z, work: _Buffers) -> int:
-    # The scaled noise fixes the Fortran order of the received batch, and
-    # the hypotheses are gathered onto it band by band; sigma z + v rounds
-    # as v + sigma z does.  Every index is in range, and mode "clip" keeps
-    # ``take`` from buffering its output.
-    n = len(z)
-    received = np.multiply(z, sigma, out=work.get("received", z.shape, order="F"))
-    gathered = work.get("gathered", (h.bands, n))
-    received += np.take(h.vectors.T, symbols, axis=1, out=gathered, mode="clip").T
-    detected = detect_ml(received, h, work)
-    wrong = np.not_equal(detected, symbols, out=work.get("wrong", (n,), bool))
-    return int(np.count_nonzero(wrong))
+def _symbol_errors(h, sigmas, symbols, a, b, work: _Buffers) -> list[int]:
+    """Per sigma, how many of the draws ``detect_ml`` decodes wrong at
+    that sigma, from their pair projections a and half squared distances
+    b (see ``_map_shared_draws``); it overwrites a.
+
+    ``detect_ml`` prefers j to a draw's own symbol s when the discriminant
+    gap sigma a_j - b_j is > 0, or >= 0 for j < s (ties go to the lower
+    index).  For b_j > 0 that is a_j / b_j > 1 / sigma, or >= for j < s,
+    so a draw is wrong at sigma exactly when its critical value kappa,
+    the largest a_j / b_j with those of j < s taken one float up, is
+    > 1 / sigma.  That is ``detect_ml``'s rule in exact arithmetic; the
+    two round differently, and the tests check that they agree on every
+    draw they compare.  One kappa per draw and one count per sigma replace
+    a detection per sigma.  A pair with b_j = 0 (coincident rows) is a tie
+    at every sigma: a draw with such a j < s is wrong at every sigma, and
+    one with j > s is not.
+    """
+    n = len(symbols)
+    # Column c of a draw of s holds j = c below s and j = c + 1 from s on,
+    # so j < s exactly when c < s.
+    columns = np.arange(h.m - 1)[:, None]
+    lower = np.greater(symbols, columns, out=work.get("lower", a.shape, bool))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.divide(a, b, out=a)
+    # 1 / sigma is > 0 and below the largest double, so a ratio <= 0 or
+    # nan (0 / 0, coincident rows) never exceeds it, and +inf (a_j > 0
+    # over a b_j that underflows) always does.
+    np.fmax(ratio, 0.0, out=ratio)
+    np.fmin(ratio, np.finfo(float).max, out=ratio)
+    # On a double >= 0 below +inf, one more in its bit pattern is the
+    # next float up, at a fraction of the cost of ``np.nextafter``.
+    bits = ratio.view(np.int64)
+    np.add(bits, lower, out=bits)
+    kappa = np.max(ratio, axis=0, initial=0.0, out=work.get("kappa", (n,)))
+    # A symbol with a coincident lower-index pair is wrong at every sigma.
+    tied = np.any((_pair_table(h)[-1] == 0.0) & (np.arange(h.m) > columns), axis=0)
+    if tied.any():
+        kappa[tied[symbols]] = np.inf
+    wrong = work.get("wrong", (n,), bool)
+    return [
+        int(np.count_nonzero(np.greater(kappa, 1.0 / sigma, out=wrong)))
+        for sigma in sigmas
+    ]
 
 
 def simulate_ser(
@@ -404,7 +471,8 @@ def simulate_ser(
     Symbol n at every grid point carries the draws of counter n of the
     (seed, 0) Philox stream, scaled by that point's sigma, so each point is
     reproducible bit-for-bit for any grid, chunking or batch it is
-    simulated in, and each curve is non-increasing up to rounding.
+    simulated in.  Each draw is decided at every sigma by one critical
+    value, so each curve is non-increasing.
 
     ``bench/spans.py`` binds ``snr_db_grid`` and ``n_symbols`` by name to
     count the simulated symbols; keep those parameter names.
@@ -416,8 +484,8 @@ def simulate_ser(
     sigma_grid = [[noise_sigma(h.vectors, snr_db) for h in hs] for snr_db in grid]
     errors = _map_shared_draws(hs, sigma_grid, seed, n_symbols, _symbol_errors)
     return tuple(
-        Curve(grid, tuple(sum(c) / n_symbols for c in per_point), seed, n_symbols)
-        for per_point in zip(*errors)
+        Curve(grid, tuple(sum(c) / n_symbols for c in zip(*chunks)), seed, n_symbols)
+        for chunks in errors
     )
 
 
@@ -488,15 +556,16 @@ def logsumexp(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _information(h, sigma, symbols, z, work: _Buffers) -> float:
-    """Sum over the draws of log2(M p(y|s) / sum_j p(y|s_j)), referenced
-    to each draw's own symbol s, from the draws' noise z.
+def _information(h, sigmas, symbols, a, b, work: _Buffers) -> list[float]:
+    """Per sigma, the sum over the draws of log2(M p(y|s) / sum_j p(y|s_j)),
+    referenced to each draw's own symbol s, from their pair projections a
+    and half squared distances b (see ``_map_shared_draws``).
 
     With y = v_s + sigma z, the log-likelihood gap of hypothesis j is
-    d_j = z . (v_j - v_s) / sigma - |v_j - v_s|**2 / (2 sigma**2).  It is
-    formed from the noise and the scaled hypotheses V / sigma, not as a
+    d_j = (a_j - b_j / sigma) / sigma, with a_j = z . (v_j - v_s) and
+    b_j = |v_j - v_s|**2 / 2.  It is formed from the noise, not as a
     difference of likelihoods, so hypotheses that nearly coincide keep
-    their gap at any SNR.  A draw contributes
+    their gap at any SNR.  The own gap is 0, and a draw contributes
     log2 M - log1p(sum_{j != s} exp(d_j)) / ln 2; the terms are summed
     draw by draw, because N log2 M minus their sum cancels.
 
@@ -506,36 +575,23 @@ def _information(h, sigma, symbols, z, work: _Buffers) -> float:
     no row maximum needs to come out before the exp.  d is floored at
     -700, which keeps exp off its subnormal slow path; a term below
     exp(-700) cannot change the rounded log2 M - log1p(...) / ln 2.
-
-    z holds at most ``_CHUNK`` draws.  As in ``_symbol_errors``, mode
-    "clip" keeps ``take`` from buffering; every index is in range.
     """
-    n = len(z)
-    scaled = h.vectors / sigma
-    d = work.get("gaps", (n, h.m), order="F")
-    np.einsum("nk,mk->nm", z, scaled, out=d)
-    # The own column, by its index in the column-major buffer of d;
-    # ``flat`` is a view of d.
-    flat = d.ravel(order="F")
-    own = np.multiply(symbols, n, out=work.get("own", (n,), np.int64))
-    own += _ROWS[:n]
-    d -= np.take(flat, own, out=work.get("own_gap", (n,)), mode="clip")[:, None]
-    # table[j, s] = |v_j - v_s|**2 / (2 sigma**2); gathering column s per
-    # draw and transposing gives the Fortran order of d.
-    delta = scaled[None, :, :] - scaled[:, None, :]
-    table = 0.5 * np.einsum("sjk,sjk->js", delta, delta)
-    gathered = work.get("gathered", (h.m, n))
-    d -= np.take(table, symbols, axis=1, out=gathered, mode="clip").T
-    np.maximum(d, -700.0, out=d)
-    np.exp(d, out=d)
-    # The own term is exp(0) = 1; leave it out of the sum.
-    flat[own] = 0.0
-    terms = np.sum(d, axis=1, out=work.get("terms", (n,)))
-    # log2 M - log1p(others) / ln 2, in place.
-    np.log1p(terms, out=terms)
-    terms /= math.log(2.0)
-    np.subtract(math.log2(h.m), terms, out=terms)
-    return float(terms.sum())
+    gaps = work.get("pair_terms", a.shape)
+    terms = work.get("terms", (a.shape[1],))
+    sums = []
+    for sigma in sigmas:
+        np.divide(b, sigma, out=gaps)
+        np.subtract(a, gaps, out=gaps)
+        gaps /= sigma
+        np.maximum(gaps, -700.0, out=gaps)
+        np.exp(gaps, out=gaps)
+        np.sum(gaps, axis=0, out=terms)
+        # log2 M - log1p(others) / ln 2, in place.
+        np.log1p(terms, out=terms)
+        terms /= math.log(2.0)
+        np.subtract(math.log2(h.m), terms, out=terms)
+        sums.append(float(terms.sum()))
+    return sums
 
 
 def mutual_information(
@@ -564,13 +620,11 @@ def mutual_information(
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     sums = _map_shared_draws(hs, sigma_grid, seed, n_samples, _information)
-    return tuple(
-        tuple(
-            min(max(math.fsum(chunks) / n_samples, 0.0), math.log2(h.m))
-            for h, chunks in zip(hs, point)
-        )
-        for point in sums
-    )
+    per_set = [
+        [min(max(math.fsum(p) / n_samples, 0.0), math.log2(h.m)) for p in zip(*chunks)]
+        for h, chunks in zip(hs, sums)
+    ]
+    return tuple(zip(*per_set))
 
 
 def rate_curve(

@@ -15,7 +15,10 @@ Every constraint is smooth, so one SLSQP solve (Kraft's sequential
 least-squares QP) per start suffices.  Each start is one loop around
 scipy's SLSQP kernel (minimize below), the loop that
 scipy.optimize.minimize(method="SLSQP") runs, without its per-call and
-per-iteration wrapping.  The constraints are m = 7 + 2|half-planes| rows,
+per-iteration wrapping.  The kernel, scipy.optimize._slsqplib.slsqp, is
+private scipy API that each start imports (the first import loads
+scipy.optimize); a scipy that lacks it or calls it differently raises
+KernelError, which names the scipy version.  The constraints are m = 7 + 2|half-planes| rows,
 written in place: the 6 pairs, then the disk, then A.R <= b and
 A.G <= b.  The non-convex landscape is swept by deterministic
 multistart.  A start counts when SLSQP converged and it
@@ -36,7 +39,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize._slsqplib import slsqp
 
 from .colorimetry import (
     BOUNDARY_TOLERANCE,
@@ -52,6 +54,7 @@ __all__ = [
     "DesignResult",
     "InfeasibleTargetError",
     "ConvergenceError",
+    "KernelError",
     "design_constellation",
     "dmin_upper_bound",
 ]
@@ -96,6 +99,29 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, diagnostics: list[dict]):
         super().__init__(message)
         self.diagnostics = diagnostics
+
+
+class KernelError(RuntimeError):
+    """The installed scipy has no SLSQP kernel that takes minimize's call."""
+
+    def __init__(self, cause: Exception):
+        import scipy
+
+        super().__init__(
+            f"scipy {scipy.__version__} has no SLSQP kernel "
+            "scipy.optimize._slsqplib.slsqp that takes this package's call "
+            f"({type(cause).__name__}); ucsk needs scipy>=1.17,<1.18"
+        )
+
+
+def _kernel():
+    """scipy's private SLSQP kernel; KernelError when it cannot be
+    imported."""
+    try:
+        from scipy.optimize._slsqplib import slsqp
+    except ImportError as exc:
+        raise KernelError(exc) from exc
+    return slsqp
 
 
 @dataclass(frozen=True)
@@ -224,8 +250,10 @@ def minimize(
     workspace, accuracy _FTOL and iteration cap _MAX_ITERATIONS.  Mode 1
     asks for fun and the constraint values at the new x, mode -1 for the
     normals; the constant gradient and constant normal rows are written
-    once.  Any other mode ends the solve.
+    once.  Any other mode ends the solve.  A kernel that is missing, or
+    that rejects the call with a TypeError, raises KernelError.
     """
+    slsqp = _kernel()
     x = np.array(x0, dtype=np.float64)
     n, m = x.size, len(problem.normals0)
     state = {
@@ -248,7 +276,10 @@ def minimize(
     problem.values(x, d)
     problem.normals(x, C)
     while True:
-        slsqp(state, fx, g, C, d, x, mult, xl, xu, buffer, indices)
+        try:
+            slsqp(state, fx, g, C, d, x, mult, xl, xu, buffer, indices)
+        except TypeError as exc:
+            raise KernelError(exc) from exc
         mode = state["mode"]
         if mode == 1:
             fx = fun(x)

@@ -36,8 +36,10 @@ from ucsk.linksim import (
 )
 from ucsk.linksim import (
     _CHUNK,
+    _Buffers,
     _information,
     _map_shared_draws,
+    _symbol_errors,
     _uniform_blocks,
 )
 from ucsk.optimizer import _GAMUT_MARGIN, OptimizerConfig, design_constellation
@@ -572,20 +574,16 @@ class TestDetectColumnPass:
             assert got.tobytes() == expected.tobytes()
 
 
-def unclipped_information(h, sigma, symbols, z, work) -> tuple[float, bool]:
+def unclipped_information(h, sigmas, symbols, a, b, work) -> list[tuple[float, bool]]:
     """``_information`` without its floor on the log-likelihood gaps, and
-    whether a gap fell below that floor; it leaves ``work`` unused."""
-    scaled = h.vectors / sigma
-    d = np.empty((len(z), h.m), order="F")
-    np.einsum("nk,mk->nm", z, scaled, out=d)
-    rows = np.arange(len(symbols))
-    d -= d[rows, symbols][:, None]
-    delta = scaled[None, :, :] - scaled[:, None, :]
-    d -= 0.5 * np.einsum("sjk,sjk->js", delta, delta)[:, symbols].T
-    e = np.exp(d)
-    e[rows, symbols] = 0.0
-    terms = math.log2(h.m) - np.log1p(e.sum(axis=1)) / math.log(2.0)
-    return float(terms.sum()), bool(np.any(d < -700.0))
+    per sigma whether a gap fell below that floor; it leaves ``work``
+    unused."""
+    out = []
+    for sigma in sigmas:
+        d = (a - b / sigma) / sigma
+        terms = math.log2(h.m) - np.log1p(np.exp(d).sum(axis=0)) / math.log(2.0)
+        out.append((float(terms.sum()), bool(np.any(d < -700.0))))
+    return out
 
 
 def near_pair(separation: float) -> HypothesisSet:
@@ -621,10 +619,14 @@ class TestInformationRange:
     def test_clip_changes_nothing_at_45_db(self, reproduce_sets):
         sigmas = [noise_sigma(h.transmit_vectors(), 45.0) for h in reproduce_sets]
         args = (reproduce_sets, [sigmas], 4257, 70_000)
-        (unclipped,) = _map_shared_draws(*args, unclipped_information)
+        unclipped = _map_shared_draws(*args, unclipped_information)
         # The floor is reached, so the comparison tests it.
-        assert any(below for chunks in unclipped for _, below in chunks)
-        expected = [[[total for total, _ in chunks] for chunks in unclipped]]
+        assert any(
+            below for chunks in unclipped for chunk in chunks for _, below in chunk
+        )
+        expected = [
+            [[total for total, _ in chunk] for chunk in chunks] for chunks in unclipped
+        ]
         assert _map_shared_draws(*args, _information) == expected
 
 
@@ -685,6 +687,96 @@ class TestReproduceCurves:
         for h, curve in zip(reproduce_sets, rate_curve(reproduce_sets, grid, n, seed)):
             sigma = noise_sigma(h.transmit_vectors(), grid[0])
             assert curve.values[0] == BANDWIDTH_HZ * mi_alone(h, sigma, n, seed)
+
+
+FIGURE_4A_GRID = cli.parse_snr_grid(cli._FIGURES["4a"]["snr"])
+
+
+def detected_error_counts(hs, grid, n: int, seed: int) -> np.ndarray:
+    """Per hypothesis set and grid point, how many of the (seed, 0) draws
+    ``detect_ml`` decodes wrong from the received vectors sigma z + v_s."""
+    counts = np.zeros((len(hs), len(grid)), dtype=np.int64)
+    for start in range(0, n, _CHUNK):
+        u = _uniform_blocks(seed, start, out=np.empty((min(_CHUNK, n - start), 4)))
+        for i, h in enumerate(hs):
+            symbols = np.minimum((u[:, 0] * h.m).astype(np.int64), h.m - 1)
+            z = scipy.special.ndtri(u[:, 1 : 1 + h.bands])
+            for p, snr in enumerate(grid):
+                received = z * noise_sigma(h.vectors, snr) + h.vectors[symbols]
+                counts[i, p] += np.count_nonzero(detect_ml(received, h) != symbols)
+    return counts
+
+
+def twin_sets() -> list[HypothesisSet]:
+    """Hypothesis sets with two coincident rows: adjacent, apart with the
+    twin last, and the two symbols of an OOK-like set."""
+    return [
+        HypothesisSet(
+            np.array([[0.1, 0, 0], [0.1, 0, 0], [0.5, 0, 0], [0, 0.4, 0]]), np.ones(3)
+        ),
+        HypothesisSet(
+            np.array([[0.5, 0, 0], [0.1, 0.2, 0], [0, 0.4, 0.1], [0.1, 0.2, 0]]),
+            np.ones(3),
+        ),
+        HypothesisSet(np.array([[0.2], [0.2]]), np.ones(1)),
+    ]
+
+
+class TestCriticalValues:
+    """``simulate_ser`` decides each draw at every sigma by one critical
+    value; ``detect_ml`` on the received vectors stays the definition it
+    must match, count for count."""
+
+    N = 100_000  # the 4a count: two chunks, the second one partial
+
+    @pytest.mark.parametrize("seed", [0, 7, 4242])
+    @pytest.mark.parametrize("batch", ["reproduce_sets", "mixed_batch"])
+    def test_counts_equal_detect_ml(self, request, batch, seed):
+        hs = request.getfixturevalue(batch)
+        expected = detected_error_counts(hs, FIGURE_4A_GRID, self.N, seed)
+        assert (expected[:, 0] > 0).all()
+        curves = simulate_ser(hs, FIGURE_4A_GRID, self.N, seed)
+        for curve, counts in zip(curves, expected):
+            assert curve.values == tuple(int(c) / self.N for c in counts)
+
+    @pytest.mark.parametrize("seed", [0, 7, 4242])
+    def test_coincident_rows_tie_to_the_lower_index(self, seed):
+        hs = twin_sets()
+        expected = detected_error_counts(hs, FIGURE_4A_GRID, self.N, seed)
+        curves = simulate_ser(hs, FIGURE_4A_GRID, self.N, seed)
+        for curve, counts in zip(curves, expected):
+            assert curve.values == tuple(int(c) / self.N for c in counts)
+        # In the OOK-like set every draw of the higher twin is wrong and
+        # no draw of the lower one is, at every SNR.
+        u = _uniform_blocks(seed, 0, out=np.empty((self.N, 4)))
+        higher = np.count_nonzero(u[:, 0] >= 0.5)
+        assert curves[2].values == (higher / self.N,) * len(FIGURE_4A_GRID)
+
+    def test_exact_tie_goes_to_the_lower_index(self):
+        # Two draws that land on the midpoint of v_0 = 0 and v_1 = e_1 at
+        # sigma 1, where every quantity is exact: there detect_ml decodes
+        # both as 0, so only the draw of symbol 1 is wrong.
+        h = binary_set(1.0)
+        symbols = np.array([0, 1])
+        z = np.array([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]])
+        sigmas = (0.5, 1.0, 2.0)
+        detected = [
+            np.count_nonzero(detect_ml(z * sigma + h.vectors[symbols], h) != symbols)
+            for sigma in sigmas
+        ]
+        assert detected == [0, 1, 2]
+        # a_j = z . (v_j - v_s) and b_j = |v_j - v_s|**2 / 2 of each draw.
+        a, b = np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]])
+        assert _symbol_errors(h, sigmas, symbols, a, b, _Buffers(2)) == detected
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_every_curve_is_non_increasing(self, mixed_batch, seed):
+        # No allowance: a draw wrong at one sigma is wrong at every larger
+        # one, because both compare its one critical value with 1 / sigma.
+        grid = np.arange(-10.0, 40.5, 1.5)
+        for curve in simulate_ser(mixed_batch, grid, 70_000, seed):
+            assert list(curve.values) == sorted(curve.values, reverse=True)
+            assert curve.values[0] > curve.values[-1]
 
 
 class TestUniformBlocks:
