@@ -207,8 +207,17 @@ class GamutPolygon:
     def nearest_boundary(self, p: ChromaticityPoint) -> float:
         """max(A.p - b) over the hull half-planes: minus the distance to
         the boundary inside, and a lower bound on the distance outside."""
+        return float(self.boundary_gaps(np.array([[p.x, p.y]]))[0])
+
+    def boundary_gaps(self, points: np.ndarray) -> np.ndarray:
+        """``nearest_boundary`` of each row of the (n, 2) array ``points``.
+
+        One matrix-vector product per point, stacked: the same arithmetic
+        as ``A @ p`` for one point, bit for bit, where one matrix product
+        over all points would round differently.
+        """
         a, b = self.halfplanes
-        return float(np.max(a @ np.array([p.x, p.y]) - b))
+        return np.max(np.matmul(a, points[:, :, None])[..., 0] - b, axis=1)
 
     def contains(self, p: ChromaticityPoint) -> bool:
         """True when no hull half-plane puts ``p`` more than

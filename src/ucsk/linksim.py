@@ -612,6 +612,8 @@ def mutual_information(
     """
     hs = _batch(hypothesis_sets)
     sigma_grid = [tuple(float(s) for s in row) for row in sigma_grid]
+    if not sigma_grid:
+        raise ValueError("empty SNR grid")
     for row in sigma_grid:
         if len(row) != len(hs):
             raise ValueError("need one sigma per hypothesis set")

@@ -12,29 +12,43 @@ pairs, |u|^2 <= 1 (less a small slack, so X ends strictly inside the
 disk at every radius), and A.R <= b, A.G <= b for the gamut's unit
 half-planes (A, b) = GamutPolygon.halfplanes, which are linear in z.
 Every constraint is smooth, so one SLSQP solve (Kraft's sequential
-least-squares QP) per start suffices.  Each start is one loop around
-scipy's SLSQP kernel (minimize below), the loop that
-scipy.optimize.minimize(method="SLSQP") runs, without its per-call and
-per-iteration wrapping.  The kernel, scipy.optimize._slsqplib.slsqp, is
-private scipy API that each start imports (the first import loads
-scipy.optimize); a scipy that lacks it or calls it differently raises
-KernelError, which names the scipy version.  The constraints are m = 7 + 2|half-planes| rows,
-written in place: the 6 pairs, then the disk, then A.R <= b and
-A.G <= b.  The non-convex landscape is swept by deterministic
-multistart.  A start counts when SLSQP converged and it
-passes the rules the rest of the package uses: GamutPolygon.contains for
-R and G, which reads the same half-planes, and BlueTarget.contains for X.
+least-squares QP) per start suffices.  The constraints are
+m = 7 + 2|half-planes| rows: the 6 pairs, then the disk, then A.R <= b
+and A.G <= b.
 
-The search stops at the first counted start that is certified optimal:
-its d_min reaches dmin_upper_bound(target) less radius * _DISK_SLACK,
-so no start can beat it by more than that.  On the horseshoe, presets 2
-and 3 certify within their first 3 starts; where no start certifies
-(horseshoe preset 1, every LED-triangle preset) all starts run.
+The non-convex landscape is swept by deterministic multistart.  Each
+start's R and G are drawn from its own generator, seeded by
+(rng_seed, start index), so a start is the same whichever starts run
+beside it.  The starts are solved in waves of 1, 2 and then at most 32
+(design_constellation).  minimize solves a wave in lockstep: one SLSQP
+kernel state and workspace per start, and per round one kernel call per
+live start, one batched evaluation of the constraint values of every
+start that asks for them and one of the normals.  That is the loop of
+scipy.optimize.minimize(method="SLSQP") run once per start, without its
+per-call and per-iteration wrapping, and each start ends where that loop
+ends, bit for bit: the batched evaluators repeat a single start's
+arithmetic row by row (_problem).  The kernel,
+scipy.optimize._slsqplib.slsqp, is private scipy API that each wave
+imports (the first import loads scipy.optimize); a scipy that lacks it
+or calls it differently raises KernelError, which names the scipy
+version.
+
+A start counts when SLSQP converged and it passes the rules the rest of
+the package uses: GamutPolygon.contains for R and G, which reads the
+same half-planes, and BlueTarget.contains for X.  The starts of a wave
+are judged in index order, and the search stops at the first counted
+start that is certified optimal: its d_min reaches dmin_upper_bound(target)
+less radius * _DISK_SLACK, so no start can beat it by more than that.
+The starts after it in its wave are dropped, so the result is the one a
+search of one start at a time gives.  On the horseshoe, presets 2 and 3
+certify within their first 3 starts, the first two waves; where no
+start certifies (horseshoe preset 1, every LED-triangle preset) all
+starts run.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -185,22 +199,29 @@ def _point_map(blue: np.ndarray, target: BlueTarget) -> tuple[np.ndarray, np.nda
 
 
 class _Problem(NamedTuple):
-    """The constraints c(z) >= 0 of one design as in-place evaluators.
+    """The constraints c(z) >= 0 of one design as batched evaluators.
 
-    values(z, d) writes c(z) into d.  normals(z, C) writes the rows of
-    its Jacobian that vary with z into C; normals0 is a Fortran-ordered
+    values(Z) returns c at each row of the (K, 5) array Z as a (K, m)
+    array.  normals(Z) returns, as a (K, 7, 5) array, the rows of each
+    Jacobian that vary with z: the 6 pairs and the disk.  normals0 is the
     (m, 5) Jacobian that holds the constant entries (the gamut rows, and
-    the zeros of the disk row), so each start copies it once.  Rows are
-    the 6 pairs, then the disk, then A.R <= b and A.G <= b.
+    the zeros of the disk row), so each batch copies it once.  Rows are
+    the 6 pairs, then the disk, then A.R <= b and A.G <= b.  Row k of
+    each result is bit for bit what one row Z[k:k+1] gives.
     """
 
-    values: Callable[[np.ndarray, np.ndarray], None]
-    normals: Callable[[np.ndarray, np.ndarray], None]
+    values: Callable[[np.ndarray], np.ndarray]
+    normals: Callable[[np.ndarray], np.ndarray]
     normals0: np.ndarray
 
 
 def _problem(blue: np.ndarray, target: BlueTarget, gamut: GamutPolygon) -> _Problem:
-    """The pair, disk and gamut constraints over z = (R, u, t)."""
+    """The pair, disk and gamut constraints over z = (R, u, t).
+
+    Every product is a stacked matrix-vector product or an einsum over
+    one row, and t^2 is float_power(t, 2.0), libm's pow: a matrix product
+    over the whole batch, or t * t, would round differently.
+    """
     jac, offset = _point_map(blue, target)
     pair_jac = jac[_PAIR_I] - jac[_PAIR_J]
     pair_offset = offset[_PAIR_I] - offset[_PAIR_J]
@@ -211,29 +232,42 @@ def _problem(blue: np.ndarray, target: BlueTarget, gamut: GamutPolygon) -> _Prob
     normals0 = np.zeros((7 + len(lin_b), 5), order="F")
     normals0[7:] = -lin_a
 
-    def values(z, d):
-        p = pair_jac @ z[:4] + pair_offset
-        d[:6] = np.einsum("ij,ij->i", p, p) - z[4] ** 2
-        d[6] = 1.0 - _DISK_SLACK - z[2:4] @ z[2:4]
-        d[7:] = lin_b - lin_a @ z
+    def pairs(Z):
+        # (K, 6, 2): the difference of each pair of points.
+        return np.matmul(pair_jac, Z[:, None, :4, None])[..., 0] + pair_offset
 
-    def normals(z, C):
-        p = pair_jac @ z[:4] + pair_offset
-        C[:6, :4] = 2.0 * np.einsum("ij,ijk->ik", p, pair_jac)
-        C[:6, 4] = -2.0 * z[4]
-        C[6, 2:4] = -2.0 * z[2:4]
+    def values(Z):
+        p, u = pairs(Z), Z[:, 2:4]
+        d = np.empty((len(Z), len(normals0)))
+        d[:, :6] = np.einsum("kij,kij->ki", p, p) - np.float_power(Z[:, 4:], 2.0)
+        d[:, 6] = 1.0 - _DISK_SLACK - np.matmul(u[:, None, :], u[:, :, None])[:, 0, 0]
+        d[:, 7:] = lin_b - np.matmul(lin_a, Z[:, :, None])[..., 0]
+        return d
+
+    def normals(Z):
+        C = np.zeros((len(Z), 7, 5))
+        C[:, :6, :4] = 2.0 * np.einsum("kij,ijl->kil", pairs(Z), pair_jac)
+        C[:, :6, 4] = -2.0 * Z[:, 4:]
+        C[:, 6, 2:4] = -2.0 * Z[:, 2:4]
+        return C
 
     return _Problem(values, normals, normals0)
 
 
 class _Solution(NamedTuple):
-    """End of one SLSQP solve: the point, whether the kernel converged,
-    its iteration count and its exit mode (0 on convergence)."""
+    """End of one batch of SLSQP solves, one row per start: the points,
+    whether the kernel converged, its iteration count and its exit mode
+    (0 on convergence)."""
 
     x: np.ndarray
-    success: bool
-    nit: int
-    mode: int
+    success: tuple[bool, ...]
+    iterations: tuple[int, ...]
+    mode: tuple[int, ...]
+
+    @property
+    def nit(self) -> int:
+        """Iterations summed over the batch."""
+        return sum(self.iterations)
 
 
 def minimize(
@@ -243,66 +277,145 @@ def minimize(
     problem: _Problem,
 ) -> _Solution:
     """Minimize fun, a linear objective with gradient grad, subject to
-    problem's constraints >= 0, by Kraft's SLSQP kernel.
+    problem's constraints >= 0, by Kraft's SLSQP kernel, from each row of
+    the (K, n) array x0.
 
-    This is the loop of scipy.optimize.minimize(method="SLSQP") with
-    inequality constraints only and no bounds: the same kernel state and
-    workspace, accuracy _FTOL and iteration cap _MAX_ITERATIONS.  Mode 1
-    asks for fun and the constraint values at the new x, mode -1 for the
-    normals; the constant gradient and constant normal rows are written
-    once.  Any other mode ends the solve.  A kernel that is missing, or
+    Each row is the loop of scipy.optimize.minimize(method="SLSQP") with
+    inequality constraints only and no bounds: its own kernel state and
+    workspace, accuracy _FTOL and iteration cap _MAX_ITERATIONS.  The
+    rows run in lockstep.  Each round calls the kernel once per live row;
+    then the rows in mode 1 get fun, once per row, and their constraint
+    values in one batched call, and the rows in mode -1 their normals in
+    another.  The constant gradient and constant normal rows are written
+    once.  A row in any other mode is done.  A kernel that is missing, or
     that rejects the call with a TypeError, raises KernelError.
     """
     slsqp = _kernel()
-    x = np.array(x0, dtype=np.float64)
-    n, m = x.size, len(problem.normals0)
-    state = {
-        "acc": _FTOL, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0, "h2": 0.0,
-        "h3": 0.0, "h4": 0.0, "t": 0.0, "t0": 0.0, "tol": 10.0 * _FTOL,
-        "exact": 0, "inconsistent": 0, "reset": 0, "iter": 0,
-        "itermax": _MAX_ITERATIONS, "line": 0, "m": m, "meq": 0, "mode": 0,
-        "n": n,
-    }
+    x = np.array(x0, dtype=np.float64, order="C")
+    (k, n), m = x.shape, len(problem.normals0)
+    states = [
+        {
+            "acc": _FTOL, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0, "h2": 0.0,
+            "h3": 0.0, "h4": 0.0, "t": 0.0, "t0": 0.0, "tol": 10.0 * _FTOL,
+            "exact": 0, "inconsistent": 0, "reset": 0, "iter": 0,
+            "itermax": _MAX_ITERATIONS, "line": 0, "m": m, "meq": 0, "mode": 0,
+            "n": n,
+        }
+        for _ in range(k)
+    ]
     # Kraft's worst-case workspace with no equality constraints.
-    buffer = np.zeros(n * (n + 1) // 2 + 3 * m * n + 9 * m + 8 * n * n + 35 * n + 28)
-    indices = np.zeros(m + 2 * n + 2, dtype=np.int32)
-    mult = np.zeros(m + 2 * n + 2)
+    buffer = np.zeros((k, n * (n + 1) // 2 + 3 * m * n + 9 * m + 8 * n * n + 35 * n + 28))
+    indices = np.zeros((k, m + 2 * n + 2), dtype=np.int32)
+    mult = np.zeros((k, m + 2 * n + 2))
     # NaN bounds mark every variable free.
-    xl, xu = np.full(n, np.nan), np.full(n, np.nan)
-    g = np.array(grad, dtype=np.float64)
-    C = problem.normals0.copy(order="F")
-    d = np.empty(m)
-    fx = fun(x)
-    problem.values(x, d)
-    problem.normals(x, C)
-    while True:
-        try:
-            slsqp(state, fx, g, C, d, x, mult, xl, xu, buffer, indices)
-        except TypeError as exc:
-            raise KernelError(exc) from exc
-        mode = state["mode"]
-        if mode == 1:
-            fx = fun(x)
-            problem.values(x, d)
-        elif mode == -1:
-            problem.normals(x, C)
-        else:
-            return _Solution(x, mode == 0, state["iter"], mode)
+    xl, xu = np.full((k, n), np.nan), np.full((k, n), np.nan)
+    g = np.tile(np.asarray(grad, dtype=np.float64), (k, 1))
+    # Row i of C is a Fortran-ordered (m, n) Jacobian.
+    C = np.empty((k, n, m)).transpose(0, 2, 1)
+    C[:] = problem.normals0
+    C[:, :7] = problem.normals(x)
+    d = problem.values(x)
+    fx = [fun(row) for row in x]
+    # Each row's arguments after fx, as views that the batched writes
+    # below update in place.
+    rows = list(zip(g, C, d, x, mult, xl, xu, buffer, indices))
+    live = range(k)
+    while live:
+        evals, grads = [], []
+        for i in live:
+            try:
+                slsqp(states[i], fx[i], *rows[i])
+            except TypeError as exc:
+                raise KernelError(exc) from exc
+            mode = states[i]["mode"]
+            if mode == 1:
+                evals.append(i)
+            elif mode == -1:
+                grads.append(i)
+        if evals:
+            for i in evals:
+                fx[i] = fun(x[i])
+            d[evals] = problem.values(x[evals])
+        if grads:
+            C[grads, :7] = problem.normals(x[grads])
+        live = evals + grads
+    modes = tuple(state["mode"] for state in states)
+    return _Solution(
+        x, tuple(mode == 0 for mode in modes), tuple(state["iter"] for state in states),
+        modes,
+    )
 
 
-def _sample_point(
+# Attempts drawn at once by the start sampler; 10,000 is a multiple.
+_SAMPLE_BLOCK = 16
+_SAMPLE_ATTEMPTS = 10_000
+
+
+def _sample_points(
     rng: np.random.Generator,
     gamut: GamutPolygon,
     bbox: tuple[float, float, float, float],
-) -> np.ndarray:
-    """A uniform point of the gamut, by rejection in its bounding box."""
+) -> list[np.ndarray]:
+    """R and G of one start: uniform points of the gamut, by rejection in
+    its bounding box.
+
+    Each attempt draws x, then y, from rng; the first attempt that lands
+    in the gamut gives R and the next one G.  A point that misses on
+    _SAMPLE_ATTEMPTS attempts in a row falls back to the vertex mean.
+    Attempts are drawn _SAMPLE_BLOCK at a time and judged in one
+    GamutPolygon.boundary_gaps call, which gives the same points as one
+    attempt at a time.
+    """
     xmin, xmax, ymin, ymax = bbox
-    for _attempt in range(10_000):
-        p = np.array([rng.uniform(xmin, xmax), rng.uniform(ymin, ymax)])
-        if gamut.nearest_boundary(ChromaticityPoint(*p)) <= 0.0:
-            return p
-    # Pathological gamut; fall back to the vertex mean.
-    return np.mean([v.as_array() for v in gamut.vertices], axis=0)
+    low, span = np.array([xmin, ymin]), np.array([xmax - xmin, ymax - ymin])
+    points: list[np.ndarray] = []
+    misses = 0
+    while True:
+        block = low + span * rng.random((_SAMPLE_BLOCK, 2))
+        for p, inside in zip(block, gamut.boundary_gaps(block) <= 0.0):
+            misses = 0 if inside else misses + 1
+            if misses == _SAMPLE_ATTEMPTS:
+                # Pathological gamut; fall back to the vertex mean.
+                p, misses = np.mean([v.as_array() for v in gamut.vertices], axis=0), 0
+            elif not inside:
+                continue
+            points.append(p)
+            if len(points) == 2:
+                return points
+
+
+# The starts run in waves of 1, 2 and then at most _MAX_WAVE: a
+# horseshoe design that certifies does so by start 2, and the memory of a
+# wave stays flat in multistart_count.
+_MAX_WAVE = 32
+
+
+def _solved_starts(
+    target: BlueTarget, cfg: OptimizerConfig, gamut: GamutPolygon, problem: _Problem
+) -> Iterator[tuple[int, np.ndarray, bool, int, int]]:
+    """(index, z, success, iterations, exit mode) of each start in index
+    order, solved a wave at a time; a wave runs when its first start is
+    asked for."""
+    blue, center = FIXED_BLUE.as_array(), target.center.as_array()
+    bbox = gamut.bounding_box()
+    lo, size = 0, 1
+    while lo < cfg.multistart_count:
+        wave = range(lo, min(lo + size, cfg.multistart_count))
+        x0 = []
+        for k in wave:
+            r0, g0 = _sample_points(np.random.default_rng([cfg.rng_seed, k]), gamut, bbox)
+            # Start at the sampled R and G: u0 puts X at their centroid,
+            # but no farther than _START_RADII radii from the center.
+            u0 = np.zeros(2)
+            if target.radius > 0.0:
+                offset0 = (r0 + g0 + blue) / 3.0 - center
+                u0 = offset0 / max(target.radius, np.linalg.norm(offset0) / _START_RADII)
+            # t starts at 0, where every pair constraint holds.  Starting
+            # it at the start's own d_min instead lost the LED-triangle
+            # preset-2 optimum at 4 of seeds 0-99; from 0 no seed lost it.
+            x0.append(np.concatenate([r0, u0, [0.0]]))
+        yield from zip(wave, *minimize(lambda z: -z[4], x0, _NEG_T_GRAD, problem))
+        lo, size = wave.stop, (2 if size == 1 else _MAX_WAVE)
 
 
 def design_constellation(
@@ -313,12 +426,14 @@ def design_constellation(
     R and G of each start are sampled uniformly in the gamut (rejection
     sampling in its bounding box), each start seeded from
     (rng_seed, start_index) only, so results are deterministic and
-    independent of evaluation order.
+    independent of evaluation order.  The starts are solved in waves of
+    1, 2 and then at most _MAX_WAVE, each wave by one minimize call.
 
-    cfg.multistart_count is an upper bound on the starts run.  The loop
-    stops at the first feasible start whose d_min is certified optimal,
+    cfg.multistart_count is an upper bound on the starts run.  The starts
+    are judged in index order, and the search stops at the first feasible
+    start whose d_min is certified optimal,
     d_min >= dmin_upper_bound(target) - radius * _DISK_SLACK, and that
-    start wins.  With no certified start, all starts run and the best
+    start wins; the later starts of its wave are dropped.  With no certified start, all starts run and the best
     feasible start by (hard d_min, lowest index) wins.
     DesignResult.starts_used counts the starts run, and
     DesignResult.certified says whether the search stopped at the cap.
@@ -344,7 +459,6 @@ def design_constellation(
     blue = FIXED_BLUE.as_array()
     jac, offset = _point_map(blue, target)
     problem = _problem(blue, target, gamut)
-    bbox = gamut.bounding_box()
     # A feasible start at or above this d_min is optimal to within
     # radius * _DISK_SLACK, the disk slack, by the cap's own argument.
     cap_floor = dmin_upper_bound(target) - target.radius * _DISK_SLACK
@@ -353,27 +467,13 @@ def design_constellation(
     # higher d_min replaces it, so ties go to the lowest start index.
     best, starts_converged = None, 0
     diagnostics: list[dict] = []
-    for k in range(cfg.multistart_count):
-        rng = np.random.default_rng([cfg.rng_seed, k])
-        r0, g0 = _sample_point(rng, gamut, bbox), _sample_point(rng, gamut, bbox)
-        # Start at the sampled R and G: u0 puts X at their centroid, but
-        # no farther than _START_RADII radii from the center.
-        u0 = np.zeros(2)
-        if target.radius > 0.0:
-            offset0 = (r0 + g0 + blue) / 3.0 - target.center.as_array()
-            u0 = offset0 / max(target.radius, np.linalg.norm(offset0) / _START_RADII)
-        # t starts at 0, where every pair constraint holds.  Starting it
-        # at the start's own d_min instead lost the LED-triangle preset-2
-        # optimum at 4 of seeds 0-99; from 0 no seed lost it.
-        res = minimize(
-            lambda z: -z[4], np.concatenate([r0, u0, [0.0]]), _NEG_T_GRAD, problem
-        )
-        pts = jac @ res.x[:4] + offset
+    for k, x, success, nit, mode in _solved_starts(target, cfg, gamut, problem):
+        pts = jac @ x[:4] + offset
         dmin = float(np.linalg.norm(pts[_PAIR_I] - pts[_PAIR_J], axis=1).min())
         r_pt, g_pt = ChromaticityPoint(*pts[0]), ChromaticityPoint(*pts[1])
         x_pt = centroid([r_pt, g_pt, FIXED_BLUE])
         in_gamut = gamut.contains(r_pt) and gamut.contains(g_pt)
-        ok = res.success and in_gamut and target.contains(x_pt)
+        ok = success and in_gamut and target.contains(x_pt)
         if ok:
             starts_converged += 1
             if best is None or dmin > best[0]:
@@ -382,11 +482,11 @@ def design_constellation(
             {
                 "start_index": k,
                 "d_min": dmin,
-                "converged": res.success,
+                "converged": success,
                 "in_gamut": in_gamut,
                 "constraint_residual": max(-target.margin(x_pt), 0.0),
-                "iterations": res.nit,
-                "exit_mode": res.mode,
+                "iterations": nit,
+                "exit_mode": mode,
             }
         )
         if ok and dmin >= cap_floor:

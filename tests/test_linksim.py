@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ucsk import cli
+from ucsk import cli, linksim
 from ucsk.channel import attenuation_coefficient, path_loss
 from ucsk.colorimetry import (
     ChromaticityPoint,
@@ -318,6 +318,15 @@ class TestMutualInformation:
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
             mi_alone(binary_set(1.0), 0.0, 10_000, 0)
+
+    def test_empty_sigma_grid_rejected_before_any_draw(self, monkeypatch):
+        # As simulate_ser does: no grid point, no draws.
+        def no_draws(*args):
+            raise AssertionError("drew noise for an empty grid")
+
+        monkeypatch.setattr(linksim, "_map_shared_draws", no_draws)
+        with pytest.raises(ValueError, match="empty SNR grid"):
+            mutual_information([binary_set(1.0)], [], 1_000_000, 0)
 
 
 class TestNoiseSigma:

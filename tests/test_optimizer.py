@@ -1,3 +1,4 @@
+import inspect
 import math
 from itertools import combinations
 
@@ -9,6 +10,7 @@ from ucsk import optimizer
 from ucsk.colorimetry import (
     ChromaticityPoint,
     GamutPolygon,
+    centroid,
     spectral_locus,
     xy_distance,
 )
@@ -59,41 +61,110 @@ def _central_difference(fun, z, h=1e-7):
 
 
 def _evaluators(problem):
-    """(fun, jac) returning fresh arrays from the in-place evaluators."""
-    m = len(problem.normals0)
+    """(fun, jac) of one z, each a one-row batch of the evaluators."""
 
     def fun(z):
-        d = np.empty(m)
-        problem.values(z, d)
-        return d
+        return problem.values(np.asarray(z)[None])[0]
 
     def jac(z):
         C = problem.normals0.copy(order="F")
-        problem.normals(z, C)
+        C[:7] = problem.normals(np.asarray(z)[None])[0]
         return C
 
     return fun, jac
 
 
+def _scalar_evaluators(problem, blue, target, gamut):
+    """(fun, jac) of one z in the arithmetic of a single start: the forms
+    that the batched evaluators must reproduce bit for bit."""
+    jac0, offset = optimizer._point_map(blue, target)
+    pair_jac = jac0[optimizer._PAIR_I] - jac0[optimizer._PAIR_J]
+    pair_offset = offset[optimizer._PAIR_I] - offset[optimizer._PAIR_J]
+    a, b = gamut.halfplanes
+    lin_a = np.hstack([np.vstack([a @ jac0[0], a @ jac0[1]]), np.zeros((2 * len(b), 1))])
+    lin_b = np.concatenate([b - a @ offset[0], b - a @ offset[1]]) + optimizer._GAMUT_MARGIN
+
+    def fun(z):
+        p = pair_jac @ z[:4] + pair_offset
+        d = np.empty(len(problem.normals0))
+        d[:6] = np.einsum("ij,ij->i", p, p) - z[4] ** 2
+        d[6] = 1.0 - optimizer._DISK_SLACK - z[2:4] @ z[2:4]
+        d[7:] = lin_b - lin_a @ z
+        return d
+
+    def jac(z):
+        p = pair_jac @ z[:4] + pair_offset
+        C = problem.normals0.copy(order="F")
+        C[:6, :4] = 2.0 * np.einsum("ij,ijk->ik", p, pair_jac)
+        C[:6, 4] = -2.0 * z[4]
+        C[6, 2:4] = -2.0 * z[2:4]
+        return C
+
+    return fun, jac
+
+
+JACOBIAN_TARGETS = pytest.mark.parametrize(
+    "target",
+    [blue_target_preset(2), BlueTarget(ChromaticityPoint(0.15, 0.15), 0.0)],
+    ids=["disk", "zero-radius-disk"],
+)
+
+
+def _jacobian_points():
+    """The 12 z's the Jacobian checks run at, as one (12, 5) batch."""
+    rng = np.random.default_rng(3)
+    return np.array([
+        rng.uniform([0.05, 0.05, -1.5, -1.5, 0.01], [0.6, 0.7, 1.5, 1.5, 0.3])
+        for _ in range(12)
+    ])
+
+
 class TestJacobians:
-    @pytest.mark.parametrize(
-        "target",
-        [blue_target_preset(2), BlueTarget(ChromaticityPoint(0.15, 0.15), 0.0)],
-        ids=["disk", "zero-radius-disk"],
-    )
+    @JACOBIAN_TARGETS
     def test_match_central_differences(self, locus, target):
         # 6 pair rows, 1 disk row and 2 gamut rows per half-plane, all
         # inequalities at every radius
         problem = _problem(FIXED_BLUE.as_array(), target, locus)
-        assert problem.normals0.shape == (7 + 2 * len(locus.halfplanes[1]), 5)
+        m = 7 + 2 * len(locus.halfplanes[1])
+        assert problem.normals0.shape == (m, 5)
         assert problem.normals0.flags.f_contiguous
-        fun, jac = _evaluators(problem)
-        rng = np.random.default_rng(3)
-        for _ in range(12):
-            z = rng.uniform([0.05, 0.05, -1.5, -1.5, 0.01], [0.6, 0.7, 1.5, 1.5, 0.3])
+        Z = _jacobian_points()
+        assert problem.values(Z).shape == (12, m)
+        normals = problem.normals(Z)
+        assert normals.shape == (12, 7, 5)
+        fun, _ = _evaluators(problem)
+        for z, top in zip(Z, normals):
+            C = problem.normals0.copy()
+            C[:7] = top
             np.testing.assert_allclose(
-                jac(z), _central_difference(fun, z), rtol=1e-6, atol=1e-8
+                C, _central_difference(fun, z), rtol=1e-6, atol=1e-8
             )
+
+    @JACOBIAN_TARGETS
+    @pytest.mark.parametrize("gamut_name", ("horseshoe", "led-triangle"))
+    def test_batch_rows_match_one_row_bitwise(self, target, gamut_name):
+        # A start solved in a batch must see the bytes it would see alone,
+        # and alone it must see the arithmetic of a single start: t**2 is
+        # libm's pow, not t * t, and no product spans the batch.
+        gamut = GAMUTS[gamut_name]()
+        blue = FIXED_BLUE.as_array()
+        problem = _problem(blue, target, gamut)
+        fun, jac = _evaluators(problem)
+        scalar_fun, scalar_jac = _scalar_evaluators(problem, blue, target, gamut)
+        # About 1 t in 1,000 has t**2 != t * t; 200 more z's, the first
+        # of them at such t's.
+        rng = np.random.default_rng(4)
+        extra = rng.uniform([0.05, 0.05, -1.5, -1.5, 0.0], [0.6, 0.7, 1.5, 1.5, 0.3], (200, 5))
+        t = rng.uniform(0.0, 0.3, 20_000)
+        odd = t[[s**2 != s * s for s in t]][:10]
+        assert len(odd) == 10
+        extra[:10, 4] = odd
+        Z = np.concatenate([_jacobian_points(), extra])
+        values, normals = problem.values(Z), problem.normals(Z)
+        for z, d, top in zip(Z, values, normals):
+            assert d.tobytes() == fun(z).tobytes() == scalar_fun(z).tobytes()
+            assert top.tobytes() == jac(z)[:7].tobytes()
+            assert jac(z).tobytes() == scalar_jac(z).tobytes()
 
     def test_pair_residuals_are_squared_distances(self):
         target = blue_target_preset(3)
@@ -238,34 +309,64 @@ class TestCap:
         assert result.constellation.d_min == 0.17147647168797064
 
 
+def _scipy_row(x0, problem):
+    """One start by scipy.optimize.minimize(method="SLSQP"), as
+    (x bytes, success, nit, exit mode)."""
+    con_fun, con_jac = _evaluators(problem)
+    ref = scipy.optimize.minimize(
+        lambda z: -z[4],
+        x0,
+        jac=lambda z: optimizer._NEG_T_GRAD,
+        method="SLSQP",
+        constraints=[{"type": "ineq", "fun": con_fun, "jac": con_jac}],
+        options={"maxiter": optimizer._MAX_ITERATIONS, "ftol": optimizer._FTOL},
+    )
+    return ref.x.tobytes(), ref.success, ref.nit, ref.status
+
+
+def _rows(res):
+    """(x bytes, success, nit, exit mode) of each row of a batch."""
+    return [
+        (x.tobytes(), success, nit, mode)
+        for x, success, nit, mode in zip(res.x, res.success, res.iterations, res.mode)
+    ]
+
+
+def _design_batches(monkeypatch, target, cfg, gamut):
+    """(x0, problem) of every minimize call of a design that certifies no
+    start, so that every start runs."""
+    solve, batches = optimizer.minimize, []
+
+    def record(fun, x0, grad, problem):
+        batches.append((np.array(x0), problem))
+        return solve(fun, x0, grad, problem)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizer, "minimize", record)
+        patch.setattr(optimizer, "dmin_upper_bound", lambda target: math.inf)
+        design_constellation(target, cfg, gamut)
+    return batches
+
+
 class TestKernelDriver:
-    # optimizer.minimize drives SLSQP's private kernel directly.  Every
-    # start must end where scipy.optimize.minimize ends on the same
-    # problem, bit for bit, so a change of the kernel or of scipy's loop
-    # around it fails here rather than in a distant digest.  An infinite
-    # cap certifies no start, so all 32 run at every case.
+    # optimizer.minimize drives SLSQP's private kernel directly, one
+    # kernel state per row of a batch of starts.  Every row must end
+    # where scipy.optimize.minimize ends on the same start, bit for bit,
+    # so a change of the kernel, of scipy's loop around it or of the
+    # lockstep fails here rather than in a distant digest.  An infinite
+    # cap certifies no start, so all 32 run at every case, in waves of
+    # 1, 2 and 29.
     @pytest.mark.parametrize("seed", (0, 2024))
     @pytest.mark.parametrize("preset", (1, 2, 3))
     @pytest.mark.parametrize("gamut_name", ("horseshoe", "led-triangle"))
     def test_matches_scipy_minimize(self, monkeypatch, gamut_name, preset, seed):
-        driver = optimizer.minimize
-        starts = []
+        solve = optimizer.minimize
+        ours, refs = [], []
 
         def both(fun, x0, grad, problem):
-            res = driver(fun, x0, grad, problem)
-            con_fun, con_jac = _evaluators(problem)
-            ref = scipy.optimize.minimize(
-                fun,
-                x0,
-                jac=lambda z: grad,
-                method="SLSQP",
-                constraints=[{"type": "ineq", "fun": con_fun, "jac": con_jac}],
-                options={"maxiter": optimizer._MAX_ITERATIONS, "ftol": optimizer._FTOL},
-            )
-            starts.append(
-                ((res.x.tobytes(), res.success, res.nit, res.mode),
-                 (ref.x.tobytes(), ref.success, ref.nit, ref.status))
-            )
+            res = solve(fun, x0, grad, problem)
+            ours.extend(_rows(res))
+            refs.extend(_scipy_row(row, problem) for row in x0)
             return res
 
         monkeypatch.setattr(optimizer, "minimize", both)
@@ -273,9 +374,77 @@ class TestKernelDriver:
         design_constellation(
             blue_target_preset(preset), OptimizerConfig(rng_seed=seed), GAMUTS[gamut_name]()
         )
-        assert len(starts) == 32
-        for k, (ours, ref) in enumerate(starts):
-            assert ours == ref, f"start {k}"
+        assert len(ours) == 32
+        for k, (row, ref) in enumerate(zip(ours, refs)):
+            assert row == ref, f"start {k}"
+
+    def test_rows_that_finish_in_different_rounds(self, monkeypatch):
+        # The 32 starts of one design, solved as one batch: rows that end
+        # early drop out of the lockstep, and each row still ends where it
+        # ends alone and where scipy ends.
+        batches = _design_batches(
+            monkeypatch, blue_target_preset(1), OptimizerConfig(rng_seed=0),
+            led_triangle_gamut(),
+        )
+        problem = batches[0][1]
+        x0 = np.concatenate([x for x, _ in batches])
+        res = optimizer.minimize(lambda z: -z[4], x0, optimizer._NEG_T_GRAD, problem)
+        assert len(set(res.iterations)) > 1
+        alone = [
+            _rows(optimizer.minimize(lambda z: -z[4], row[None], optimizer._NEG_T_GRAD, problem))[0]
+            for row in x0
+        ]
+        assert _rows(res) == alone
+        assert alone == [_scipy_row(row, problem) for row in x0]
+
+    def test_batch_of_one(self, locus):
+        problem = _problem(FIXED_BLUE.as_array(), blue_target_preset(1), locus)
+        x0 = np.array([[0.5, 0.4, 0.2, -0.3, 0.0]])
+        res = optimizer.minimize(lambda z: -z[4], x0, optimizer._NEG_T_GRAD, problem)
+        assert res.x.shape == (1, 5)
+        assert _rows(res) == [_scipy_row(x0[0], problem)]
+        assert res.nit == res.iterations[0]
+
+
+class TestTracerContract:
+    # bench/spans.py wraps optimizer.minimize by name: it calls
+    # minimize(objective, x0, grad, problem) with fun wrapped so that it
+    # counts each objective evaluation, and adds the result's nit to the
+    # traced iteration count.  A drift here reads as a wrong count, not
+    # as an error.
+    def test_signature(self):
+        assert list(inspect.signature(optimizer.minimize).parameters) == [
+            "fun", "x0", "grad", "problem",
+        ]
+
+    def test_fun_once_per_evaluation_and_nit_is_the_batch_total(
+        self, monkeypatch, locus
+    ):
+        kernel = optimizer._kernel()
+        evaluations = []
+
+        def counting(state, *args):
+            kernel(state, *args)
+            evaluations.append(state["mode"] == 1)
+
+        monkeypatch.setattr(optimizer, "_kernel", lambda: counting)
+        batches = _design_batches(
+            monkeypatch, blue_target_preset(1), OptimizerConfig(rng_seed=0), locus
+        )
+        x0 = np.concatenate([x for x, _ in batches])
+        calls = []
+
+        def fun(z):
+            calls.append(z.copy())
+            return -z[4]
+
+        evaluations.clear()
+        res = optimizer.minimize(fun, x0, optimizer._NEG_T_GRAD, batches[0][1])
+        # One evaluation at each start, then one per mode-1 request.
+        assert len(calls) == len(x0) + sum(evaluations)
+        assert type(res.nit) is int
+        assert res.nit == sum(res.iterations)
+        assert all(type(nit) is int for nit in res.iterations)
 
 
 class TestCertificate:
@@ -314,6 +483,143 @@ class TestCertificate:
         assert result.certified
         assert result.starts_used == result.best_start_index + 1
         assert result.starts_converged == 1
+
+
+def _replay(monkeypatch, target, cfg, gamut):
+    """design_constellation one start at a time: each start a one-row
+    minimize call from the x0 the design gives it, judged in index order,
+    stopping at the first feasible start at or above the cap floor.
+    Returns the DesignResult and each start's (d_min, feasible)."""
+    batches = _design_batches(monkeypatch, target, cfg, gamut)
+    problem = batches[0][1]
+    jac, offset = optimizer._point_map(FIXED_BLUE.as_array(), target)
+    cap_floor = optimizer.dmin_upper_bound(target) - target.radius * optimizer._DISK_SLACK
+    best, converged, starts = None, 0, []
+    for k, x0 in enumerate(np.concatenate([x for x, _ in batches])):
+        res = optimizer.minimize(lambda z: -z[4], x0[None], optimizer._NEG_T_GRAD, problem)
+        pts = jac @ res.x[0, :4] + offset
+        dmin = float(np.linalg.norm(pts[optimizer._PAIR_I] - pts[optimizer._PAIR_J], axis=1).min())
+        r, g = ChromaticityPoint(*pts[0]), ChromaticityPoint(*pts[1])
+        ok = (
+            res.success[0] and gamut.contains(r) and gamut.contains(g)
+            and target.contains(centroid([r, g, FIXED_BLUE]))
+        )
+        starts.append((dmin, ok))
+        if ok:
+            converged += 1
+            if best is None or dmin > best[0]:
+                best = (dmin, k, *sorted((r, g), key=lambda p: -p.x))
+            if dmin >= cap_floor:
+                break
+    dmin, k, r, g = best
+    result = optimizer.DesignResult(
+        constellation=build_constellation(r, g, FIXED_BLUE, gamut),
+        starts_converged=converged,
+        best_start_index=k,
+        starts_used=len(starts),
+        certified=dmin >= cap_floor,
+    )
+    return result, starts
+
+
+class TestWaves:
+    # design_constellation solves its starts in waves of 1, 2 and then at
+    # most 32, and judges each wave's starts in index order.  It must give
+    # what one start at a time gives.
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("preset", (2, 3))
+    def test_horseshoe_certificates(self, monkeypatch, locus, preset, seed):
+        target, cfg = blue_target_preset(preset), OptimizerConfig(rng_seed=seed)
+        expect, _ = _replay(monkeypatch, target, cfg, locus)
+        assert expect.certified and expect.starts_used <= 3
+        assert design_constellation(target, cfg, locus) == expect
+
+    @pytest.mark.parametrize("preset", (1, 2, 3))
+    def test_led_triangle(self, monkeypatch, preset):
+        target, cfg = blue_target_preset(preset), OptimizerConfig(rng_seed=2024)
+        expect, _ = _replay(monkeypatch, target, cfg, led_triangle_gamut())
+        assert not expect.certified and expect.starts_used == 32
+        assert design_constellation(target, cfg, led_triangle_gamut()) == expect
+
+    def test_more_starts_than_one_wave(self, monkeypatch):
+        # 70 starts run in waves of 1, 2, 32, 32 and 3.
+        target = blue_target_preset(2)
+        cfg = OptimizerConfig(multistart_count=70, rng_seed=0)
+        batches = _design_batches(monkeypatch, target, cfg, led_triangle_gamut())
+        assert [len(x0) for x0, _ in batches] == [1, 2, 32, 32, 3]
+        expect, _ = _replay(monkeypatch, target, cfg, led_triangle_gamut())
+        assert expect.starts_used == 70
+        assert design_constellation(target, cfg, led_triangle_gamut()) == expect
+
+    def test_certificate_inside_a_wave(self, monkeypatch):
+        # A cap met first by a start of the third wave: the starts after
+        # it in that wave are solved but neither counted nor judged.
+        target, gamut = blue_target_preset(3), led_triangle_gamut()
+        cfg = OptimizerConfig(rng_seed=2024)
+        _, starts = _replay(monkeypatch, target, cfg, gamut)
+        best, records = -math.inf, []
+        for k, (dmin, ok) in enumerate(starts):
+            if ok and dmin > best:
+                records.append((k, best, dmin))
+                best = dmin
+        k, below, at = next(r for r in records if 3 <= r[0] < 31)
+        cap = (below + at) / 2 + target.radius * optimizer._DISK_SLACK
+        monkeypatch.setattr(optimizer, "dmin_upper_bound", lambda target: cap)
+        expect, _ = _replay(monkeypatch, target, cfg, gamut)
+        assert expect.certified and expect.starts_used == k + 1
+        assert design_constellation(target, cfg, gamut) == expect
+
+
+def _scalar_sample_point(rng, gamut, bbox):
+    """One attempt at a time: the start sampler's oracle."""
+    xmin, xmax, ymin, ymax = bbox
+    for _attempt in range(10_000):
+        p = np.array([rng.uniform(xmin, xmax), rng.uniform(ymin, ymax)])
+        if gamut.nearest_boundary(ChromaticityPoint(*p)) <= 0.0:
+            return p
+    return np.mean([v.as_array() for v in gamut.vertices], axis=0)
+
+
+class TestStartSampler:
+    @pytest.mark.parametrize("gamut_name", sorted(GAMUTS))
+    def test_blocks_match_one_attempt_at_a_time(self, gamut_name):
+        gamut = GAMUTS[gamut_name]()
+        bbox = gamut.bounding_box()
+        for seed in range(50):
+            for k in range(32):
+                ours = optimizer._sample_points(np.random.default_rng([seed, k]), gamut, bbox)
+                rng = np.random.default_rng([seed, k])
+                oracle = [_scalar_sample_point(rng, gamut, bbox) for _ in range(2)]
+                assert [p.tobytes() for p in ours] == [p.tobytes() for p in oracle], (seed, k)
+
+    @pytest.mark.parametrize(
+        "width, seed, fallbacks",
+        [(1e-7, 0, [True, True]), (2e-4, 2, [True, False]),
+         (2e-4, 5, [False, False]), (2e-4, 6, [False, True])],
+        ids=["both-miss", "r-misses", "misses-restart", "g-misses"],
+    )
+    def test_sliver_gamut_falls_back_to_the_vertex_mean(self, width, seed, fallbacks):
+        # The triangle covers width / 2 of its bounding box.  At 1e-7,
+        # 10,000 attempts miss it for both points; at 2e-4 and seed 5, R
+        # takes 9,662 attempts and G 7,231, so the count of misses starts
+        # again at each point.
+        gamut = GamutPolygon([
+            ChromaticityPoint(0.0, 0.0), ChromaticityPoint(1.0, 1.0),
+            ChromaticityPoint(1.0, 1.0 - width),
+        ])
+        bbox = gamut.bounding_box()
+        mean = np.mean([v.as_array() for v in gamut.vertices], axis=0)
+        follow = np.random.default_rng([seed, 0])
+        ours = optimizer._sample_points(follow, gamut, bbox)
+        rng = np.random.default_rng([seed, 0])
+        oracle = [_scalar_sample_point(rng, gamut, bbox) for _ in range(2)]
+        assert [p.tobytes() for p in ours] == [p.tobytes() for p in oracle]
+        assert [p.tobytes() == mean.tobytes() for p in ours] == fallbacks
+        if fallbacks == [True, True]:
+            # Two fallbacks take exactly 2 x 10,000 attempts of the stream.
+            rng = np.random.default_rng([seed, 0])
+            rng.random(40_000)
+            assert follow.random() == rng.random()
 
 
 class TestDiskContainment:
