@@ -57,9 +57,14 @@ scipy lacks the private SLSQP kernel ``scipy.optimize._slsqplib.slsqp``
 or the kernel rejects the call (an ImportError or a TypeError): the
 installed library is then not one this package can run.
 
+Every count has a ceiling: ``--symbols`` and ``--samples`` at most
+10**9, ``--starts`` at most 10000 and an ``--snr`` grid at most 10000
+points.  A count past its ceiling is a usage error (exit 1), found
+before any work runs.
+
 Importing this module loads no scipy module.  ``design`` and
-``reproduce`` import ``optimizer`` (which loads ``scipy.optimize`` when
-its first start runs), and ``ser``, ``rate`` and ``reproduce`` import
+``reproduce`` import ``optimizer`` (which loads scipy's SLSQP kernel
+extension, and not ``scipy.optimize``, when its first start runs), and ``ser``, ``rate`` and ``reproduce`` import
 ``linksim`` (``scipy.special``), only when they run, and call into both
 through the module, so a name patched there is the name called.
 """
@@ -116,6 +121,15 @@ _FIGURES = {
 
 # Most points one --snr grid may have.
 _MAX_SNR_POINTS = 10_000
+
+# Ceilings of the other counts.  A run's memory is flat in each (the
+# draws come in fixed chunks, the starts in waves), so they bound time:
+# a one-point ser curve of 10**9 symbols takes a few minutes on a
+# 2-vCPU host, and 10000 LED-triangle starts about 7 s.  Past them a
+# mistyped count would run for days.
+_MAX_SYMBOLS = 10**9
+_MAX_SAMPLES = 10**9
+_MAX_STARTS = 10_000
 
 _OOK_WAVELENGTHS = dict(zip(("red", "green", "blue"), DEFAULT_PRIMARY_WAVELENGTHS))
 
@@ -351,6 +365,8 @@ def _cmd_design(args) -> None:
         target = _config(BlueTarget, center=center, radius=args.target_radius)
     else:
         raise _usage("give --preset or both --target-center and --target-radius")
+    if args.starts > _MAX_STARTS:
+        raise _usage(f"--starts allows at most {_MAX_STARTS}, got {args.starts}")
     cfg = _config(
         optimizer.OptimizerConfig, multistart_count=args.starts, rng_seed=args.seed
     )
@@ -456,6 +472,8 @@ def _cmd_ser(args) -> None:
     grid = parse_snr_grid(args.snr)
     if args.symbols < 10_000:
         raise _usage("--symbols must be >= 10000")
+    if args.symbols > _MAX_SYMBOLS:
+        raise _usage(f"--symbols allows at most {_MAX_SYMBOLS}, got {args.symbols}")
     hypotheses, inputs = _load_link(args)
     out = Path(args.out)
     ub, manifest = _ub_path(out), _manifest_path(out)
@@ -479,6 +497,8 @@ def _cmd_rate(args) -> None:
     grid = parse_snr_grid(args.snr)
     if args.samples < 10_000:
         raise _usage("--samples must be >= 10000")
+    if args.samples > _MAX_SAMPLES:
+        raise _usage(f"--samples allows at most {_MAX_SAMPLES}, got {args.samples}")
     if args.scheme == "ook" and args.wavelength is None:
         raise _usage("--scheme ook requires --wavelength")
     if args.scheme == "ucsk" and not args.constellation:
@@ -602,9 +622,9 @@ def _build_parser() -> _Parser:
         "--starts",
         type=int,
         default=32,
-        help="most optimizer starts to run; the search stops at the first "
-        "start whose d_min reaches the analytic cap |center - B| + radius, "
-        "less radius * 1e-9, as such a start is optimal",
+        help="most optimizer starts to run, at most 10000; the search stops "
+        "at the first start whose d_min reaches the analytic cap "
+        "|center - B| + radius, less radius * 1e-9, as such a start is optimal",
     )
     p.add_argument(
         "--gamut",
@@ -639,7 +659,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--water", required=True, help="CSV path or 'seawater'")
     p.add_argument("--distance", type=float, required=True)
     p.add_argument("--snr", required=True, help="LO:STEP:HI in dB")
-    p.add_argument("--symbols", type=int, required=True)
+    p.add_argument("--symbols", type=int, required=True, help="10000 to 10**9")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ser)
@@ -651,7 +671,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--water", required=True, help="CSV path or 'seawater'")
     p.add_argument("--distance", type=float, required=True)
     p.add_argument("--snr", required=True, help="LO:STEP:HI in dB")
-    p.add_argument("--samples", type=int, default=50_000)
+    p.add_argument("--samples", type=int, default=50_000, help="10000 to 10**9")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_rate)

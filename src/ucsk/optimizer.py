@@ -29,9 +29,9 @@ per-call and per-iteration wrapping, and each start ends where that loop
 ends, bit for bit: the batched evaluators repeat a single start's
 arithmetic row by row (_problem).  The kernel,
 scipy.optimize._slsqplib.slsqp, is private scipy API that each wave
-imports (the first import loads scipy.optimize); a scipy that lacks it
-or calls it differently raises KernelError, which names the scipy
-version.
+looks up (_kernel).  The first lookup loads its one extension file and
+not the scipy.optimize package; a scipy that lacks the kernel or calls it differently
+raises KernelError, which names the scipy version.
 
 A start counts when SLSQP converged and it passes the rules the rest of
 the package uses: GamutPolygon.contains for R and G, which reads the
@@ -48,6 +48,11 @@ starts run.
 
 from __future__ import annotations
 
+import glob
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -128,10 +133,36 @@ class KernelError(RuntimeError):
         )
 
 
+_KERNEL_MODULE = "scipy.optimize._slsqplib"
+
+
 def _kernel():
     """scipy's private SLSQP kernel; KernelError when it cannot be
-    imported."""
+    imported.
+
+    Importing the kernel by name would first run scipy.optimize's
+    __init__, which loads all of scipy.optimize.  So the first call
+    loads the one extension file, _slsqplib.* in scipy's optimize
+    directory, with its own ExtensionFileLoader (PEP 489) and registers
+    it in sys.modules under its name.  A later import by name, this
+    function's own or scipy.optimize's, then finds that module, so
+    scipy.optimize.minimize(method="SLSQP") runs the same kernel object.
+    When the name is already in sys.modules, or the glob finds no file or
+    more than one, the kernel is imported by name as the import system
+    resolves it; a None in sys.modules, or a scipy without the kernel,
+    then raises KernelError there.
+    """
     try:
+        if _KERNEL_MODULE not in sys.modules:
+            import scipy
+
+            files = glob.glob(os.path.join(scipy.__path__[0], "optimize", "_slsqplib.*"))
+            if len(files) == 1:
+                loader = importlib.machinery.ExtensionFileLoader(_KERNEL_MODULE, files[0])
+                spec = importlib.util.spec_from_loader(_KERNEL_MODULE, loader)
+                module = importlib.util.module_from_spec(spec)
+                loader.exec_module(module)
+                sys.modules[_KERNEL_MODULE] = module
         from scipy.optimize._slsqplib import slsqp
     except ImportError as exc:
         raise KernelError(exc) from exc

@@ -161,6 +161,11 @@ def _option_dests(subcommand):
 def _reproduce(out, figure):
     """Run ``reproduce`` into ``out``; file name -> SHA-256."""
     assert main(["reproduce", "--figure", figure, "--out", str(out)]) == EXIT_OK
+    return _digests(out)
+
+
+def _digests(out):
+    """File name -> SHA-256 of every file in the directory ``out``."""
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(out.iterdir())
@@ -197,6 +202,43 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert "scipy.optimize._slsqplib.slsqp" in err
         assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, option, ceiling, engine",
+        [(["ser", *_LINK], "--symbols", cli._MAX_SYMBOLS, "ser_curves"),
+         (["rate", "--scheme", "ook", "--wavelength", "460", *_LINK], "--samples",
+          cli._MAX_SAMPLES, "rate_curve"),
+         (["design", "--preset", "2"], "--starts", cli._MAX_STARTS,
+          "design_constellation")],
+        ids=["symbols", "samples", "starts"],
+    )
+    def test_count_past_its_ceiling_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, argv, option, ceiling, engine
+    ):
+        # One past the ceiling exits 1 before any work runs.  At the
+        # ceiling the count reaches the engine, which a stub stops there.
+        class Reached(Exception):
+            pass
+
+        def stop(*args):
+            raise Reached(args)
+
+        monkeypatch.setattr(
+            optimizer if engine == "design_constellation" else linksim, engine, stop
+        )
+        if argv[0] == "ser":
+            argv = [*argv, "--constellation", str(_renderable_design(tmp_path / "c.json"))]
+        out = ["--out", str(tmp_path / "o.csv")]
+        code = main([*argv, option, str(ceiling + 1), *out])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"usage error: {option} allows at most {ceiling}, got {ceiling + 1}\n"
+        with pytest.raises(Reached) as reached:
+            main([*argv, option, str(ceiling), *out])
+        args = reached.value.args[0]
+        count = args[1].multistart_count if engine == "design_constellation" else args[2]
+        assert count == ceiling
+        assert not (tmp_path / "o.csv").exists()
 
     def test_zero_starts_is_usage_error(self, tmp_path, capsys):
         code = main(["design", "--preset", "1", "--starts", "0",
@@ -762,6 +804,27 @@ class TestReproducibility:
 
     def test_reproduce_4b_matches_recorded_digests(self, tmp_path):
         assert _reproduce(tmp_path / "4b", "4b") == REPRODUCE_SHA256["4b"]
+
+    def test_fresh_reproduce_loads_the_kernel_alone_and_matches_digests(
+        self, tmp_path
+    ):
+        # test_optimizer imports scipy.optimize, so the runs above find
+        # the kernel by name.  A fresh interpreter loads it through
+        # optimizer._kernel's own loader, without scipy.optimize.
+        code = (
+            "import sys; from ucsk.cli import main; "
+            "assert [main(['reproduce', '--figure', f, '--out', f]) "
+            "for f in ('4a', '4b')] == [0, 0]; "
+            "assert 'scipy.optimize._slsqplib' in sys.modules; "
+            "assert 'scipy.optimize' not in sys.modules"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env=env, check=True,
+            timeout=300,
+        )
+        for figure in ("4a", "4b"):
+            assert _digests(tmp_path / figure) == REPRODUCE_SHA256[figure]
 
     def test_small_curves_match_recorded_digests(self, tmp_path):
         assert _small_curves(tmp_path) == GOLDEN_SHA256

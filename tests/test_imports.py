@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from ucsk.colorimetry import ChromaticityPoint
 from ucsk.constellation import (
     build_constellation,
@@ -61,6 +63,51 @@ def test_gamut_loads_no_scipy():
     loaded = loaded_after("import ucsk.colorimetry")
     assert "ucsk.colorimetry" in loaded
     assert scipy_modules(loaded) == []
+
+
+def test_optimizer_loads_no_scipy_optimize():
+    loaded = loaded_after("import ucsk.optimizer")
+    assert "ucsk.optimizer" in loaded
+    assert "scipy.optimize" not in loaded
+
+
+def test_design_loads_the_slsqp_kernel_alone(tmp_path):
+    loaded = loaded_by_command(
+        ["design", "--preset", "2", "--gamut", "led-triangle", "--starts", "1",
+         "--out", str(tmp_path / "d.json")]
+    )
+    assert "scipy.optimize._slsqplib" in loaded
+    assert "scipy.optimize" not in loaded
+    assert "scipy.special" not in loaded
+
+
+def test_scipy_minimize_runs_the_loaded_kernel():
+    # The loader registers the kernel under its own name, so importing
+    # scipy.optimize afterwards binds that module, and SLSQP runs it.
+    loaded_after(
+        "from ucsk import optimizer; kernel = optimizer._kernel(); "
+        "module = sys.modules['scipy.optimize._slsqplib']; "
+        "assert 'scipy.optimize' not in sys.modules; "
+        "import scipy.optimize; from scipy.optimize import _slsqp_py; "
+        "res = scipy.optimize.minimize(lambda x: x @ x, [1.0, 2.0], "
+        "method='SLSQP', constraints={'type': 'ineq', 'fun': lambda x: x[0] - 0.5}); "
+        "assert res.success; "
+        "assert sys.modules['scipy.optimize._slsqplib'] is module; "
+        "assert _slsqp_py.slsqp is kernel"
+    )
+
+
+@pytest.mark.parametrize("files", [0, 2], ids=["no-file", "two-files"])
+def test_kernel_without_exactly_one_file_is_imported_by_name(files):
+    # The glob finds the real file twice over, or not at all: either way
+    # the loader leaves the choice to the import system.
+    loaded = loaded_after(
+        "import glob; real = glob.glob; "
+        f"glob.glob = lambda pattern: (real(pattern) * 2)[:{files}]; "
+        "from ucsk import optimizer; kernel = optimizer._kernel(); "
+        "assert kernel is sys.modules['scipy.optimize._slsqplib'].slsqp"
+    )
+    assert "scipy.optimize" in loaded
 
 
 def test_cli_loads_no_scipy():
