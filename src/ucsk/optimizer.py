@@ -29,9 +29,9 @@ per-call and per-iteration wrapping, and each start ends where that loop
 ends, bit for bit: the batched evaluators repeat a single start's
 arithmetic row by row (_problem).  The kernel,
 scipy.optimize._slsqplib.slsqp, is private scipy API that each wave
-looks up (_kernel).  The first lookup loads its one extension file and
-not the scipy.optimize package; a scipy that lacks the kernel or calls it differently
-raises KernelError, which names the scipy version.
+looks up (_kernel).  The first lookup loads its one extension file,
+not the scipy.optimize package; a scipy that lacks the kernel or calls
+it differently raises KernelError, which names the scipy version.
 
 A start counts when SLSQP converged and it passes the rules the rest of
 the package uses: GamutPolygon.contains for R and G, which reads the
@@ -49,12 +49,12 @@ starts run.
 from __future__ import annotations
 
 import glob
-import importlib.machinery
 import importlib.util
 import os
 import sys
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from importlib.machinery import ExtensionFileLoader
 from typing import NamedTuple
 
 import numpy as np
@@ -150,17 +150,21 @@ def _kernel():
     When the name is already in sys.modules, or the glob finds no file or
     more than one, the kernel is imported by name as the import system
     resolves it; a None in sys.modules, or a scipy without the kernel,
-    then raises KernelError there.
+    then raises KernelError there.  That fallback is what scipy.optimize
+    runs itself, so it is slower but never wrong: a scipy whose
+    extensions live outside its package directory still designs.
     """
     try:
         if _KERNEL_MODULE not in sys.modules:
             import scipy
 
-            files = glob.glob(os.path.join(scipy.__path__[0], "optimize", "_slsqplib.*"))
+            pattern = os.path.join(scipy.__path__[0], "optimize", "_slsqplib.*")
+            files = glob.glob(pattern)
             if len(files) == 1:
-                loader = importlib.machinery.ExtensionFileLoader(_KERNEL_MODULE, files[0])
-                spec = importlib.util.spec_from_loader(_KERNEL_MODULE, loader)
-                module = importlib.util.module_from_spec(spec)
+                loader = ExtensionFileLoader(_KERNEL_MODULE, files[0])
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_loader(_KERNEL_MODULE, loader)
+                )
                 loader.exec_module(module)
                 sys.modules[_KERNEL_MODULE] = module
         from scipy.optimize._slsqplib import slsqp
