@@ -65,9 +65,10 @@ before any work runs.
 Importing this module loads no scipy module.  ``design`` and
 ``reproduce`` import ``optimizer`` (which loads scipy's SLSQP kernel
 extension, and not ``scipy.optimize``, when its first start runs), and
-``ser``, ``rate`` and ``reproduce`` import ``linksim``
-(``scipy.special``), only when they run, and call into both through the
-module, so a name patched there is the name called.
+``ser``, ``rate`` and ``reproduce`` import ``linksim`` (which loads
+scipy.special's ufunc extension, and not ``scipy.special``), only when
+they run, and call into both through the module, so a name patched there
+is the name called.
 """
 
 from __future__ import annotations

@@ -37,6 +37,20 @@ is written into one ``_Buffers``.  ``_map_shared_draws`` owns it: it
 allocates the arena once per engine call and hands it to each score it
 runs, across the chunks and sets.  The arithmetic is the one a fresh
 array would get, so the bytes do not depend on the buffers either.
+
+Of scipy the module uses two ufuncs, ``ndtri`` for the noise draws and
+``erfc`` for the union bound, and binds them at import as the module
+names ``erfc`` and ``ndtri``.  It takes them from scipy.special's one
+extension file, ``scipy/special/_ufuncs.*``, loaded on its own
+(``_extension.load_extension``), and not from the ``scipy.special``
+package, whose ``__init__`` loads far more.  When ``scipy.special`` is
+already imported, or no such file is found, or loading it raises, they
+come from the package by name: the same objects, slower to import.  The
+loaded extensions stay registered under their names, so a later
+``import scipy.special`` binds the same ``erfc`` and ``ndtri``, and
+``scipy.special._ufuncs`` and every public name work.  That package has
+no attributes for the sibling extensions that ``_ufuncs`` loaded beside
+it (``scipy.special._ufuncs_cxx``, for example); import those by name.
 """
 
 from __future__ import annotations
@@ -45,8 +59,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, ndtri
 
+from ._extension import load_extension
 from .channel import WaterProperties, attenuation_coefficient, path_loss
 from .colorimetry import OutOfGamutError, photopic_efficacy, solve_fluxes
 from .constellation import SYMBOL_LABELS, Constellation4
@@ -91,6 +105,10 @@ _CHUNK = 1 << 16
 # 0.125, 19.5 in all; rates add per-draw terms 1, 20 in all for a batch
 # with four- and two-symbol sets.
 _ARENA_COLUMNS = 21
+
+
+_ufuncs = load_extension("scipy.special._ufuncs")
+erfc, ndtri = _ufuncs.erfc, _ufuncs.ndtri
 
 
 class InfeasibleConstellationError(ValueError):

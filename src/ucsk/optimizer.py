@@ -30,6 +30,7 @@ ends, bit for bit: the batched evaluators repeat a single start's
 arithmetic row by row (_problem).  The kernel,
 scipy.optimize._slsqplib.slsqp, is private scipy API that each wave
 looks up (_kernel).  The first lookup loads its one extension file,
+which the import system's own rule finds (_extension.load_extension),
 not the scipy.optimize package; a scipy that lacks the kernel or calls
 it differently raises KernelError, which names the scipy version.
 
@@ -48,17 +49,13 @@ starts run.
 
 from __future__ import annotations
 
-import glob
-import importlib.util
-import os
-import sys
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from importlib.machinery import ExtensionFileLoader
 from typing import NamedTuple
 
 import numpy as np
 
+from ._extension import load_extension
 from .colorimetry import (
     BOUNDARY_TOLERANCE,
     ChromaticityPoint,
@@ -142,35 +139,23 @@ def _kernel():
 
     Importing the kernel by name would first run scipy.optimize's
     __init__, which loads all of scipy.optimize.  So the first call
-    loads the one extension file, _slsqplib.* in scipy's optimize
-    directory, with its own ExtensionFileLoader (PEP 489) and registers
-    it in sys.modules under its name.  A later import by name, this
-    function's own or scipy.optimize's, then finds that module, so
+    loads the one extension file that the import system finds for
+    scipy.optimize._slsqplib in scipy's optimize directory
+    (_extension.load_extension) and registers it in sys.modules under
+    its name.  A later import by name, this function's own or
+    scipy.optimize's, then finds that module, so
     scipy.optimize.minimize(method="SLSQP") runs the same kernel object.
-    When the name is already in sys.modules, or the glob finds no file or
-    more than one, the kernel is imported by name as the import system
-    resolves it; a None in sys.modules, or a scipy without the kernel,
-    then raises KernelError there.  That fallback is what scipy.optimize
-    runs itself, so it is slower but never wrong: a scipy whose
-    extensions live outside its package directory still designs.
+    When the name or scipy.optimize is already in sys.modules, or no file
+    is found, or loading it raises, the kernel is imported by name as the
+    import system resolves it; a None in sys.modules, or a scipy without
+    the kernel, then raises KernelError there.  That fallback is what
+    scipy.optimize runs itself, so it is slower but never wrong: a scipy
+    whose extensions live outside its package directory still designs.
     """
     try:
-        if _KERNEL_MODULE not in sys.modules:
-            import scipy
-
-            pattern = os.path.join(scipy.__path__[0], "optimize", "_slsqplib.*")
-            files = glob.glob(pattern)
-            if len(files) == 1:
-                loader = ExtensionFileLoader(_KERNEL_MODULE, files[0])
-                module = importlib.util.module_from_spec(
-                    importlib.util.spec_from_loader(_KERNEL_MODULE, loader)
-                )
-                loader.exec_module(module)
-                sys.modules[_KERNEL_MODULE] = module
-        from scipy.optimize._slsqplib import slsqp
-    except ImportError as exc:
+        return load_extension(_KERNEL_MODULE).slsqp
+    except (ImportError, AttributeError) as exc:
         raise KernelError(exc) from exc
-    return slsqp
 
 
 @dataclass(frozen=True)

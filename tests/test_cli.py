@@ -808,15 +808,18 @@ class TestReproducibility:
     def test_fresh_reproduce_loads_the_kernel_alone_and_matches_digests(
         self, tmp_path
     ):
-        # test_optimizer imports scipy.optimize, so the runs above find
-        # the kernel by name.  A fresh interpreter loads it through
-        # optimizer._kernel's own loader, without scipy.optimize.
+        # test_optimizer imports scipy.optimize and test_linksim
+        # scipy.special, so the runs above find the kernel and the ufuncs
+        # by name.  A fresh interpreter loads both extensions alone,
+        # without scipy.optimize or scipy.special.
         code = (
             "import sys; from ucsk.cli import main; "
             "assert [main(['reproduce', '--figure', f, '--out', f]) "
             "for f in ('4a', '4b')] == [0, 0]; "
             "assert 'scipy.optimize._slsqplib' in sys.modules; "
-            "assert 'scipy.optimize' not in sys.modules"
+            "assert 'scipy.optimize' not in sys.modules; "
+            "assert 'scipy.special._ufuncs' in sys.modules; "
+            "assert 'scipy.special' not in sys.modules"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         subprocess.run(
