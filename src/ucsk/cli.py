@@ -63,12 +63,11 @@ points.  A count past its ceiling is a usage error (exit 1), found
 before any work runs.
 
 Importing this module loads no scipy module.  ``design`` and
-``reproduce`` import ``optimizer`` (which loads scipy's SLSQP kernel
-extension, and not ``scipy.optimize``, when its first start runs), and
-``ser``, ``rate`` and ``reproduce`` import ``linksim`` (which loads
-scipy.special's ufunc extension, and not ``scipy.special``), only when
-they run, and call into both through the module, so a name patched there
-is the name called.
+``reproduce`` import ``optimizer``, and ``ser``, ``rate`` and
+``reproduce`` import ``linksim``, only when they run, and call into both
+through the module, so a name patched there is the name called.  Each
+loads the one scipy extension it needs by ``_extension.load_extension``,
+whose docstring states when that leaves the scipy subpackage unimported.
 """
 
 from __future__ import annotations

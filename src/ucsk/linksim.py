@@ -40,17 +40,10 @@ array would get, so the bytes do not depend on the buffers either.
 
 Of scipy the module uses two ufuncs, ``ndtri`` for the noise draws and
 ``erfc`` for the union bound, and binds them at import as the module
-names ``erfc`` and ``ndtri``.  It takes them from scipy.special's one
-extension file, ``scipy/special/_ufuncs.*``, loaded on its own
-(``_extension.load_extension``), and not from the ``scipy.special``
-package, whose ``__init__`` loads far more.  When ``scipy.special`` is
-already imported, or no such file is found, or loading it raises, they
-come from the package by name: the same objects, slower to import.  The
-loaded extensions stay registered under their names, so a later
-``import scipy.special`` binds the same ``erfc`` and ``ndtri``, and
-``scipy.special._ufuncs`` and every public name work.  That package has
-no attributes for the sibling extensions that ``_ufuncs`` loaded beside
-it (``scipy.special._ufuncs_cxx``, for example); import those by name.
+names ``erfc`` and ``ndtri``.  They come from scipy.special's one
+extension file, ``scipy.special._ufuncs``, loaded by
+``_extension.load_extension``, whose docstring states when it loads that
+file alone and when it imports the package instead.
 """
 
 from __future__ import annotations
@@ -75,12 +68,10 @@ __all__ = [
     "build_hypotheses",
     "ook_hypotheses",
     "noise_sigma",
-    "detect_ml",
     "simulate_ser",
     "union_bound_ser",
     "ser_curves",
     "mutual_information",
-    "logsumexp",
     "rate_curve",
 ]
 
@@ -288,50 +279,22 @@ class _Buffers:
 
 
 def detect_ml(received: np.ndarray, h: HypothesisSet) -> np.ndarray:
-    """Minimum-distance detection of an (N, K) batch of finite received
-    vectors, one symbol index per row; ties break to the lowest symbol
-    index.
+    """Minimum-distance detection of an (N, K) batch of received vectors,
+    one symbol index per row: the argmax over m of the linear
+    discriminants r . v_m - |v_m|**2 / 2, ties to the lowest index.  That
+    is the argmin of the squared distances |r - v_m|**2 up to rounding:
+    the two differ by |r|**2 / 2, which every column of a row shares.
 
-    Detection takes the argmax over m of the (N, M) linear discriminants
-    r . v_m - |v_m|**2 / 2, which is the argmin of the squared distances
-    |r - v_m|**2 up to rounding: the two differ by |r|**2 / 2, which every
-    column of a row shares.  The scores are held in Fortran (column-major)
-    order, so each column is contiguous, and the product is numpy's own
-    einsum loop, which starts no BLAS threads.  The argmax runs as one
-    pass over each of the M score columns, keeping the first maximum, so
-    the scores are never copied to row order.  On finite input it equals
-    ``np.argmax`` of the scores along each row.  On a row with a nan
-    score the two differ: ``np.argmax`` returns the first nan, the column
-    pass the first maximum of the scores before it.
-
-    A received vector nearer to hypothesis i than half the distance from i
-    to its nearest other hypothesis always decodes to i.  Half the distance
-    to some other neighbour is not enough when a nearer one exists.
-
-    No path in the package calls it: the Monte Carlo decides each draw by
-    its critical value (``_symbol_errors``), and the tests check those
-    decisions against this function, which stays their definition.  It
-    stays public while the benchmark traces it: ``bench/spans.py`` names
-    ``linksim.detect_ml``, and an entry point it cannot find fails the
-    trace check as ``not traced``.
+    No path in the package calls it.  It is the definition that the tests
+    check the Monte Carlo's decisions (``_symbol_errors``) against, and a
+    span that ``bench/spans.py`` traces; it stays here until the benchmark
+    retires that span.
     """
     received = np.asarray(received, dtype=float)
-    n = len(received)
-    scores = np.empty((n, h.m), order="F")
+    scores = np.empty((len(received), h.m), order="F")
     np.einsum("nk,mk->nm", received, h.vectors, out=scores)
     scores -= 0.5 * np.einsum("mk,mk->m", h.vectors, h.vectors)
-    best = scores[:, 0].copy()
-    index = np.zeros(n, np.intp)
-    better = np.empty(n, bool)
-    step = np.empty(n, np.intp)
-    for m in range(1, h.m):
-        column = scores[:, m]
-        # index < m on every row, so the maximum takes m exactly where
-        # the column is strictly better: a masked store costs far more.
-        np.multiply(np.greater(column, best, out=better), m, out=step)
-        np.maximum(index, step, out=index)
-        np.maximum(best, column, out=best)
-    return index
+    return np.argmax(scores, axis=1)
 
 
 def _uniform_blocks(seed: int, start: int, out: np.ndarray) -> np.ndarray:
@@ -436,19 +399,21 @@ def _grid(snr_db_grid) -> tuple[float, ...]:
 
 
 def _symbol_errors(h, sigmas, symbols, a, b, work: _Buffers) -> list[int]:
-    """Per sigma, how many of the draws ``detect_ml`` decodes wrong at
-    that sigma, from their pair projections a and half squared distances
-    b (see ``_map_shared_draws``); it overwrites a.
+    """Per sigma, how many of the draws minimum-distance detection
+    decodes wrong at that sigma, from their pair projections a and half
+    squared distances b (see ``_map_shared_draws``); it overwrites a.
 
-    ``detect_ml`` prefers j to a draw's own symbol s when the discriminant
-    gap sigma a_j - b_j is > 0, or >= 0 for j < s (ties go to the lower
-    index).  For b_j > 0 that is a_j / b_j > 1 / sigma, or >= for j < s,
-    so a draw is wrong at sigma exactly when its critical value kappa,
-    the largest a_j / b_j with those of j < s taken one float up, is
-    > 1 / sigma.  That is ``detect_ml``'s rule in exact arithmetic; the
-    two round differently, and the tests check that they agree on every
-    draw they compare.  One kappa per draw and one count per sigma replace
-    a detection per sigma.  A pair with b_j = 0 (coincident rows) is a tie
+    The detector decodes a received vector r = v_s + sigma z as the
+    argmax over j of the discriminants r . v_j - |v_j|**2 / 2, ties to the
+    lower index.  So it prefers j to a draw's own symbol s when the
+    discriminant gap sigma a_j - b_j is > 0, or >= 0 for j < s.  For
+    b_j > 0 that is a_j / b_j > 1 / sigma, or >= for j < s, so a draw is
+    wrong at sigma exactly when its critical value kappa, the largest
+    a_j / b_j with those of j < s taken one float up, is > 1 / sigma.
+    That is the argmax rule in exact arithmetic; the two round
+    differently, and the tests check that they agree on every draw they
+    compare.  One kappa per draw and one count per sigma replace a
+    detection per sigma.  A pair with b_j = 0 (coincident rows) is a tie
     at every sigma: a draw with such a j < s is wrong at every sigma, and
     one with j > s is not.
     """
@@ -536,42 +501,18 @@ def ser_curves(
 
 
 def logsumexp(a: np.ndarray) -> np.ndarray:
-    """Row-wise log(sum(exp(a))) of a real 2-D array.
-
-    The same arithmetic as ``scipy.special.logsumexp(a, axis=1)``, bit for
-    bit, without its second full pass: the row maxima are taken out of
-    the sum, and ``log1p(s / m) + log(m) + max`` is returned, with m the
-    number of entries tied at the maximum.  Their terms are zeroed by a
-    multiply, where scipy sums exp(-inf).  Rows where the result is not
-    finite fall back to the direct ``log(sum(exp(row)))``, as scipy's do.
-
-    Both C and Fortran order match scipy on the same array.  With few
-    columns Fortran order is the fast one: each row reduction then runs
-    over whole contiguous columns.
+    """Row-wise log(sum(exp(a))) of a real 2-D array, by
+    ``scipy.special.logsumexp(a, axis=1)``.  scipy.special is imported
+    only when it is called, so importing this module does not load it.
 
     No path in the package calls it: ``_information`` references each
-    draw to its own symbol and needs no row maximum.  It stays, tested,
-    while the benchmark traces it: ``bench/spans.py`` names
-    ``linksim.logsumexp``, and an entry point it cannot find fails the
-    trace check as ``not traced``.
+    draw to its own symbol and needs no row maximum.  It is a span that
+    ``bench/spans.py`` traces, and stays here until the benchmark retires
+    that span.
     """
-    # An overflow is harmless: a - a_max that rounds to -inf has exp 0,
-    # and exp overflows only in the fallback, on rows scipy also takes to
-    # inf or nan.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a, axis=1, keepdims=True)
-        ties = a == a_max
-        m = np.sum(ties, axis=1, keepdims=True, dtype=a.dtype)
-        # In place: a second array of a's size costs more than the exp.
-        terms = a - a_max
-        np.exp(terms, out=terms)
-        terms *= ~ties
-        s = np.sum(terms, axis=1, keepdims=True)
-        out = (np.log1p(s / m) + np.log(m) + a_max)[:, 0]
-        bad = ~np.isfinite(out)
-        if bad.any():
-            out[bad] = np.log(np.sum(np.exp(a[bad]), axis=1))
-    return out
+    from scipy.special import logsumexp
+
+    return logsumexp(a, axis=1)
 
 
 def _information(h, sigmas, symbols, a, b, work: _Buffers) -> list[float]:

@@ -29,10 +29,10 @@ per-call and per-iteration wrapping, and each start ends where that loop
 ends, bit for bit: the batched evaluators repeat a single start's
 arithmetic row by row (_problem).  The kernel,
 scipy.optimize._slsqplib.slsqp, is private scipy API that each wave
-looks up (_kernel).  The first lookup loads its one extension file,
-which the import system's own rule finds (_extension.load_extension),
-not the scipy.optimize package; a scipy that lacks the kernel or calls
-it differently raises KernelError, which names the scipy version.
+looks up (_kernel) through _extension.load_extension, whose docstring
+states when that loads the kernel's extension file alone and when it
+imports scipy.optimize; a scipy that lacks the kernel or calls it
+differently raises KernelError, which names the scipy version.
 
 A start counts when SLSQP converged and it passes the rules the rest of
 the package uses: GamutPolygon.contains for R and G, which reads the
@@ -137,20 +137,12 @@ def _kernel():
     """scipy's private SLSQP kernel; KernelError when it cannot be
     imported.
 
-    Importing the kernel by name would first run scipy.optimize's
-    __init__, which loads all of scipy.optimize.  So the first call
-    loads the one extension file that the import system finds for
-    scipy.optimize._slsqplib in scipy's optimize directory
-    (_extension.load_extension) and registers it in sys.modules under
-    its name.  A later import by name, this function's own or
-    scipy.optimize's, then finds that module, so
-    scipy.optimize.minimize(method="SLSQP") runs the same kernel object.
-    When the name or scipy.optimize is already in sys.modules, or no file
-    is found, or loading it raises, the kernel is imported by name as the
-    import system resolves it; a None in sys.modules, or a scipy without
-    the kernel, then raises KernelError there.  That fallback is what
-    scipy.optimize runs itself, so it is slower but never wrong: a scipy
-    whose extensions live outside its package directory still designs.
+    The first call loads scipy.optimize._slsqplib by
+    _extension.load_extension, without scipy.optimize's __init__ when it
+    can (that function's docstring states when), and registers it in
+    sys.modules under its name, so scipy.optimize.minimize(method="SLSQP")
+    runs the same kernel object.  A None in sys.modules, or a scipy
+    without the kernel, raises KernelError.
     """
     try:
         return load_extension(_KERNEL_MODULE).slsqp
@@ -447,14 +439,18 @@ def design_constellation(
     sampling in its bounding box), each start seeded from
     (rng_seed, start_index) only, so results are deterministic and
     independent of evaluation order.  The starts are solved in waves of
-    1, 2 and then at most _MAX_WAVE, each wave by one minimize call.
+    1, 2 and then at most _MAX_WAVE, each wave by one minimize call.  A
+    disk whose radius exceeds its center's distance to every gamut vertex
+    is solved clipped to that reach, which X cannot pass, so every radius
+    past it gives the same design.
 
     cfg.multistart_count is an upper bound on the starts run.  The starts
     are judged in index order, and the search stops at the first feasible
     start whose d_min is certified optimal,
     d_min >= dmin_upper_bound(target) - radius * _DISK_SLACK, and that
-    start wins; the later starts of its wave are dropped.  With no certified start, all starts run and the best
-    feasible start by (hard d_min, lowest index) wins.
+    start wins; the later starts of its wave are dropped.  With no
+    certified start, all starts run and the best feasible start by
+    (hard d_min, lowest index) wins.
     DesignResult.starts_used counts the starts run, and
     DesignResult.certified says whether the search stopped at the cap.
 
@@ -476,9 +472,17 @@ def design_constellation(
             f"fixed blue ({FIXED_BLUE.x}, {FIXED_BLUE.y}) is outside the gamut"
         )
 
+    # X is the centroid of R, G and the fixed blue, all in the gamut, so
+    # it is no farther from the center than the farthest gamut vertex, up
+    # to the membership tolerance.  A larger disk constrains nothing more,
+    # and its radius would scale u past what SLSQP can condition, so the
+    # starts solve over the disk clipped to that reach; they are still
+    # judged by the target itself.
+    reach = max(xy_distance(target.center, v) for v in gamut.vertices)
+    solved = BlueTarget(target.center, min(target.radius, reach + BOUNDARY_TOLERANCE))
     blue = FIXED_BLUE.as_array()
-    jac, offset = _point_map(blue, target)
-    problem = _problem(blue, target, gamut)
+    jac, offset = _point_map(blue, solved)
+    problem = _problem(blue, solved, gamut)
     # A feasible start at or above this d_min is optimal to within
     # radius * _DISK_SLACK, the disk slack, by the cap's own argument.
     cap_floor = dmin_upper_bound(target) - target.radius * _DISK_SLACK
@@ -487,7 +491,7 @@ def design_constellation(
     # higher d_min replaces it, so ties go to the lowest start index.
     best, starts_converged = None, 0
     diagnostics: list[dict] = []
-    for k, x, success, nit, mode in _solved_starts(target, cfg, gamut, problem):
+    for k, x, success, nit, mode in _solved_starts(solved, cfg, gamut, problem):
         pts = jac @ x[:4] + offset
         dmin = float(np.linalg.norm(pts[_PAIR_I] - pts[_PAIR_J], axis=1).min())
         r_pt, g_pt = ChromaticityPoint(*pts[0]), ChromaticityPoint(*pts[1])

@@ -3,9 +3,6 @@ import math
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from ucsk import cli, linksim
 from ucsk.channel import attenuation_coefficient, path_loss
@@ -25,7 +22,6 @@ from ucsk.linksim import (
     NoiseLevelError,
     build_hypotheses,
     detect_ml,
-    logsumexp,
     mutual_information,
     noise_sigma,
     ook_hypotheses,
@@ -462,6 +458,37 @@ class TestBatch:
         for h, curve in zip(mixed_batch, batch):
             assert rate_curve([h], grid, 20_000, 5) == (curve,)
 
+    def test_batch_past_the_arena_equals_each_alone(self, monkeypatch):
+        # Five to six symbols on one to three bands: the batch asks for
+        # more scratch than the arena holds, so some roles get arrays of
+        # their own.
+        rng = np.random.default_rng(29)
+        batch = [
+            HypothesisSet(rng.uniform(0.0, 1e-3, (m, k)), np.ones(k))
+            for m, k in ((2, 1), (3, 2), (4, 3), (5, 1), (6, 3), (6, 2))
+        ]
+        grid = [0.0, 9.0, 18.0]
+        sigmas = [noise_sigma(h.transmit_vectors(), 6.0) for h in batch]
+        alone_ser = tuple(ser_alone(h, grid, self.N, 3) for h in batch)
+        alone_mi = tuple(mi_alone(h, s, self.N, 3) for h, s in zip(batch, sigmas))
+
+        own = []
+
+        class Recording(_Buffers):
+            def get(self, role, shape, dtype=float, order="C"):
+                view = super().get(role, shape, dtype, order)
+                if not np.shares_memory(view, self._arena):
+                    own.append(role)
+                return view
+
+        monkeypatch.setattr(linksim, "_Buffers", Recording)
+        assert simulate_ser(batch, grid, self.N, 3) == alone_ser
+        assert own
+        own.clear()
+        (batch_mi,) = mutual_information(batch, [sigmas], self.N, 3)
+        assert batch_mi == alone_mi
+        assert own
+
     def test_batch_validation(self, mixed_batch):
         with pytest.raises(ValueError):
             simulate_ser([], [0.0], 20_000, 0)
@@ -490,15 +517,6 @@ def reproduce_sets(water):
     sets += [ook_hypotheses(wl, near) for wl in DEFAULT_PRIMARY_WAVELENGTHS]
     sets.append(ook_hypotheses(460.0, LinkConfig(water=water, distance_m=50.0)))
     return sets
-
-
-def discriminants(received: np.ndarray, h: HypothesisSet) -> np.ndarray:
-    """The (N, M) linear discriminants r . v_m - |v_m|**2 / 2 that
-    ``detect_ml`` ranks, formed as it forms them, in Fortran order."""
-    scores = np.empty((len(received), h.m), order="F")
-    np.einsum("nk,mk->nm", received, h.vectors, out=scores)
-    scores -= 0.5 * np.einsum("mk,mk->m", h.vectors, h.vectors)
-    return scores
 
 
 def min_distance_oracle(received: np.ndarray, h: HypothesisSet) -> np.ndarray:
@@ -552,35 +570,6 @@ class TestKernelOracles:
         for h, sigma, mi in zip(reproduce_sets, sigmas, got):
             expected = delta_form_information(h, sigma, n, seed)
             assert mi == pytest.approx(expected, rel=1e-12, abs=0.0)
-
-
-@st.composite
-def tied_batches(draw):
-    """A hypothesis set of small-integer vectors and a batch of received
-    half-integer vectors, some rows forced onto the exact midpoint of two
-    hypotheses.  Every score is then exact, so ties are exact."""
-    m, k = draw(st.integers(1, 5)), draw(st.integers(1, 3))
-    small = st.integers(0, 3).map(float)
-    vectors = draw(hnp.arrays(np.float64, (m, k), elements=small))
-    n = draw(st.integers(1, 30))
-    halves = st.integers(-4, 8).map(lambda i: i / 2)
-    received = draw(hnp.arrays(np.float64, (n, k), elements=halves))
-    pair = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
-    for row, (i, j) in enumerate(draw(st.lists(pair, max_size=n))):
-        received[row] = (vectors[i] + vectors[j]) / 2
-    return HypothesisSet(vectors, np.ones(k)), received
-
-
-class TestDetectColumnPass:
-    @given(tied_batches())
-    @settings(deadline=None)
-    def test_matches_argmax_bitwise(self, batch):
-        h, received = batch
-        for layout in (received, np.asfortranarray(received)):
-            expected = np.argmax(discriminants(layout, h), axis=1)
-            got = detect_ml(layout, h)
-            assert got.dtype == expected.dtype
-            assert got.tobytes() == expected.tobytes()
 
 
 def unclipped_information(h, sigmas, symbols, a, b, work) -> list[tuple[float, bool]]:
@@ -817,54 +806,3 @@ class TestUniformBlocks:
         u = _uniform_blocks(4242, 0, out=np.empty((5, 4)))
         assert (u < 1.0).all()
         assert np.isfinite(scipy.special.ndtri(u)).all()
-
-
-@st.composite
-def tied_rows(draw):
-    """A finite 2-D array in which some entries repeat their row maximum."""
-    shape = draw(st.tuples(st.integers(1, 40), st.integers(1, 6)))
-    a = draw(
-        hnp.arrays(
-            np.float64,
-            shape,
-            elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
-        )
-    )
-    ties = draw(hnp.arrays(np.bool_, shape))
-    return np.where(ties, a.max(axis=1, keepdims=True), a)
-
-
-class TestLogsumexp:
-    @given(tied_rows())
-    @settings(deadline=None)
-    def test_matches_scipy_bitwise(self, a):
-        for layout in (a, np.asfortranarray(a)):
-            expected = scipy.special.logsumexp(layout, axis=1)
-            assert logsumexp(layout).tobytes() == expected.tobytes()
-
-    def test_matches_scipy_on_mi_log_likelihoods(self, renderable, link10):
-        h = build_hypotheses(renderable, link10)
-        rng = np.random.default_rng(11)
-        received = h.vectors[rng.integers(0, h.m, 5_000)] + rng.normal(
-            0, 0.02, (5_000, h.bands)
-        )
-        delta = received[:, None, :] - h.vectors[None, :, :]
-        ll = -np.einsum("nmk,nmk->nm", delta, delta) / (2 * 0.02**2)
-        # ... and on the Fortran-ordered discriminants of detect_ml over
-        # sigma**2.
-        scaled = discriminants(received, h) / 0.02**2
-        assert scaled.flags.f_contiguous
-        for a in (ll, scaled):
-            expected = scipy.special.logsumexp(a, axis=1)
-            assert logsumexp(a).tobytes() == expected.tobytes()
-
-    def test_non_finite_rows_match_scipy(self):
-        inf, nan = np.inf, np.nan
-        a = np.array(
-            [[-inf, -inf, -inf], [inf, 0.0, 1.0], [nan, 0.0, 1.0], [-inf, 0.0, 0.0],
-             [800.0, 800.0, -inf], [1000.0, nan, 0.0], [1000.0, inf, 0.0]]
-        )
-        for layout in (a, np.asfortranarray(a)):
-            np.testing.assert_array_equal(
-                logsumexp(layout), scipy.special.logsumexp(layout, axis=1)
-            )

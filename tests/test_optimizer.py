@@ -651,6 +651,22 @@ class TestDiskContainment:
             zero.constellation.d_min, abs=1e-9
         )
 
+    @pytest.mark.parametrize("gamut_name", sorted(GAMUTS))
+    @pytest.mark.parametrize("radius", (1e4, 1e8, 1e154))
+    def test_disk_past_the_gamut_matches_one_inside_it(self, gamut_name, radius):
+        # On both gamuts the best X for this center is within 0.5 of it,
+        # so no larger disk changes the design.  Unclipped, a radius this
+        # large scaled u past what SLSQP converges on, or overflowed.
+        center = ChromaticityPoint(0.15, 0.1)
+        gamut = GAMUTS[gamut_name]()
+        target = BlueTarget(center, radius)
+        large = design_constellation(target, FAST, gamut)
+        inside = design_constellation(BlueTarget(center, 0.5), FAST, gamut)
+        assert target.contains(large.constellation.x)
+        assert large.constellation.d_min == pytest.approx(
+            inside.constellation.d_min, abs=1e-9
+        )
+
 
 class TestLedFluxes:
     # LED-triangle designs may sit up to the gamut allowance outside the
