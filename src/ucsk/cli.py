@@ -43,11 +43,17 @@ checks ``manifest.json`` before designing and every bundle file before
 its first write.
 
 ``design`` runs at most ``--starts`` optimizer starts.  It stops at the
-first start that is certified optimal, whose d_min reaches the analytic
-cap |center - B| + radius less radius * 1e-9 (the disk slack), and it
-prints the achieved d_min, the cap, the gap to it and ``starts run: k of
-N``, noting when it stopped at the cap.  ``validate`` checks gamut
-membership against ``--gamut``, the horseshoe by default.
+first start that is certified optimal.  For a bundled preset's disk on a
+bundled gamut that ``presets.DMIN_BOUNDS`` lists (the LED triangle's
+three presets and the horseshoe's preset 1), matched by value, that is
+a start whose d_min is within 2e-6 of the committed certified bound.
+Otherwise it is a start whose d_min reaches the analytic cap
+|center - B| + radius less radius * 1e-9 (the disk slack).  ``design``
+prints the achieved d_min, the cap and the gap to it, the certified
+bound and the gap to it when one applies, and ``starts run: k of N``,
+noting when it stopped at the certified bound or at the cap.
+``validate`` checks gamut membership against ``--gamut``, the horseshoe
+by default.
 
 Identical arguments and inputs reproduce outputs byte for byte.  Exit
 codes: 0 success, 1 usage error, 2 infeasible target or constellation,
@@ -56,6 +62,16 @@ with a one-line message that names the scipy version, when the installed
 scipy lacks the private SLSQP kernel ``scipy.optimize._slsqplib.slsqp``
 or the kernel rejects the call (an ImportError or a TypeError): the
 installed library is then not one this package can run.
+
+Design bytes do not depend on the BLAS thread count.  The SLSQP kernel
+links scipy's bundled OpenBLAS, whose last bits differ between one
+thread and several.  So each optimizer batch runs with that library set
+to one thread by its own ``scipy_openblas_set_num_threads``, found
+through the kernel's extension file, and then restores the count it
+had; ``OPENBLAS_NUM_THREADS`` changes no output.  When the kernel's
+extension has no file, or the library it links lacks that symbol (a
+scipy built against another BLAS), the kernel runs at that library's own
+thread count, and design bytes may then depend on it.
 
 Every count has a ceiling: ``--symbols`` and ``--samples`` at most
 10**9, ``--starts`` at most 10000 and an ``--snr`` grid at most 10000
@@ -100,6 +116,7 @@ from .presets import (
     DEFAULT_PRIMARY_WAVELENGTHS,
     TABLE1_FIXTURES,
     blue_target_preset,
+    certified_dmin_bound,
     led_triangle_gamut,
 )
 
@@ -384,12 +401,17 @@ def _cmd_design(args) -> None:
     with _failing(EXIT_IO, "cannot write output", OSError):
         write_constellation_json(out, doc)
     _write_outputs({}, manifest, args.subcommand, _parameters(args), {}, args.seed)
-    print(f"achieved d_min: {result.constellation.d_min:.6f}")
+    dmin = result.constellation.d_min
+    print(f"achieved d_min: {dmin:.6f}")
     cap = optimizer.dmin_upper_bound(target)
-    print(f"d_min cap: {cap:.6f} (gap {cap - result.constellation.d_min:.3g})")
+    print(f"d_min cap: {cap:.6f} (gap {cap - dmin:.3g})")
+    bound = certified_dmin_bound(target, gamut)
+    if bound is not None:
+        print(f"certified bound: {bound:.7f} (gap {bound - dmin:.3g})")
+    stop = "the cap" if bound is None else "the certified bound"
     print(
         f"starts run: {result.starts_used} of {args.starts}"
-        + (" (stopped at the cap)" if result.certified else "")
+        + (f" (stopped at {stop})" if result.certified else "")
     )
     margin = target.margin(result.constellation.x)
     inside = target.contains(result.constellation.x)
@@ -624,8 +646,9 @@ def _build_parser() -> _Parser:
         type=int,
         default=32,
         help="most optimizer starts to run, at most 10000; the search stops "
-        "at the first start whose d_min reaches the analytic cap "
-        "|center - B| + radius, less radius * 1e-9, as such a start is optimal",
+        "at the first start that is certified optimal: within 2e-6 of a "
+        "bundled preset's certified bound, or else at the analytic cap "
+        "|center - B| + radius, less radius * 1e-9",
     )
     p.add_argument(
         "--gamut",

@@ -250,8 +250,10 @@ class _Buffers:
     shape, contiguous in ``order`` as a fresh array would be, so the
     arithmetic on it is the same.  A role is carved at its first use, and
     again when a larger shape is asked for; once the arena is full, a role
-    gets an array of its own.  A caller is done with a view before its
-    role is asked for again; no public function returns one.
+    gets an array of its own.  ``_map_shared_draws`` asks for each role's
+    largest shape first, so no role is carved twice.  A caller is done
+    with a view before its role is asked for again; no public function
+    returns one.
 
     One allocation per engine call, not one per role or per chunk: once
     glibc has freed one arena, it serves the next one from its heap and
@@ -344,12 +346,18 @@ def _map_shared_draws(hs, sigma_grid, seed: int, n: int, score):
     projection a_j = z_n . (v_j - v_s) and b_j = |v_j - v_s|**2 / 2.  Each
     row is contiguous, the fast layout of a reduction over j.  A score
     may overwrite ``a`` and ``b``: the next set forms its own.
+
+    Within a chunk the sets run in decreasing alphabet size M, and the
+    first chunk is the largest, so each role of ``work`` is first asked
+    for at its largest shape.  A set's values do not depend on the sets
+    beside it, so the order changes no byte.
     """
     work = _Buffers(min(_CHUNK, n))
     bands = max(h.bands for h in hs)
     tables = [_pair_table(h) for h in hs]
     columns = list(zip(*sigma_grid))
     scores = [[] for _ in hs]
+    order = sorted(range(len(hs)), key=lambda i: -hs[i].m)
     for start in range(0, n, _CHUNK):
         count = min(_CHUNK, n - start)
         u = _uniform_blocks(seed, start, work.get("uniforms", (count, 4)))
@@ -361,7 +369,8 @@ def _map_shared_draws(hs, sigma_grid, seed: int, n: int, score):
             symbols = symbols_of[m] = work.get(f"symbols{m}", (count,), np.int64)
             np.copyto(symbols, scaled, casting="unsafe")
             np.minimum(symbols, m - 1, out=symbols)
-        for h, table, sigmas, out in zip(hs, tables, columns, scores):
+        for i in order:
+            h, table, sigmas = hs[i], tables[i], columns[i]
             symbols = symbols_of[h.m]
             # Every index is in range; mode "clip" keeps ``take`` from
             # buffering its output.
@@ -375,7 +384,7 @@ def _map_shared_draws(hs, sigma_grid, seed: int, n: int, score):
                 np.take(table[k], symbols, axis=1, out=term, mode="clip")
                 term *= z[:, k]
                 a += term
-            out.append(score(h, sigmas, symbols, a, b, work))
+            scores[i].append(score(h, sigmas, symbols, a, b, work))
     return scores
 
 

@@ -19,38 +19,56 @@ and A.G <= b.
 The non-convex landscape is swept by deterministic multistart.  Each
 start's R and G are drawn from its own generator, seeded by
 (rng_seed, start index), so a start is the same whichever starts run
-beside it.  The starts are solved in waves of 1, 2 and then at most 32
-(design_constellation).  minimize solves a wave in lockstep: one SLSQP
-kernel state and workspace per start, and per round one kernel call per
-live start, one batched evaluation of the constraint values of every
-start that asks for them and one of the normals.  That is the loop of
-scipy.optimize.minimize(method="SLSQP") run once per start, without its
-per-call and per-iteration wrapping, and each start ends where that loop
-ends, bit for bit: the batched evaluators repeat a single start's
+beside it.  The starts are solved in waves of 1, 2, 4, 8 and 16, then of
+at most 32 (design_constellation), so a search that stops early solves
+few starts past its winner.  minimize solves a wave in lockstep: one
+SLSQP kernel state and workspace per start, and per round one kernel
+call per live start, one batched evaluation of the constraint values of
+every start that asks for them and one of the normals.  That is the loop
+of scipy.optimize.minimize(method="SLSQP") run once per start, without
+its per-call and per-iteration wrapping, and each start ends where that
+loop ends, bit for bit: the batched evaluators repeat a single start's
 arithmetic row by row (_problem).  The kernel,
 scipy.optimize._slsqplib.slsqp, is private scipy API that each wave
 looks up (_kernel) through _extension.load_extension, whose docstring
 states when that loads the kernel's extension file alone and when it
 imports scipy.optimize; a scipy that lacks the kernel or calls it
-differently raises KernelError, which names the scipy version.
+differently raises KernelError, which names the scipy version.  The
+kernel links scipy's bundled OpenBLAS, which rounds differently at one
+thread and at several, so each wave runs with that library at one
+thread (_one_blas_thread) and the designs do not depend on its thread
+count.
 
 A start counts when SLSQP converged and it passes the rules the rest of
 the package uses: GamutPolygon.contains for R and G, which reads the
 same half-planes, and BlueTarget.contains for X.  The starts of a wave
 are judged in index order, and the search stops at the first counted
-start that is certified optimal: its d_min reaches dmin_upper_bound(target)
-less radius * _DISK_SLACK, so no start can beat it by more than that.
-The starts after it in its wave are dropped, so the result is the one a
-search of one start at a time gives.  On the horseshoe, presets 2 and 3
-certify within their first 3 starts, the first two waves; where no
-start certifies (horseshoe preset 1, every LED-triangle preset) all
-starts run.
+start that is certified optimal, whose d_min reaches a floor no start
+can beat by more than a stated slack:
+
+- a bundled preset's disk in a bundled gamut, matched by value, may have
+  a certified upper bound U in presets.DMIN_BOUNDS, which a branch and
+  bound over (R, G) proved for the problem solved here (the tests prove
+  it again); the floor is U - _BOUND_SLACK.  LED-triangle presets 1, 2
+  and 3 and horseshoe preset 1 have one, and at seeds 0-9 and 2024 they
+  stop within their first 20 starts (at seed 2024, the LED presets at
+  starts 0, 11 and 3);
+- any other target's floor is the analytic cap dmin_upper_bound(target)
+  less radius * _DISK_SLACK.  Horseshoe presets 2 and 3 reach it within
+  their first 3 starts; on the LED triangle it is far above the optima,
+  and such a design runs every start.
+
+The starts after the winner in its wave are dropped, so the result is
+the one a search of one start at a time gives.
 """
 
 from __future__ import annotations
 
+import ctypes
 from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -64,6 +82,7 @@ from .colorimetry import (
     xy_distance,
 )
 from .constellation import FIXED_BLUE, BlueTarget, Constellation4, build_constellation
+from .presets import certified_dmin_bound
 
 __all__ = [
     "OptimizerConfig",
@@ -150,6 +169,52 @@ def _kernel():
         raise KernelError(exc) from exc
 
 
+@cache
+def _blas_threads():
+    """(get, set) of the thread count of scipy's bundled OpenBLAS, found
+    through the kernel's extension file, or None.
+
+    The extension links the library, so a symbol lookup on its handle
+    finds the library's own scipy_openblas_get_num_threads and
+    scipy_openblas_set_num_threads.  None when the extension has no file
+    or links no library with both symbols (a scipy built against another
+    BLAS).
+    """
+    try:
+        library = ctypes.CDLL(load_extension(_KERNEL_MODULE).__file__)
+        get = library.scipy_openblas_get_num_threads
+        set_ = library.scipy_openblas_set_num_threads
+    except (ImportError, AttributeError, OSError, TypeError):
+        return None
+    get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
+    return get, set_
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with scipy's bundled OpenBLAS at one thread, then
+    restore the count it had.
+
+    At one thread and at several, that library gives the SLSQP kernel
+    results that differ in their last bits, and so designs that differ in
+    theirs.  The count is process-wide, so another thread's BLAS calls in
+    the same library run at one thread while the block runs.  Without the
+    library (_blas_threads is None) the block runs at whatever count the
+    library has.
+    """
+    threads = _blas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Multistart settings for the design search."""
@@ -171,7 +236,8 @@ class DesignResult:
     starts_converged: int
     best_start_index: int
     starts_used: int
-    # True when the winning start met the cap and ended the search.
+    # True when the winning start met the cap, or the target's certified
+    # bound, and ended the search.
     certified: bool
 
 
@@ -299,8 +365,10 @@ def minimize(
     then the rows in mode 1 get fun, once per row, and their constraint
     values in one batched call, and the rows in mode -1 their normals in
     another.  The constant gradient and constant normal rows are written
-    once.  A row in any other mode is done.  A kernel that is missing, or
-    that rejects the call with a TypeError, raises KernelError.
+    once.  A row in any other mode is done.  The rounds run with scipy's
+    bundled OpenBLAS at one thread (_one_blas_thread), so each row's bytes
+    do not depend on that library's thread count.  A kernel that is
+    missing, or that rejects the call with a TypeError, raises KernelError.
     """
     slsqp = _kernel()
     x = np.array(x0, dtype=np.float64, order="C")
@@ -332,25 +400,26 @@ def minimize(
     # below update in place.
     rows = list(zip(g, C, d, x, mult, xl, xu, buffer, indices))
     live = range(k)
-    while live:
-        evals, grads = [], []
-        for i in live:
-            try:
-                slsqp(states[i], fx[i], *rows[i])
-            except TypeError as exc:
-                raise KernelError(exc) from exc
-            mode = states[i]["mode"]
-            if mode == 1:
-                evals.append(i)
-            elif mode == -1:
-                grads.append(i)
-        if evals:
-            for i in evals:
-                fx[i] = fun(x[i])
-            d[evals] = problem.values(x[evals])
-        if grads:
-            C[grads, :7] = problem.normals(x[grads])
-        live = evals + grads
+    with _one_blas_thread():
+        while live:
+            evals, grads = [], []
+            for i in live:
+                try:
+                    slsqp(states[i], fx[i], *rows[i])
+                except TypeError as exc:
+                    raise KernelError(exc) from exc
+                mode = states[i]["mode"]
+                if mode == 1:
+                    evals.append(i)
+                elif mode == -1:
+                    grads.append(i)
+            if evals:
+                for i in evals:
+                    fx[i] = fun(x[i])
+                d[evals] = problem.values(x[evals])
+            if grads:
+                C[grads, :7] = problem.normals(x[grads])
+            live = evals + grads
     modes = tuple(state["mode"] for state in states)
     return _Solution(
         x, tuple(mode == 0 for mode in modes), tuple(state["iter"] for state in states),
@@ -396,10 +465,15 @@ def _sample_points(
                 return points
 
 
-# The starts run in waves of 1, 2 and then at most _MAX_WAVE: a
-# horseshoe design that certifies does so by start 2, and the memory of a
-# wave stays flat in multistart_count.
+# The starts run in waves of 1, 2, 4, 8 and 16, then of at most
+# _MAX_WAVE: a design that certifies early solves few starts past its
+# winner, and the memory of a wave stays flat in multistart_count.
 _MAX_WAVE = 32
+
+# A feasible start within this of a certified bound (presets.DMIN_BOUNDS)
+# ends the search.  Each bound is at most 1.1e-6 above the best design, so
+# a start that stops the search is within 2e-6 of the optimum.
+_BOUND_SLACK = 2e-6
 
 
 def _solved_starts(
@@ -427,7 +501,7 @@ def _solved_starts(
             # preset-2 optimum at 4 of seeds 0-99; from 0 no seed lost it.
             x0.append(np.concatenate([r0, u0, [0.0]]))
         yield from zip(wave, *minimize(lambda z: -z[4], x0, _NEG_T_GRAD, problem))
-        lo, size = wave.stop, (2 if size == 1 else _MAX_WAVE)
+        lo, size = wave.stop, min(2 * size, _MAX_WAVE)
 
 
 def design_constellation(
@@ -439,20 +513,22 @@ def design_constellation(
     sampling in its bounding box), each start seeded from
     (rng_seed, start_index) only, so results are deterministic and
     independent of evaluation order.  The starts are solved in waves of
-    1, 2 and then at most _MAX_WAVE, each wave by one minimize call.  A
-    disk whose radius exceeds its center's distance to every gamut vertex
-    is solved clipped to that reach, which X cannot pass, so every radius
-    past it gives the same design.
+    1, 2, 4, 8, 16 and then at most _MAX_WAVE, each wave by one minimize
+    call.  A disk whose radius exceeds its center's distance to every
+    gamut vertex is solved clipped to that reach, which X cannot pass, so
+    every radius past it gives the same design.
 
     cfg.multistart_count is an upper bound on the starts run.  The starts
     are judged in index order, and the search stops at the first feasible
-    start whose d_min is certified optimal,
-    d_min >= dmin_upper_bound(target) - radius * _DISK_SLACK, and that
-    start wins; the later starts of its wave are dropped.  With no
+    start whose d_min is certified optimal, and that start wins; the
+    later starts of its wave are dropped.  A start is certified optimal
+    when its d_min reaches the stop floor: U - _BOUND_SLACK when
+    presets.certified_dmin_bound gives a bound U for the target and the
+    gamut, else dmin_upper_bound(target) - radius * _DISK_SLACK.  With no
     certified start, all starts run and the best feasible start by
-    (hard d_min, lowest index) wins.
-    DesignResult.starts_used counts the starts run, and
-    DesignResult.certified says whether the search stopped at the cap.
+    (hard d_min, lowest index) wins.  DesignResult.starts_used counts the
+    starts run, and DesignResult.certified says whether the search
+    stopped at the floor.
 
     Raises InfeasibleTargetError when one gamut half-plane separates the
     disk from the gamut or the fixed blue lies outside it,
@@ -483,9 +559,14 @@ def design_constellation(
     blue = FIXED_BLUE.as_array()
     jac, offset = _point_map(blue, solved)
     problem = _problem(blue, solved, gamut)
-    # A feasible start at or above this d_min is optimal to within
-    # radius * _DISK_SLACK, the disk slack, by the cap's own argument.
-    cap_floor = dmin_upper_bound(target) - target.radius * _DISK_SLACK
+    # A feasible start at or above this d_min is optimal: to within
+    # _BOUND_SLACK of a certified bound, or to within radius * _DISK_SLACK,
+    # the disk slack, by the cap's own argument.
+    bound = certified_dmin_bound(target, gamut)
+    if bound is None:
+        floor = dmin_upper_bound(target) - target.radius * _DISK_SLACK
+    else:
+        floor = bound - _BOUND_SLACK
 
     # The best feasible start: (d_min, index, R, G).  Only a strictly
     # higher d_min replaces it, so ties go to the lowest start index.
@@ -513,7 +594,7 @@ def design_constellation(
                 "exit_mode": mode,
             }
         )
-        if ok and dmin >= cap_floor:
+        if ok and dmin >= floor:
             break
 
     if best is None:
@@ -522,9 +603,9 @@ def design_constellation(
             "in the gamut and X in the disk",
             diagnostics,
         )
-    # The loop ends at the first feasible start that meets the cap, and
-    # every feasible start before it is below the cap, so the best start
-    # meets the cap exactly when the search stopped there.
+    # The loop ends at the first feasible start that meets the floor, and
+    # every feasible start before it is below the floor, so the best start
+    # meets the floor exactly when the search stopped there.
     best_dmin, best_k, r_pt, g_pt = best
     # d_min is label-symmetric in R and G; label the redder point R.
     if r_pt.x < g_pt.x:
@@ -535,5 +616,5 @@ def design_constellation(
         starts_converged=starts_converged,
         best_start_index=best_k,
         starts_used=len(diagnostics),
-        certified=best_dmin >= cap_floor,
+        certified=best_dmin >= floor,
     )

@@ -1,16 +1,19 @@
-"""Bundled blue targets, source primaries, and reference designs.
+"""Bundled blue targets, source primaries, reference designs and
+certified bounds.
 
 Three blue-target disks (1 = widest, 3 = tightest around the primary
 blue) and nine published 4-UCSK reference designs, three options per
 target, used as regression fixtures.  Fixture names follow the pattern
-``table1-t<target>o<option>``.
+``table1-t<target>o<option>``.  ``DMIN_BOUNDS`` holds a certified upper
+bound on the best d_min of each bundled preset and gamut that the
+analytic cap does not certify.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .colorimetry import ChromaticityPoint, GamutPolygon
+from .colorimetry import ChromaticityPoint, GamutPolygon, spectral_locus
 from .constellation import FIXED_BLUE, BlueTarget
 
 __all__ = [
@@ -21,6 +24,8 @@ __all__ = [
     "DEFAULT_PRIMARY_WAVELENGTHS",
     "DEFAULT_PRIMARY_CHROMATICITIES",
     "led_triangle_gamut",
+    "DMIN_BOUNDS",
+    "certified_dmin_bound",
 ]
 
 # Target disks: (radius, center).  Radii shrink toward the primary blue.
@@ -101,3 +106,35 @@ def led_triangle_gamut() -> GamutPolygon:
     that roam the full spectral-locus horseshoe.
     """
     return GamutPolygon(DEFAULT_PRIMARY_CHROMATICITIES)
+
+
+# (gamut, preset) -> an upper bound on the d_min of every point of the
+# problem the optimizer solves for that preset's disk in that gamut: R
+# and G within the gamut's half-planes offset by the optimizer's gamut
+# margin, and X in the disk.  Each is 1.0e-6 to 1.1e-6 above the best
+# design of seeds 0-9 and 2024, rounded up to 7 decimals, and
+# tests/test_certificates.py proves it again by branch and bound.  The
+# analytic cap |center - B| + radius is far above these optima; on the
+# horseshoe it certifies presets 2 and 3 itself, so they have no entry.
+DMIN_BOUNDS: dict[tuple[str, int], float] = {
+    ("led-triangle", 1): 0.1714775,
+    ("led-triangle", 2): 0.1163866,
+    ("led-triangle", 3): 0.0759188,
+    ("horseshoe", 1): 0.2783270,
+}
+
+
+def _gamut_vertices(name: str) -> tuple[ChromaticityPoint, ...]:
+    if name == "led-triangle":
+        return DEFAULT_PRIMARY_CHROMATICITIES
+    return spectral_locus().vertices
+
+
+def certified_dmin_bound(target: BlueTarget, gamut: GamutPolygon) -> float | None:
+    """The ``DMIN_BOUNDS`` entry whose preset disk equals ``target`` and
+    whose gamut has ``gamut``'s vertices, by value; None when no entry
+    does."""
+    for (name, preset), bound in DMIN_BOUNDS.items():
+        if target == BLUE_TARGETS[preset] and gamut.vertices == _gamut_vertices(name):
+            return bound
+    return None

@@ -64,22 +64,28 @@ GOLDEN_SHA256 = {
 # curves were re-recorded when the mutual information began to form its
 # gaps as (a_j - b_j / sigma) / sigma from projections taken once per
 # draw: 41 of their 112 points moved, each by at most 3.0e-16 bits, and
-# the 4a curves and both manifests kept their bytes.
+# the 4a curves and both manifests kept their bytes.  The three designs,
+# their union-bound curves and their 4b rate curves were re-recorded when
+# each design began to stop at its certified bound, with the SLSQP
+# kernel's OpenBLAS pinned to one thread: the winner became the first
+# start at the optimum, every design coordinate moved by at most 8.2e-14,
+# and each of those curves by at most 6.0e-12 of its value.  The Monte
+# Carlo SER curves and both manifests kept their bytes.
 _DESIGN_SHA256 = {
-    "design-target1.json": "9259d81a5c7d749b6b259ef1893f97e6867886223d8a2ae6c05ed26ecf49d071",
-    "design-target2.json": "8a5007c713c4aa0d342cc0d0fbb166fde1ae3b478d2a3e02cfd9345d2c5d1d85",
-    "design-target3.json": "65ed6596f792d99984918f5dfdf819ed78a33d1dc580ffe01b3728d107dbe0f5",
+    "design-target1.json": "63c109f1be547b25250135b0dd3c0b4e584c7ff2854c2bafb1b010edd2a65e30",
+    "design-target2.json": "7ef5cb135ca1d1b1befadfaf365ab848c72555033a207b56c68a0d82ec6e953d",
+    "design-target3.json": "a28122515bbbba5cfeea4a2420800a005f66c540f33f69cd67e6e00e4973e5f6",
 }
 REPRODUCE_SHA256 = {
     "4a": {
         **_DESIGN_SHA256,
         "manifest.json": "ea90a98f1ba424f372f4c39593b21f5a32c755204c47d52929e798ae74127591",
         "ser-target1.csv": "426b305ba4a5f0b93a298394ebbc5b3d485be38be004b3b4e7956e92b90c7c1f",
-        "ser-target1.ub.csv": "f878c9847f58da33878c52c2f5fe0d87f49dceaf4e9c52333624e89dd43f24b3",
+        "ser-target1.ub.csv": "4cf19040ebd9f91c94809ad278f9646150d19188c40dddaaa6d0b7d1e26f8825",
         "ser-target2.csv": "05c713ce3dedbe9ecdb19961d77b4fb3f3f7f82121df8afe122d4a2726a3ba90",
-        "ser-target2.ub.csv": "44c703b7c2f9ca95cacf534f19769d10f2213a806f8676c0b5ae5678fed38fe2",
+        "ser-target2.ub.csv": "ea172fc666b12f5a6c8ea6dfb8760a05e3a62dcbce59b2ea16b5b137ee7309d9",
         "ser-target3.csv": "a33c52d317f9577dcbc75ad5d10b833b91523dbbbc371a2269acfe3ca13adc92",
-        "ser-target3.ub.csv": "163125de0604042c3291a99ed48c9c2ee675e506cafde3a0839cbde69474610f",
+        "ser-target3.ub.csv": "537f7a09379fb444e5fcaefc9f1ad6d874cda5831e12d1b648a6eb44201963a3",
     },
     "4b": {
         **_DESIGN_SHA256,
@@ -88,9 +94,9 @@ REPRODUCE_SHA256 = {
         "rate-ook-blue-50m.csv": "ea99319426e3c24c1d1fb8738f83018b23ae70b8f3c9a9a34775796048f123af",
         "rate-ook-green-10m.csv": "44301acddb0876a3da3af92a4d2aafc0b5464e4b00f1c09512d6a9aa306f4cac",
         "rate-ook-red-10m.csv": "bfcbcf8b37cccdccbe764f6dccf86d3b16a4a3bbcc56227cef295ee279265428",
-        "rate-ucsk-target1-10m.csv": "56c5204cdb5f7bfa7a9f695feb16a1982b7950e3ba7cf338aa0ab4b1f989e3a3",
-        "rate-ucsk-target2-10m.csv": "0abbc54d4c3a8c52bf3ddfd5af4397226649e5407c15ebec5819663d0ac84c00",
-        "rate-ucsk-target3-10m.csv": "53599a294418e06bff22e0814cf70271bf823d2113023b2867d535e15d1dc049",
+        "rate-ucsk-target1-10m.csv": "3970ce3fa0b2b13f82009edebfb48ce3e8714d952200120a8521965388713234",
+        "rate-ucsk-target2-10m.csv": "e102e528b0c5d977f36c98c37fa94c4d8aaf95ea0941d3ec96350610a1252964",
+        "rate-ucsk-target3-10m.csv": "6f9af029a6533ce89dab392a4e22af3940b877b2d2a638715a63b3b28bb1d6d5",
     },
 }
 
@@ -829,6 +835,25 @@ class TestReproducibility:
         for figure in ("4a", "4b"):
             assert _digests(tmp_path / figure) == REPRODUCE_SHA256[figure]
 
+    def test_design_bytes_do_not_depend_on_the_blas_threads(self, tmp_path):
+        # The SLSQP kernel links scipy's OpenBLAS, which rounds differently
+        # at one thread and at two; the optimizer pins it to one thread.
+        code = "from ucsk.cli import main; assert main(['reproduce', '--figure', '4a', '--out', 'out']) == 0"
+        designs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+                   "OPENBLAS_NUM_THREADS": threads}
+            (tmp_path / threads).mkdir()
+            subprocess.run(
+                [sys.executable, "-c", code], cwd=tmp_path / threads, env=env,
+                check=True, timeout=300,
+            )
+            designs.append({
+                name: digest for name, digest in _digests(tmp_path / threads / "out").items()
+                if name.startswith("design-")
+            })
+        assert designs[0] == designs[1] == _DESIGN_SHA256
+
     def test_small_curves_match_recorded_digests(self, tmp_path):
         assert _small_curves(tmp_path) == GOLDEN_SHA256
 
@@ -896,11 +921,28 @@ class TestReports:
         assert report.endswith("radius=0.0 margin=-0.0000 (inside)\n")
 
     def test_design_constraint_margin_line(self, tmp_path, capsys):
+        # LED-triangle preset 1 has a certified bound, which start 0 meets.
         code, out = _design(tmp_path, "d.json", "--gamut", "led-triangle")
         assert code == EXIT_OK
         assert capsys.readouterr().out == (
             "achieved d_min: 0.171476\n"
             "d_min cap: 0.280703 (gap 0.109)\n"
+            "certified bound: 0.1714775 (gap 1.03e-06)\n"
+            "starts run: 1 of 2 (stopped at the certified bound)\n"
+            "constraint margin: +0.000000 (inside=True)\n"
+            f"wrote {out}\n"
+        )
+
+    def test_design_without_a_bound_reports_the_cap_alone(self, tmp_path, capsys):
+        # A disk that no bundled preset equals has no certified bound, and
+        # its cap stops no start.
+        out = tmp_path / "d.json"
+        argv = ["design", "--target-center", "0.15,0.22", "--target-radius", "0.0999",
+                "--gamut", "led-triangle", "--starts", "2", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "achieved d_min: 0.171386\n"
+            "d_min cap: 0.280603 (gap 0.109)\n"
             "starts run: 2 of 2\n"
             "constraint margin: +0.000000 (inside=True)\n"
             f"wrote {out}\n"

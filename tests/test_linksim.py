@@ -489,6 +489,36 @@ class TestBatch:
         assert batch_mi == alone_mi
         assert own
 
+    def test_rising_alphabet_batch_stays_in_the_arena(self, monkeypatch):
+        # OOK (two symbols, one band) before a four-symbol set on three
+        # bands: the scratch of the two fits the arena, so no role may
+        # get an array of its own, as none would if the roles were carved
+        # at the four-symbol shapes first.
+        rng = np.random.default_rng(31)
+        batch = [
+            HypothesisSet(rng.uniform(0.0, 1e-3, (m, k)), np.ones(k))
+            for m, k in ((2, 1), (4, 3))
+        ]
+        grid = [0.0, 9.0, 18.0]
+        sigmas = [noise_sigma(h.transmit_vectors(), 6.0) for h in batch]
+        alone_ser = tuple(ser_alone(h, grid, self.N, 3) for h in batch)
+        alone_mi = tuple(mi_alone(h, s, self.N, 3) for h, s in zip(batch, sigmas))
+
+        own = []
+
+        class Recording(_Buffers):
+            def get(self, role, shape, dtype=float, order="C"):
+                view = super().get(role, shape, dtype, order)
+                if not np.shares_memory(view, self._arena):
+                    own.append(role)
+                return view
+
+        monkeypatch.setattr(linksim, "_Buffers", Recording)
+        assert simulate_ser(batch, grid, self.N, 3) == alone_ser
+        (batch_mi,) = mutual_information(batch, [sigmas], self.N, 3)
+        assert batch_mi == alone_mi
+        assert own == []
+
     def test_batch_validation(self, mixed_batch):
         with pytest.raises(ValueError):
             simulate_ser([], [0.0], 20_000, 0)

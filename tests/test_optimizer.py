@@ -297,30 +297,34 @@ class TestCap:
         )
         assert result.constellation.d_min >= 0.1163855 - 1e-6
 
-    def test_led_green_vertex_start_is_accepted(self):
-        # One start ends with G at the green vertex, where the offset
+    def test_led_green_vertex_start_is_accepted(self, monkeypatch):
+        # One start (19) ends with G at the green vertex, where the offset
         # half-planes meet 1.005e-4 outside the triangle by Euclidean
         # distance; membership reads the same half-planes, so it counts.
+        # With no stop floor every start runs, so every start is judged.
+        _uncertified(monkeypatch)
         result = design_constellation(
             blue_target_preset(1), OptimizerConfig(rng_seed=2024), led_triangle_gamut()
         )
         assert result.starts_converged == 32
-        assert result.best_start_index == 1
-        assert result.constellation.d_min == 0.17147647168797064
+        assert result.best_start_index == 0
+        assert result.constellation.d_min == 0.17147647168797073
 
 
 def _scipy_row(x0, problem):
     """One start by scipy.optimize.minimize(method="SLSQP"), as
-    (x bytes, success, nit, exit mode)."""
+    (x bytes, success, nit, exit mode), with scipy's OpenBLAS at one
+    thread as optimizer.minimize runs it."""
     con_fun, con_jac = _evaluators(problem)
-    ref = scipy.optimize.minimize(
-        lambda z: -z[4],
-        x0,
-        jac=lambda z: optimizer._NEG_T_GRAD,
-        method="SLSQP",
-        constraints=[{"type": "ineq", "fun": con_fun, "jac": con_jac}],
-        options={"maxiter": optimizer._MAX_ITERATIONS, "ftol": optimizer._FTOL},
-    )
+    with optimizer._one_blas_thread():
+        ref = scipy.optimize.minimize(
+            lambda z: -z[4],
+            x0,
+            jac=lambda z: optimizer._NEG_T_GRAD,
+            method="SLSQP",
+            constraints=[{"type": "ineq", "fun": con_fun, "jac": con_jac}],
+            options={"maxiter": optimizer._MAX_ITERATIONS, "ftol": optimizer._FTOL},
+        )
     return ref.x.tobytes(), ref.success, ref.nit, ref.status
 
 
@@ -330,6 +334,13 @@ def _rows(res):
         (x.tobytes(), success, nit, mode)
         for x, success, nit, mode in zip(res.x, res.success, res.iterations, res.mode)
     ]
+
+
+def _uncertified(patch):
+    """Patch out both stop floors, the cap and the certified bound, so
+    that every start runs."""
+    patch.setattr(optimizer, "dmin_upper_bound", lambda target: math.inf)
+    patch.setattr(optimizer, "certified_dmin_bound", lambda target, gamut: None)
 
 
 def _design_batches(monkeypatch, target, cfg, gamut):
@@ -343,7 +354,7 @@ def _design_batches(monkeypatch, target, cfg, gamut):
 
     with monkeypatch.context() as patch:
         patch.setattr(optimizer, "minimize", record)
-        patch.setattr(optimizer, "dmin_upper_bound", lambda target: math.inf)
+        _uncertified(patch)
         design_constellation(target, cfg, gamut)
     return batches
 
@@ -353,9 +364,10 @@ class TestKernelDriver:
     # kernel state per row of a batch of starts.  Every row must end
     # where scipy.optimize.minimize ends on the same start, bit for bit,
     # so a change of the kernel, of scipy's loop around it or of the
-    # lockstep fails here rather than in a distant digest.  An infinite
-    # cap certifies no start, so all 32 run at every case, in waves of
-    # 1, 2 and 29.
+    # lockstep fails here rather than in a distant digest.  scipy runs
+    # under the same one-thread pin of its OpenBLAS.  With no stop floor
+    # no start certifies, so all 32 run at every case, in waves of 1, 2,
+    # 4, 8, 16 and 1.
     @pytest.mark.parametrize("seed", (0, 2024))
     @pytest.mark.parametrize("preset", (1, 2, 3))
     @pytest.mark.parametrize("gamut_name", ("horseshoe", "led-triangle"))
@@ -370,7 +382,7 @@ class TestKernelDriver:
             return res
 
         monkeypatch.setattr(optimizer, "minimize", both)
-        monkeypatch.setattr(optimizer, "dmin_upper_bound", lambda target: math.inf)
+        _uncertified(monkeypatch)
         design_constellation(
             blue_target_preset(preset), OptimizerConfig(rng_seed=seed), GAMUTS[gamut_name]()
         )
@@ -451,6 +463,8 @@ class TestCertificate:
     # A feasible start within radius * _DISK_SLACK of dmin_upper_bound
     # is optimal, so the search stops there.  On the horseshoe only
     # presets 2 and 3 reach the cap; (X, B) is their one binding pair.
+    # The other presets stop at their certified bounds instead
+    # (tests/test_certificates.py).
     @pytest.mark.parametrize("seed", (*range(10), 2024))
     @pytest.mark.parametrize("preset", (2, 3))
     def test_horseshoe_stops_at_the_cap(self, monkeypatch, locus, preset, seed):
@@ -470,7 +484,10 @@ class TestCertificate:
         [("horseshoe", 1), ("led-triangle", 1), ("led-triangle", 2),
          ("led-triangle", 3)],
     )
-    def test_below_the_cap_runs_every_start(self, gamut_name, preset):
+    def test_below_the_cap_runs_every_start(self, monkeypatch, gamut_name, preset):
+        # With its certified bound patched out, the cap alone stops none of
+        # these designs.
+        monkeypatch.setattr(optimizer, "certified_dmin_bound", lambda target, gamut: None)
         result = design_constellation(
             blue_target_preset(preset), OptimizerConfig(rng_seed=2024),
             GAMUTS[gamut_name](),
@@ -488,12 +505,16 @@ class TestCertificate:
 def _replay(monkeypatch, target, cfg, gamut):
     """design_constellation one start at a time: each start a one-row
     minimize call from the x0 the design gives it, judged in index order,
-    stopping at the first feasible start at or above the cap floor.
+    stopping at the first feasible start at or above the stop floor.
     Returns the DesignResult and each start's (d_min, feasible)."""
     batches = _design_batches(monkeypatch, target, cfg, gamut)
     problem = batches[0][1]
     jac, offset = optimizer._point_map(FIXED_BLUE.as_array(), target)
-    cap_floor = optimizer.dmin_upper_bound(target) - target.radius * optimizer._DISK_SLACK
+    bound = optimizer.certified_dmin_bound(target, gamut)
+    if bound is None:
+        floor = optimizer.dmin_upper_bound(target) - target.radius * optimizer._DISK_SLACK
+    else:
+        floor = bound - optimizer._BOUND_SLACK
     best, converged, starts = None, 0, []
     for k, x0 in enumerate(np.concatenate([x for x, _ in batches])):
         res = optimizer.minimize(lambda z: -z[4], x0[None], optimizer._NEG_T_GRAD, problem)
@@ -509,7 +530,7 @@ def _replay(monkeypatch, target, cfg, gamut):
             converged += 1
             if best is None or dmin > best[0]:
                 best = (dmin, k, *sorted((r, g), key=lambda p: -p.x))
-            if dmin >= cap_floor:
+            if dmin >= floor:
                 break
     dmin, k, r, g = best
     result = optimizer.DesignResult(
@@ -517,15 +538,15 @@ def _replay(monkeypatch, target, cfg, gamut):
         starts_converged=converged,
         best_start_index=k,
         starts_used=len(starts),
-        certified=dmin >= cap_floor,
+        certified=dmin >= floor,
     )
     return result, starts
 
 
 class TestWaves:
-    # design_constellation solves its starts in waves of 1, 2 and then at
-    # most 32, and judges each wave's starts in index order.  It must give
-    # what one start at a time gives.
+    # design_constellation solves its starts in waves of 1, 2, 4, 8, 16
+    # and then at most 32, and judges each wave's starts in index order.
+    # It must give what one start at a time gives.
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("preset", (2, 3))
     def test_horseshoe_certificates(self, monkeypatch, locus, preset, seed):
@@ -536,33 +557,53 @@ class TestWaves:
 
     @pytest.mark.parametrize("preset", (1, 2, 3))
     def test_led_triangle(self, monkeypatch, preset):
+        # Each design stops at its certified bound, first met by starts 0,
+        # 11 and 3: in the first, fourth and third waves, so starts 12-14
+        # of preset 2 and 4-6 of preset 3 are solved but not judged.
         target, cfg = blue_target_preset(preset), OptimizerConfig(rng_seed=2024)
         expect, _ = _replay(monkeypatch, target, cfg, led_triangle_gamut())
-        assert not expect.certified and expect.starts_used == 32
+        assert expect.certified and expect.starts_used == {1: 1, 2: 12, 3: 4}[preset]
         assert design_constellation(target, cfg, led_triangle_gamut()) == expect
 
+    @pytest.mark.parametrize("preset", (1, 2, 3))
+    def test_led_triangle_without_a_floor(self, monkeypatch, preset):
+        target, cfg = blue_target_preset(preset), OptimizerConfig(rng_seed=2024)
+        expect, _ = _replay(monkeypatch, target, cfg, led_triangle_gamut())
+        _uncertified(monkeypatch)
+        full, _ = _replay(monkeypatch, target, cfg, led_triangle_gamut())
+        assert not full.certified and full.starts_used == 32
+        assert design_constellation(target, cfg, led_triangle_gamut()) == full
+        # The stop gives up at most the certificate's slack.
+        slack = optimizer._BOUND_SLACK
+        assert expect.constellation.d_min >= full.constellation.d_min - slack
+
     def test_more_starts_than_one_wave(self, monkeypatch):
-        # 70 starts run in waves of 1, 2, 32, 32 and 3.
+        # 70 starts run in waves of 1, 2, 4, 8, 16, 32 and 7.
         target = blue_target_preset(2)
         cfg = OptimizerConfig(multistart_count=70, rng_seed=0)
         batches = _design_batches(monkeypatch, target, cfg, led_triangle_gamut())
-        assert [len(x0) for x0, _ in batches] == [1, 2, 32, 32, 3]
+        assert [len(x0) for x0, _ in batches] == [1, 2, 4, 8, 16, 32, 7]
+        _uncertified(monkeypatch)
         expect, _ = _replay(monkeypatch, target, cfg, led_triangle_gamut())
         assert expect.starts_used == 70
         assert design_constellation(target, cfg, led_triangle_gamut()) == expect
 
     def test_certificate_inside_a_wave(self, monkeypatch):
-        # A cap met first by a start of the third wave: the starts after
-        # it in that wave are solved but neither counted nor judged.
+        # A cap met first by a start that is not the last of its wave:
+        # the starts after it in that wave are solved but neither counted
+        # nor judged.
         target, gamut = blue_target_preset(3), led_triangle_gamut()
         cfg = OptimizerConfig(rng_seed=2024)
+        _uncertified(monkeypatch)
         _, starts = _replay(monkeypatch, target, cfg, gamut)
         best, records = -math.inf, []
         for k, (dmin, ok) in enumerate(starts):
             if ok and dmin > best:
                 records.append((k, best, dmin))
                 best = dmin
-        k, below, at = next(r for r in records if 3 <= r[0] < 31)
+        # The last start of each wave of 32 starts.
+        wave_ends = (0, 2, 6, 14, 30, 31)
+        k, below, at = next(r for r in records if r[0] > 0 and r[0] not in wave_ends)
         cap = (below + at) / 2 + target.radius * optimizer._DISK_SLACK
         monkeypatch.setattr(optimizer, "dmin_upper_bound", lambda target: cap)
         expect, _ = _replay(monkeypatch, target, cfg, gamut)
