@@ -68,10 +68,12 @@ links scipy's bundled OpenBLAS, whose last bits differ between one
 thread and several.  So each optimizer batch runs with that library set
 to one thread by its own ``scipy_openblas_set_num_threads``, found
 through the kernel's extension file, and then restores the count it
-had; ``OPENBLAS_NUM_THREADS`` changes no output.  When the kernel's
-extension has no file, or the library it links lacks that symbol (a
-scipy built against another BLAS), the kernel runs at that library's own
-thread count, and design bytes may then depend on it.
+had; ``OPENBLAS_NUM_THREADS`` changes no output.  Designs run at once
+from several threads of one process share that pin: the first batch to
+start sets one thread and the last to end restores the count.  When
+the kernel's extension has no file, or the library it links lacks that
+symbol (a scipy built against another BLAS), the kernel runs at that
+library's own thread count, and design bytes may then depend on it.
 
 Every count has a ceiling: ``--symbols`` and ``--samples`` at most
 10**9, ``--starts`` at most 10000 and an ``--snr`` grid at most 10000
@@ -116,7 +118,6 @@ from .presets import (
     DEFAULT_PRIMARY_WAVELENGTHS,
     TABLE1_FIXTURES,
     blue_target_preset,
-    certified_dmin_bound,
     led_triangle_gamut,
 )
 
@@ -405,7 +406,7 @@ def _cmd_design(args) -> None:
     print(f"achieved d_min: {dmin:.6f}")
     cap = optimizer.dmin_upper_bound(target)
     print(f"d_min cap: {cap:.6f} (gap {cap - dmin:.3g})")
-    bound = certified_dmin_bound(target, gamut)
+    bound = result.certified_bound
     if bound is not None:
         print(f"certified bound: {bound:.7f} (gap {bound - dmin:.3g})")
     stop = "the cap" if bound is None else "the certified bound"

@@ -19,15 +19,19 @@ and A.G <= b.
 The non-convex landscape is swept by deterministic multistart.  Each
 start's R and G are drawn from its own generator, seeded by
 (rng_seed, start index), so a start is the same whichever starts run
-beside it.  The starts are solved in waves of 1, 2, 4, 8 and 16, then of
-at most 32 (design_constellation), so a search that stops early solves
-few starts past its winner.  minimize solves a wave in lockstep: one
-SLSQP kernel state and workspace per start, and per round one kernel
-call per live start, one batched evaluation of the constraint values of
-every start that asks for them and one of the normals.  That is the loop
-of scipy.optimize.minimize(method="SLSQP") run once per start, without
-its per-call and per-iteration wrapping, and each start ends where that
-loop ends, bit for bit: the batched evaluators repeat a single start's
+beside it.  The starts are solved in waves (design_constellation): of
+1, 2, 4, 8 and 16, then of at most 32, for a target with a certified
+bound, so a search that stops within its first 20 starts solves few
+starts past its winner; of 1, 2 and then at most 32 for any other, so a
+search that certifies nothing runs its starts in few lockstep waves
+(horseshoe presets 2 and 3 stop at the cap within their first 3).
+minimize solves a wave in lockstep: one SLSQP kernel state and workspace
+per start, and per round one kernel call per live start, one batched
+evaluation of the constraint values of every start that asks for them
+and one of the normals.  That is the loop of
+scipy.optimize.minimize(method="SLSQP") run once per start, without its
+per-call and per-iteration wrapping, and each start ends where that loop
+ends, bit for bit: the batched evaluators repeat a single start's
 arithmetic row by row (_problem).  The kernel,
 scipy.optimize._slsqplib.slsqp, is private scipy API that each wave
 looks up (_kernel) through _extension.load_extension, whose docstring
@@ -65,6 +69,7 @@ the one a search of one start at a time gives.
 from __future__ import annotations
 
 import ctypes
+import threading
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -190,6 +195,12 @@ def _blas_threads():
     return get, set_
 
 
+# The blocks of _one_blas_thread that are running, and the count the
+# library had before the first of them; read and written under the lock.
+_blas_lock = threading.Lock()
+_blas_pin = {"blocks": 0, "before": 0}
+
+
 @contextmanager
 def _one_blas_thread():
     """Run the block with scipy's bundled OpenBLAS at one thread, then
@@ -197,8 +208,10 @@ def _one_blas_thread():
 
     At one thread and at several, that library gives the SLSQP kernel
     results that differ in their last bits, and so designs that differ in
-    theirs.  The count is process-wide, so another thread's BLAS calls in
-    the same library run at one thread while the block runs.  Without the
+    theirs.  The count is process-wide, so blocks that overlap in several
+    threads share one pin: the first to enter saves the count and sets
+    one thread, and the last to leave restores it.  Other BLAS calls in
+    the same library run at one thread while any block runs.  Without the
     library (_blas_threads is None) the block runs at whatever count the
     library has.
     """
@@ -207,12 +220,18 @@ def _one_blas_thread():
         yield
         return
     get, set_ = threads
-    before = get()
-    set_(1)
+    with _blas_lock:
+        if _blas_pin["blocks"] == 0:
+            _blas_pin["before"] = get()
+            set_(1)
+        _blas_pin["blocks"] += 1
     try:
         yield
     finally:
-        set_(before)
+        with _blas_lock:
+            _blas_pin["blocks"] -= 1
+            if _blas_pin["blocks"] == 0:
+                set_(_blas_pin["before"])
 
 
 @dataclass(frozen=True)
@@ -236,9 +255,11 @@ class DesignResult:
     starts_converged: int
     best_start_index: int
     starts_used: int
-    # True when the winning start met the cap, or the target's certified
-    # bound, and ended the search.
+    # True when the winning start met the stop floor and ended the search.
     certified: bool
+    # The target's certified bound (presets.certified_dmin_bound) that the
+    # stop floor comes from, or None when it comes from the cap.
+    certified_bound: float | None
 
 
 def dmin_upper_bound(target: BlueTarget) -> float:
@@ -465,9 +486,13 @@ def _sample_points(
                 return points
 
 
-# The starts run in waves of 1, 2, 4, 8 and 16, then of at most
-# _MAX_WAVE: a design that certifies early solves few starts past its
-# winner, and the memory of a wave stays flat in multistart_count.
+# A target with a certified bound runs its starts in waves of 1, 2, 4, 8
+# and 16, then of at most _MAX_WAVE: the bundled ones stop within their
+# first 20 starts, and few starts past the winner are solved.  Any other
+# target runs waves of 1, 2 and then at most _MAX_WAVE: one that
+# certifies nothing runs every start, and doubling waves made such a
+# design 14-21% slower (6 waves, with nearly twice the lockstep rounds).
+# Either way the memory of a wave stays flat in multistart_count.
 _MAX_WAVE = 32
 
 # A feasible start within this of a certified bound (presets.DMIN_BOUNDS)
@@ -476,12 +501,29 @@ _MAX_WAVE = 32
 _BOUND_SLACK = 2e-6
 
 
+def _stop_floor(target: BlueTarget, gamut: GamutPolygon) -> tuple[float, float | None]:
+    """(floor, bound): a feasible start whose d_min reaches floor is
+    optimal, to within _BOUND_SLACK of the certified bound when
+    presets.certified_dmin_bound gives one, else to within
+    radius * _DISK_SLACK of the cap, by the cap's own argument; bound is
+    that certified bound, or None."""
+    bound = certified_dmin_bound(target, gamut)
+    if bound is None:
+        return dmin_upper_bound(target) - target.radius * _DISK_SLACK, None
+    return bound - _BOUND_SLACK, bound
+
+
 def _solved_starts(
-    target: BlueTarget, cfg: OptimizerConfig, gamut: GamutPolygon, problem: _Problem
+    target: BlueTarget,
+    cfg: OptimizerConfig,
+    gamut: GamutPolygon,
+    problem: _Problem,
+    doubling: bool,
 ) -> Iterator[tuple[int, np.ndarray, bool, int, int]]:
     """(index, z, success, iterations, exit mode) of each start in index
     order, solved a wave at a time; a wave runs when its first start is
-    asked for."""
+    asked for.  The waves double up to _MAX_WAVE when doubling is set,
+    else they run 1, 2 and then _MAX_WAVE starts."""
     blue, center = FIXED_BLUE.as_array(), target.center.as_array()
     bbox = gamut.bounding_box()
     lo, size = 0, 1
@@ -501,7 +543,8 @@ def _solved_starts(
             # preset-2 optimum at 4 of seeds 0-99; from 0 no seed lost it.
             x0.append(np.concatenate([r0, u0, [0.0]]))
         yield from zip(wave, *minimize(lambda z: -z[4], x0, _NEG_T_GRAD, problem))
-        lo, size = wave.stop, min(2 * size, _MAX_WAVE)
+        grown = 2 * size if doubling or size == 1 else _MAX_WAVE
+        lo, size = wave.stop, min(grown, _MAX_WAVE)
 
 
 def design_constellation(
@@ -512,23 +555,25 @@ def design_constellation(
     R and G of each start are sampled uniformly in the gamut (rejection
     sampling in its bounding box), each start seeded from
     (rng_seed, start_index) only, so results are deterministic and
-    independent of evaluation order.  The starts are solved in waves of
-    1, 2, 4, 8, 16 and then at most _MAX_WAVE, each wave by one minimize
-    call.  A disk whose radius exceeds its center's distance to every
-    gamut vertex is solved clipped to that reach, which X cannot pass, so
-    every radius past it gives the same design.
+    independent of evaluation order.  The starts are solved in waves,
+    each by one minimize call: of 1, 2, 4, 8, 16 and then at most
+    _MAX_WAVE starts for a target with a certified bound, of 1, 2 and then
+    at most _MAX_WAVE for any other.  A disk whose radius exceeds its
+    center's distance to every gamut vertex is solved clipped to that
+    reach, which X cannot pass, so every radius past it gives the same
+    design.
 
     cfg.multistart_count is an upper bound on the starts run.  The starts
     are judged in index order, and the search stops at the first feasible
     start whose d_min is certified optimal, and that start wins; the
     later starts of its wave are dropped.  A start is certified optimal
-    when its d_min reaches the stop floor: U - _BOUND_SLACK when
-    presets.certified_dmin_bound gives a bound U for the target and the
-    gamut, else dmin_upper_bound(target) - radius * _DISK_SLACK.  With no
-    certified start, all starts run and the best feasible start by
+    when its d_min reaches the stop floor (_stop_floor): U - _BOUND_SLACK
+    when presets.certified_dmin_bound gives a bound U for the target and
+    the gamut, else dmin_upper_bound(target) - radius * _DISK_SLACK.  With
+    no certified start, all starts run and the best feasible start by
     (hard d_min, lowest index) wins.  DesignResult.starts_used counts the
-    starts run, and DesignResult.certified says whether the search
-    stopped at the floor.
+    starts run, DesignResult.certified says whether the search stopped at
+    the floor, and DesignResult.certified_bound is U, or None.
 
     Raises InfeasibleTargetError when one gamut half-plane separates the
     disk from the gamut or the fixed blue lies outside it,
@@ -559,20 +604,15 @@ def design_constellation(
     blue = FIXED_BLUE.as_array()
     jac, offset = _point_map(blue, solved)
     problem = _problem(blue, solved, gamut)
-    # A feasible start at or above this d_min is optimal: to within
-    # _BOUND_SLACK of a certified bound, or to within radius * _DISK_SLACK,
-    # the disk slack, by the cap's own argument.
-    bound = certified_dmin_bound(target, gamut)
-    if bound is None:
-        floor = dmin_upper_bound(target) - target.radius * _DISK_SLACK
-    else:
-        floor = bound - _BOUND_SLACK
+    floor, bound = _stop_floor(target, gamut)
 
     # The best feasible start: (d_min, index, R, G).  Only a strictly
     # higher d_min replaces it, so ties go to the lowest start index.
     best, starts_converged = None, 0
     diagnostics: list[dict] = []
-    for k, x, success, nit, mode in _solved_starts(solved, cfg, gamut, problem):
+    for k, x, success, nit, mode in _solved_starts(
+        solved, cfg, gamut, problem, doubling=bound is not None
+    ):
         pts = jac @ x[:4] + offset
         dmin = float(np.linalg.norm(pts[_PAIR_I] - pts[_PAIR_J], axis=1).min())
         r_pt, g_pt = ChromaticityPoint(*pts[0]), ChromaticityPoint(*pts[1])
@@ -617,4 +657,5 @@ def design_constellation(
         best_start_index=best_k,
         starts_used=len(diagnostics),
         certified=best_dmin >= floor,
+        certified_bound=bound,
     )

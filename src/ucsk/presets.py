@@ -24,7 +24,6 @@ __all__ = [
     "DEFAULT_PRIMARY_WAVELENGTHS",
     "DEFAULT_PRIMARY_CHROMATICITIES",
     "led_triangle_gamut",
-    "DMIN_BOUNDS",
     "certified_dmin_bound",
 ]
 

@@ -1,5 +1,6 @@
 import inspect
 import math
+import threading
 from itertools import combinations
 
 import numpy as np
@@ -336,16 +337,17 @@ def _rows(res):
     ]
 
 
-def _uncertified(patch):
-    """Patch out both stop floors, the cap and the certified bound, so
-    that every start runs."""
+def _uncertified(patch, bound=None):
+    """Patch out both stop floors, so that every start runs: the cap is
+    infinite, and the certified bound is None or, given bound=math.inf,
+    one that no start reaches."""
     patch.setattr(optimizer, "dmin_upper_bound", lambda target: math.inf)
-    patch.setattr(optimizer, "certified_dmin_bound", lambda target, gamut: None)
+    patch.setattr(optimizer, "certified_dmin_bound", lambda target, gamut: bound)
 
 
-def _design_batches(monkeypatch, target, cfg, gamut):
+def _design_batches(monkeypatch, target, cfg, gamut, bound=None):
     """(x0, problem) of every minimize call of a design that certifies no
-    start, so that every start runs."""
+    start, so that every start runs; bound is _uncertified's."""
     solve, batches = optimizer.minimize, []
 
     def record(fun, x0, grad, problem):
@@ -354,7 +356,7 @@ def _design_batches(monkeypatch, target, cfg, gamut):
 
     with monkeypatch.context() as patch:
         patch.setattr(optimizer, "minimize", record)
-        _uncertified(patch)
+        _uncertified(patch, bound)
         design_constellation(target, cfg, gamut)
     return batches
 
@@ -366,8 +368,8 @@ class TestKernelDriver:
     # so a change of the kernel, of scipy's loop around it or of the
     # lockstep fails here rather than in a distant digest.  scipy runs
     # under the same one-thread pin of its OpenBLAS.  With no stop floor
-    # no start certifies, so all 32 run at every case, in waves of 1, 2,
-    # 4, 8, 16 and 1.
+    # no start certifies, so all 32 run at every case, in waves of 1, 2
+    # and 29.
     @pytest.mark.parametrize("seed", (0, 2024))
     @pytest.mark.parametrize("preset", (1, 2, 3))
     @pytest.mark.parametrize("gamut_name", ("horseshoe", "led-triangle"))
@@ -416,6 +418,56 @@ class TestKernelDriver:
         assert res.x.shape == (1, 5)
         assert _rows(res) == [_scipy_row(x0[0], problem)]
         assert res.nit == res.iterations[0]
+
+
+class TestBlasPin:
+    # optimizer._one_blas_thread runs a block with scipy's OpenBLAS at one
+    # thread.  The count is process-wide, so blocks that overlap share one
+    # pin: the first to enter saves the count, the last to leave restores
+    # it, and no block runs at another count in between.
+    @pytest.fixture
+    def count(self):
+        threads = optimizer._blas_threads()
+        if threads is None:
+            pytest.skip("the SLSQP kernel links no scipy-bundled OpenBLAS")
+        get, set_ = threads
+        before = get()
+        set_(2)
+        assert get() == 2
+        yield get
+        set_(before)
+
+    def test_nested_blocks(self, count):
+        with optimizer._one_blas_thread():
+            with optimizer._one_blas_thread():
+                assert count() == 1
+            assert count() == 1
+        assert count() == 2
+
+    def test_blocks_in_two_threads(self, count):
+        # A enters, then B; A leaves while B runs; B leaves last.
+        entered, a_left, seen = threading.Event(), threading.Event(), []
+
+        def a():
+            with optimizer._one_blas_thread():
+                entered.set()
+                assert b_entered.wait(60)
+            a_left.set()
+
+        b_entered = threading.Event()
+        thread = threading.Thread(target=a)
+        thread.start()
+        try:
+            assert entered.wait(60)
+            with optimizer._one_blas_thread():
+                b_entered.set()
+                assert a_left.wait(60)
+                seen.append(count())
+        finally:
+            b_entered.set()
+            thread.join(60)
+        assert seen == [1]
+        assert count() == 2
 
 
 class TestTracerContract:
@@ -510,11 +562,7 @@ def _replay(monkeypatch, target, cfg, gamut):
     batches = _design_batches(monkeypatch, target, cfg, gamut)
     problem = batches[0][1]
     jac, offset = optimizer._point_map(FIXED_BLUE.as_array(), target)
-    bound = optimizer.certified_dmin_bound(target, gamut)
-    if bound is None:
-        floor = optimizer.dmin_upper_bound(target) - target.radius * optimizer._DISK_SLACK
-    else:
-        floor = bound - optimizer._BOUND_SLACK
+    floor, bound = optimizer._stop_floor(target, gamut)
     best, converged, starts = None, 0, []
     for k, x0 in enumerate(np.concatenate([x for x, _ in batches])):
         res = optimizer.minimize(lambda z: -z[4], x0[None], optimizer._NEG_T_GRAD, problem)
@@ -539,14 +587,16 @@ def _replay(monkeypatch, target, cfg, gamut):
         best_start_index=k,
         starts_used=len(starts),
         certified=dmin >= floor,
+        certified_bound=bound,
     )
     return result, starts
 
 
 class TestWaves:
     # design_constellation solves its starts in waves of 1, 2, 4, 8, 16
-    # and then at most 32, and judges each wave's starts in index order.
-    # It must give what one start at a time gives.
+    # and then at most 32 for a target with a certified bound, of 1, 2 and
+    # then at most 32 for any other, and judges each wave's starts in
+    # index order.  It must give what one start at a time gives.
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("preset", (2, 3))
     def test_horseshoe_certificates(self, monkeypatch, locus, preset, seed):
@@ -578,20 +628,33 @@ class TestWaves:
         assert expect.constellation.d_min >= full.constellation.d_min - slack
 
     def test_more_starts_than_one_wave(self, monkeypatch):
+        # 70 starts run in waves of 1, 2, 32, 32 and 3.
+        self._more_starts_than_one_wave(monkeypatch, None, [1, 2, 32, 32, 3])
+
+    def test_more_starts_than_one_wave_with_a_certified_bound(self, monkeypatch):
         # 70 starts run in waves of 1, 2, 4, 8, 16, 32 and 7.
+        self._more_starts_than_one_wave(monkeypatch, math.inf, [1, 2, 4, 8, 16, 32, 7])
+
+    def _more_starts_than_one_wave(self, monkeypatch, bound, waves):
         target = blue_target_preset(2)
         cfg = OptimizerConfig(multistart_count=70, rng_seed=0)
-        batches = _design_batches(monkeypatch, target, cfg, led_triangle_gamut())
-        assert [len(x0) for x0, _ in batches] == [1, 2, 4, 8, 16, 32, 7]
-        _uncertified(monkeypatch)
+        batches = _design_batches(monkeypatch, target, cfg, led_triangle_gamut(), bound)
+        assert [len(x0) for x0, _ in batches] == waves
+        _uncertified(monkeypatch, bound)
         expect, _ = _replay(monkeypatch, target, cfg, led_triangle_gamut())
-        assert expect.starts_used == 70
+        assert expect.starts_used == 70 and expect.certified_bound == bound
         assert design_constellation(target, cfg, led_triangle_gamut()) == expect
 
     def test_certificate_inside_a_wave(self, monkeypatch):
         # A cap met first by a start that is not the last of its wave:
         # the starts after it in that wave are solved but neither counted
         # nor judged.
+        self._floor_inside_a_wave(monkeypatch, "cap")
+
+    def test_certified_bound_inside_a_wave(self, monkeypatch):
+        self._floor_inside_a_wave(monkeypatch, "certified-bound")
+
+    def _floor_inside_a_wave(self, monkeypatch, floor):
         target, gamut = blue_target_preset(3), led_triangle_gamut()
         cfg = OptimizerConfig(rng_seed=2024)
         _uncertified(monkeypatch)
@@ -602,10 +665,14 @@ class TestWaves:
                 records.append((k, best, dmin))
                 best = dmin
         # The last start of each wave of 32 starts.
-        wave_ends = (0, 2, 6, 14, 30, 31)
+        wave_ends = {"cap": (0, 2, 31), "certified-bound": (0, 2, 6, 14, 30, 31)}[floor]
         k, below, at = next(r for r in records if r[0] > 0 and r[0] not in wave_ends)
-        cap = (below + at) / 2 + target.radius * optimizer._DISK_SLACK
-        monkeypatch.setattr(optimizer, "dmin_upper_bound", lambda target: cap)
+        if floor == "cap":
+            cap = (below + at) / 2 + target.radius * optimizer._DISK_SLACK
+            monkeypatch.setattr(optimizer, "dmin_upper_bound", lambda target: cap)
+        else:
+            bound = (below + at) / 2 + optimizer._BOUND_SLACK
+            monkeypatch.setattr(optimizer, "certified_dmin_bound", lambda target, gamut: bound)
         expect, _ = _replay(monkeypatch, target, cfg, gamut)
         assert expect.certified and expect.starts_used == k + 1
         assert design_constellation(target, cfg, gamut) == expect
