@@ -15,7 +15,7 @@ outputs, a JSON object with exactly the keys ``subcommand``,
   ``union_bound_out`` and ``config_sha``, and ``rate`` adds
   ``config_sha``.  An option that the chosen mode would ignore is a
   usage error, so a manifest names only options the run used.
-  ``reproduce`` records its fixed figure settings;
+  ``reproduce`` records its fixed figure settings (see below);
 - ``inputs`` maps each input to the SHA-256 of its bytes, and a bundled
   fixture to ``config_digest`` of its constellation document;
 - the ``config_sha`` of a ``ser`` or ``rate`` curve is ``config_digest``
@@ -34,6 +34,25 @@ The files each command writes:
 - ``rate``: ``--out`` and ``--out`` + ``.manifest.json``;
 - ``reproduce``: ``design-target{1,2,3}.json``, the figure's curves and
   ``manifest.json`` in the ``--out`` directory.
+
+A curve file is ``snr_db,value`` rows under a header.  A Monte Carlo
+curve (``ser``, ``rate`` and ``reproduce 4a``) heads them with its
+``# seed`` and ``# n``; a quadrature curve (``reproduce 4b``) with its
+``# rule``; then every curve with its ``# config_sha``.
+
+``reproduce`` designs the three blue targets on the LED triangle at the
+design seed 2024 and records, in the manifest's ``parameters``, the
+figure, that ``design_seed``, the gamut, the water and the figure's own
+settings:
+
+- ``4a``: Monte Carlo SER and union-bound curves at 10 m over
+  ``0:3:30`` dB, from 100,000 symbols at the ``sim_seed`` 4242, which is
+  also the manifest's ``seed``;
+- ``4b``: rate curves over ``0:3:45`` dB whose mutual information comes
+  from the pruned 24-point Gauss-Hermite rule of
+  ``linksim.quadrature_information``, recorded as ``mi`` =
+  ``gauss-hermite-24``.  4b draws nothing, so it records no sim seed or
+  sample count, and its manifest's ``seed`` is the design seed.
 
 Each is checked before it is written: it must not be a directory, and a
 file must be creatable in its directory; if one fails, the command exits
@@ -131,11 +150,17 @@ EXIT_IO = 3
 
 # Fixed seeds and per-figure settings of the reproduce bundles; a
 # bundle's manifest records the settings and its curve digests cover them.
+# 4a simulates from the sim seed.  4b draws nothing and records instead
+# its mutual-information rule, which must name ``linksim.QUADRATURE_RULE``
+# (a test checks it; this module does not import linksim at load).
 REPRODUCE_DESIGN_SEED = 2024
 REPRODUCE_SIM_SEED = 4242
 _FIGURES = {
-    "4a": {"snr": "0:3:30", "symbols": 100_000, "distance_m": 10.0},
-    "4b": {"snr": "0:3:45", "samples": 50_000},
+    "4a": {
+        "snr": "0:3:30", "symbols": 100_000, "distance_m": 10.0,
+        "sim_seed": REPRODUCE_SIM_SEED,
+    },
+    "4b": {"snr": "0:3:45", "mi": "gauss-hermite-24"},
 }
 
 # Most points one --snr grid may have.
@@ -334,14 +359,12 @@ def _manifest_path(out: Path) -> Path:
 
 def write_curve_csv(path, curve: Curve, config_sha: str) -> None:
     """Write ``snr_db,value`` rows with full round-trip float text under a
-    ``# seed``, ``# n`` and ``# config_sha`` header; ``config_sha`` is the
+    header of the curve's ``# seed`` and ``# n`` (a Monte Carlo curve) or
+    its ``# rule`` (a quadrature curve), then ``# config_sha``, the
     curve's digest by the rule in the module docstring."""
-    lines = [
-        f"# seed={curve.seed}",
-        f"# n={curve.n}",
-        f"# config_sha={config_sha}",
-        "snr_db,value",
-    ]
+    header = (("seed", curve.seed), ("n", curve.n), ("rule", curve.rule))
+    lines = [f"# {key}={value}" for key, value in header if value is not None]
+    lines += [f"# config_sha={config_sha}", "snr_db,value"]
     lines.extend(f"{repr(s)},{repr(v)}" for s, v in zip(curve.snr_db, curve.values))
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -553,7 +576,7 @@ def _figure_4a(designs, water, params: dict) -> dict:
     with _rendering():
         hypotheses = [linksim.build_hypotheses(c, link) for c in designs.values()]
     grid = parse_snr_grid(params["snr"])
-    pairs = linksim.ser_curves(hypotheses, grid, params["symbols"], REPRODUCE_SIM_SEED)
+    pairs = linksim.ser_curves(hypotheses, grid, params["symbols"], params["sim_seed"])
     curves = {}
     for tid, (curve, bound) in zip(designs, pairs):
         sha = config_digest({"figure": "4a", "target": tid, "params": params})
@@ -578,10 +601,7 @@ def _figure_4b(designs, water, params: dict) -> dict:
         for color, wl in _OOK_WAVELENGTHS.items():
             jobs[f"rate-ook-{color}-10m.csv"] = ook(wl, link10)
         jobs["rate-ook-blue-50m.csv"] = ook(_OOK_WAVELENGTHS["blue"], link50)
-    grid = parse_snr_grid(params["snr"])
-    curves = linksim.rate_curve(
-        jobs.values(), grid, params["samples"], REPRODUCE_SIM_SEED
-    )
+    curves = linksim.quadrature_rate_curve(jobs.values(), parse_snr_grid(params["snr"]))
     return {
         name: (curve, config_digest({"figure": "4b", "curve": name, "params": params}))
         for name, curve in zip(jobs, curves)
@@ -607,7 +627,6 @@ def _cmd_reproduce(args) -> None:
     params = {
         "figure": args.figure,
         "design_seed": REPRODUCE_DESIGN_SEED,
-        "sim_seed": REPRODUCE_SIM_SEED,
         "gamut": "led-triangle",
         "water": "seawater",
         **_FIGURES[args.figure],
@@ -628,7 +647,8 @@ def _cmd_reproduce(args) -> None:
     with _failing(EXIT_IO, "cannot write output", OSError):
         for path, doc in docs.items():
             write_constellation_json(path, doc)
-    _write_outputs(curves, manifest, "reproduce", params, inputs, REPRODUCE_SIM_SEED)
+    seed = params.get("sim_seed", REPRODUCE_DESIGN_SEED)
+    _write_outputs(curves, manifest, "reproduce", params, inputs, seed)
     print(f"wrote bundle to {out_dir}")
 
 

@@ -5,8 +5,18 @@ to radiant power through the photopic efficacy, attenuated per band by
 Beer-Lambert loss, and detected as a 3-vector of photocurrent amplitudes
 under additive white Gaussian noise.  The module provides Monte Carlo
 symbol-error simulation, the pairwise union bound, and mutual-information
-rate estimates for 4-UCSK and an OOK baseline.  The engines return bare
-curves.
+rate estimates for 4-UCSK and an OOK baseline, by Monte Carlo
+(``mutual_information``, ``rate_curve``) or by a pruned tensor
+Gauss-Hermite rule (``quadrature_information``, ``quadrature_rate_curve``).
+The engines return bare curves.
+
+The quadrature draws nothing.  It builds its rule with elementwise numpy
+alone: the nodes by bisection and Newton's method on the Hermite
+three-term recurrence, the weights as Christoffel numbers.  No BLAS or
+LAPACK routine runs and ``numpy.polynomial`` is not imported, so its
+values cannot depend on a BLAS kernel or its thread count.
+``reproduce 4b`` takes its rates from it; ``rate`` keeps the Monte
+Carlo.
 
 Reproducibility contract: all random draws come from one counter-based
 Philox stream, keyed by (seed, 0), in which symbol n consumes exactly one
@@ -50,6 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -72,7 +83,9 @@ __all__ = [
     "union_bound_ser",
     "ser_curves",
     "mutual_information",
+    "quadrature_information",
     "rate_curve",
+    "quadrature_rate_curve",
 ]
 
 # Luminous-to-radiant conversion: 683 lm/W at the photopic peak.
@@ -85,6 +98,13 @@ RESPONSIVITY_A_PER_W = 0.85
 ELECTRO_OPTIC_FACTOR = 0.55
 # Rates count one symbol per hertz of bandwidth.
 BANDWIDTH_HZ = 1e8
+
+# The Gauss-Hermite rule of ``quadrature_information``: its order per
+# noise axis, the share of the largest tensor weight below which a node
+# is pruned, and the name that curves and manifests record.
+GH_ORDER = 24
+_GH_PRUNE = 1e-10
+QUADRATURE_RULE = f"gauss-hermite-{GH_ORDER}"
 
 _CHUNK = 1 << 16
 # Doubles per chunk row that a ``_Buffers`` arena holds.  The draws of a
@@ -562,6 +582,21 @@ def _information(h, sigmas, symbols, a, b, work: _Buffers) -> list[float]:
     return sums
 
 
+def _sigma_rows(hs, sigma_grid) -> list[tuple[float, ...]]:
+    """The rows of a sigma grid as tuples of floats, after checking that
+    there is at least one row, that each holds one sigma per set, and
+    each sigma with ``_checked_sigma``."""
+    rows = [tuple(float(s) for s in row) for row in sigma_grid]
+    if not rows:
+        raise ValueError("empty SNR grid")
+    for row in rows:
+        if len(row) != len(hs):
+            raise ValueError("need one sigma per hypothesis set")
+        for s in row:
+            _checked_sigma(s, "for mutual information")
+    return rows
+
+
 def mutual_information(
     hypothesis_sets, sigma_grid, n_samples: int, seed: int
 ) -> tuple[tuple[float, ...], ...]:
@@ -579,14 +614,7 @@ def mutual_information(
     keep that parameter name.
     """
     hs = _batch(hypothesis_sets)
-    sigma_grid = [tuple(float(s) for s in row) for row in sigma_grid]
-    if not sigma_grid:
-        raise ValueError("empty SNR grid")
-    for row in sigma_grid:
-        if len(row) != len(hs):
-            raise ValueError("need one sigma per hypothesis set")
-        for s in row:
-            _checked_sigma(s, "for mutual information")
+    sigma_grid = _sigma_rows(hs, sigma_grid)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     sums = _map_shared_draws(hs, sigma_grid, seed, n_samples, _information)
@@ -595,6 +623,152 @@ def mutual_information(
         for h, chunks in zip(hs, sums)
     ]
     return tuple(zip(*per_set))
+
+
+def _hermite(x: np.ndarray, n: int):
+    """p_{n-1}(x), p_n(x) and sum_{k < n} p_k(x)**2, elementwise, where p_k
+    is the degree-k probabilists' Hermite polynomial orthonormal under the
+    standard normal density: sqrt(k) p_k = x p_{k-1} - sqrt(k - 1) p_{k-2},
+    with p_0 = 1."""
+    prev, cur, squares = np.zeros_like(x), np.ones_like(x), np.zeros_like(x)
+    for k in range(1, n + 1):
+        squares += cur * cur
+        prev, cur = cur, (x * cur - math.sqrt(k - 1) * prev) / math.sqrt(k)
+    return prev, cur, squares
+
+
+def _roots_above(x: np.ndarray, n: int) -> np.ndarray:
+    """How many roots of p_n lie above x, elementwise: the sign changes
+    along p_0(x), ..., p_n(x) (a Sturm sequence), counted as the negative
+    ratios p_k / p_{k-1}.  A ratio of 0 makes the next one infinite with
+    the sign that p_{k+1} = -sqrt(k / (k + 1)) p_{k-1} gives it."""
+    ratio = x
+    count = (ratio < 0.0).astype(np.intp)
+    with np.errstate(divide="ignore"):
+        for k in range(2, n + 1):
+            ratio = (x - math.sqrt(k - 1) / ratio) / math.sqrt(k)
+            count += ratio < 0.0
+    return count
+
+
+@lru_cache(maxsize=None)
+def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Hermite rule of the standard normal density: its
+    nodes, increasing, and its weights, which sum to 1.
+
+    The nodes are the roots of p_n (see ``_hermite``), all in
+    |x| < sqrt(4 n + 2).  Each is first bracketed by bisection on
+    ``_roots_above``, to 2**-12 of that interval, which for n up to a few
+    hundred is a small part of the spacing of the roots (about pi /
+    sqrt(n) at the centre).  It is then found by Newton's method with
+    p_n' = sqrt(n) p_{n-1}, and the rule is made exactly symmetric.  The
+    weights are the Christoffel numbers 1 / sum_{k < n} p_k(x)**2.  All of
+    it is elementwise numpy on n values: no BLAS or LAPACK routine runs,
+    so the rule cannot depend on one.
+    """
+    index = np.arange(n)
+    hi = np.full(n, math.sqrt(4 * n + 2))
+    lo = -hi
+    for _ in range(12):
+        mid = 0.5 * (lo + hi)
+        # Root i, counted from the lowest, lies above mid.
+        below = _roots_above(mid, n) >= n - index
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    x = 0.5 * (lo + hi)
+    for _ in range(100):
+        prev, cur = _hermite(x, n)[:2]
+        step = cur / (math.sqrt(n) * prev)
+        x -= step
+        if np.all(np.abs(step) <= 1e-14 * np.maximum(np.abs(x), 1.0)):
+            break
+    nodes = 0.5 * (x - x[::-1])
+    weights = 1.0 / _hermite(nodes, n)[2]
+    for a in (nodes, weights):
+        a.setflags(write=False)
+    return nodes, weights
+
+
+@lru_cache(maxsize=None)
+def _tensor_rule(n: int, bands: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tensor product of the n-point rule over ``bands`` noise axes,
+    less the nodes whose weight is below ``_GH_PRUNE`` of the largest
+    (Jäckel 2005): a (bands, N) array of nodes and their N weights,
+    rescaled to sum to 1 so that the rule keeps a constant exact."""
+    x, w = _hermite_rule(n)
+    axes = np.meshgrid(*[x] * bands, indexing="ij")
+    weights = reduce(np.multiply.outer, [w] * bands).ravel()
+    keep = weights >= _GH_PRUNE * weights.max()
+    nodes = np.stack([axis.ravel()[keep] for axis in axes])
+    weights = weights[keep] / math.fsum(weights[keep])
+    for a in (nodes, weights):
+        a.setflags(write=False)
+    return nodes, weights
+
+
+def _rule_information(h: HypothesisSet, sigmas, order: int = GH_ORDER) -> list[float]:
+    """Per sigma, the mutual information of h by the pruned ``order``-point
+    tensor rule (see ``quadrature_information``), clamped to [0, log2 M].
+
+    Per set, the pair projections a_j = x . (v_j - v_s) of every node x
+    and symbol s are formed once, from ``_pair_table``; each sigma then
+    takes the gaps d_j = (a_j - b_j t) t with t = 1 / sigma, the floor at
+    -700, exp, the sum over j, log1p and the weighted sum over the nodes
+    and symbols, all in place.  The gap is formed as ``_information`` forms
+    it: b_j t**2 would overflow before (b_j t) t does.
+    """
+    x, w = _tensor_rule(order, h.bands)
+    table = _pair_table(h)
+    a = table[0][..., None] * x[0]
+    for k in range(1, h.bands):
+        a += table[k][..., None] * x[k]
+    b = table[-1][..., None]
+    gaps = np.empty_like(a)
+    terms = np.empty(a.shape[1:])
+    top = math.log2(h.m)
+    mis = []
+    for sigma in sigmas:
+        t = 1.0 / sigma
+        np.subtract(a, b * t, out=gaps)
+        gaps *= t
+        np.maximum(gaps, -700.0, out=gaps)
+        np.exp(gaps, out=gaps)
+        np.sum(gaps, axis=0, out=terms)
+        np.log1p(terms, out=terms)
+        terms *= w
+        mi = top - float(terms.sum()) / (h.m * math.log(2.0))
+        mis.append(min(max(mi, 0.0), top))
+    return mis
+
+
+def quadrature_information(
+    hypothesis_sets, sigma_grid
+) -> tuple[tuple[float, ...], ...]:
+    """Mutual information (bits/symbol) of the equiprobable discrete input
+    over the AWGN vector channel, by a Gauss-Hermite rule: the arguments,
+    the checks, the result and the clamp of ``mutual_information``, with
+    no draws.
+
+    Per symbol s, the information lost is the mean over the noise z of
+    log1p(sum_{j != s} exp(d_j)), with d_j = (z . (v_j - v_s) - b_j /
+    sigma) / sigma the gap of ``_information``.  The mean is taken by the
+    tensor product of the ``GH_ORDER``-point Gauss-Hermite rule over the
+    K noise axes, less the nodes whose weight is below ``_GH_PRUNE`` of the
+    largest (P. Jäckel, "A note on multivariate Gauss-Hermite quadrature",
+    2005): 4,560 nodes per symbol on three bands, and 20 on one.  The
+    tests check it within 1e-4 bits of the 48-point rule at every point
+    of ``reproduce 4b``.
+    """
+    hs = _batch(hypothesis_sets)
+    sigma_grid = _sigma_rows(hs, sigma_grid)
+    per_set = [_rule_information(h, column) for h, column in zip(hs, zip(*sigma_grid))]
+    return tuple(zip(*per_set))
+
+
+def _transmit_sigmas(hs, snr_db) -> list[list[float]]:
+    """Per SNR, the sigma of each set referenced to its transmit vectors."""
+    transmit = [h.transmit_vectors() for h in hs]
+    return [[noise_sigma(v, snr) for v in transmit] for snr in snr_db]
 
 
 def rate_curve(
@@ -612,21 +786,35 @@ def rate_curve(
     """
     hs = tuple(hypothesis_sets)
     snr_db = _grid(grid)
-    transmit = [h.transmit_vectors() for h in hs]
-    sigma_grid = [[noise_sigma(v, snr) for v in transmit] for snr in snr_db]
-    per_point = mutual_information(hs, sigma_grid, n_samples, seed)
+    per_point = mutual_information(hs, _transmit_sigmas(hs, snr_db), n_samples, seed)
     return tuple(
         Curve(snr_db, tuple(BANDWIDTH_HZ * mi for mi in column), seed, n_samples)
         for column in zip(*per_point)
     )
 
 
+def quadrature_rate_curve(hypothesis_sets, grid) -> tuple["Curve", ...]:
+    """``rate_curve`` with the mutual information of
+    ``quadrature_information``: the same transmit-referenced SNR and
+    bandwidth, and curves that carry the rule, ``QUADRATURE_RULE``, in
+    place of a seed and a count."""
+    hs = tuple(hypothesis_sets)
+    snr_db = _grid(grid)
+    per_point = quadrature_information(hs, _transmit_sigmas(hs, snr_db))
+    return tuple(
+        Curve(snr_db, tuple(BANDWIDTH_HZ * mi for mi in column), rule=QUADRATURE_RULE)
+        for column in zip(*per_point)
+    )
+
+
 @dataclass(frozen=True)
 class Curve:
-    """A simulated SER or rate curve over an SNR grid."""
+    """An SER or rate curve over an SNR grid: a Monte Carlo curve carries
+    its seed and count, a quadrature curve its rule."""
 
     snr_db: tuple[float, ...]
     values: tuple[float, ...]
-    seed: int
-    n: int
+    seed: int | None = None
+    n: int | None = None
+    rule: str | None = None
 

@@ -70,7 +70,14 @@ GOLDEN_SHA256 = {
 # kernel's OpenBLAS pinned to one thread: the winner became the first
 # start at the optimum, every design coordinate moved by at most 8.2e-14,
 # and each of those curves by at most 6.0e-12 of its value.  The Monte
-# Carlo SER curves and both manifests kept their bytes.
+# Carlo SER curves and both manifests kept their bytes.  The seven 4b
+# rate curves and the 4b manifest were re-recorded when 4b began to take
+# its mutual information from the 24-point Gauss-Hermite rule in place of
+# 50,000 Monte Carlo draws: the curves' headers, digests and manifest
+# name the rule and no longer a sim seed or sample count, and the largest
+# move of each curve, in bits per symbol, was 4.60e-3 (ucsk target 1),
+# 4.84e-3 (target 2), 3.81e-3 (target 3), 3.31e-4 (OOK red), 2.26e-3
+# (OOK green), 2.24e-3 (OOK blue, 10 m) and 2.23e-3 (OOK blue, 50 m).
 _DESIGN_SHA256 = {
     "design-target1.json": "63c109f1be547b25250135b0dd3c0b4e584c7ff2854c2bafb1b010edd2a65e30",
     "design-target2.json": "7ef5cb135ca1d1b1befadfaf365ab848c72555033a207b56c68a0d82ec6e953d",
@@ -89,14 +96,14 @@ REPRODUCE_SHA256 = {
     },
     "4b": {
         **_DESIGN_SHA256,
-        "manifest.json": "0960de0141d021b8438e31e1e82dacb1cbde9938ef928de4439ad07045101b32",
-        "rate-ook-blue-10m.csv": "d5408c760a5e5aab61ff042374164deffd8f4c0ad9b9f62cb720d5081cfcba80",
-        "rate-ook-blue-50m.csv": "ea99319426e3c24c1d1fb8738f83018b23ae70b8f3c9a9a34775796048f123af",
-        "rate-ook-green-10m.csv": "44301acddb0876a3da3af92a4d2aafc0b5464e4b00f1c09512d6a9aa306f4cac",
-        "rate-ook-red-10m.csv": "bfcbcf8b37cccdccbe764f6dccf86d3b16a4a3bbcc56227cef295ee279265428",
-        "rate-ucsk-target1-10m.csv": "3970ce3fa0b2b13f82009edebfb48ce3e8714d952200120a8521965388713234",
-        "rate-ucsk-target2-10m.csv": "e102e528b0c5d977f36c98c37fa94c4d8aaf95ea0941d3ec96350610a1252964",
-        "rate-ucsk-target3-10m.csv": "6f9af029a6533ce89dab392a4e22af3940b877b2d2a638715a63b3b28bb1d6d5",
+        "manifest.json": "0b74246201a472d5ebbdeaae06ea525bd3d4c03a99930b4c8c2850843868de5c",
+        "rate-ook-blue-10m.csv": "01f1c2ebda13cc3ee09495212b2b1276500950afab42f751820116506993b3dd",
+        "rate-ook-blue-50m.csv": "dc2129c567a7b95da38ef534c3980c2ea6823800158ca54928b8a8606858f4fa",
+        "rate-ook-green-10m.csv": "835dcc355806db69a5fd806f17cfad09dd021dcdaac215d6eceef5f43d9ae3fd",
+        "rate-ook-red-10m.csv": "9d9d2c914469a59ca28e5a43a42bfdf85cc56b71f2e2043a9cbdbe188237bfe0",
+        "rate-ucsk-target1-10m.csv": "590f03a32e443c383003858b7c6bdf2e4d62597640dfec9375a93d9b85dc4749",
+        "rate-ucsk-target2-10m.csv": "be26b2db6b3d5c6f07a1181b21af611ac0087cbfa59b6b3497e7d7897e05cd25",
+        "rate-ucsk-target3-10m.csv": "8dc7ad5ece1e4be2a166b4059c6cfcbfe7783af8069970fec6cd87b68e428a7a",
     },
 }
 
@@ -817,7 +824,8 @@ class TestReproducibility:
         # test_optimizer imports scipy.optimize and test_linksim
         # scipy.special, so the runs above find the kernel and the ufuncs
         # by name.  A fresh interpreter loads both extensions alone,
-        # without scipy.optimize or scipy.special.
+        # without scipy.optimize or scipy.special, and builds the 4b
+        # Gauss-Hermite rule without numpy.polynomial.
         code = (
             "import sys; from ucsk.cli import main; "
             "assert [main(['reproduce', '--figure', f, '--out', f]) "
@@ -825,7 +833,8 @@ class TestReproducibility:
             "assert 'scipy.optimize._slsqplib' in sys.modules; "
             "assert 'scipy.optimize' not in sys.modules; "
             "assert 'scipy.special._ufuncs' in sys.modules; "
-            "assert 'scipy.special' not in sys.modules"
+            "assert 'scipy.special' not in sys.modules; "
+            "assert 'numpy.polynomial' not in sys.modules"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         subprocess.run(
@@ -1018,6 +1027,21 @@ class TestManifest:
             "ser.ub.csv"
         )
 
+    def test_reproduce_4b_records_its_rule(self, tmp_path):
+        # 4b draws nothing: its manifest and curve headers name the
+        # quadrature rule, and no sim seed or sample count.
+        out = tmp_path / "4b"
+        assert main(["reproduce", "--figure", "4b", "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["parameters"]["mi"] == linksim.QUADRATURE_RULE
+        assert not {"sim_seed", "samples"} & set(manifest["parameters"])
+        assert manifest["seed"] == cli.REPRODUCE_DESIGN_SEED
+        for curve in out.glob("rate-*.csv"):
+            header = curve.read_text().splitlines()[:3]
+            assert header[0] == f"# rule={linksim.QUADRATURE_RULE}"
+            assert header[1].startswith("# config_sha=")
+            assert header[2] == "snr_db,value"
+
     def test_union_bound_of_a_non_csv_out(self, tmp_path):
         # Only a .csv suffix is replaced; any other name gains .ub.csv.
         out = tmp_path / "curve.dat"
@@ -1071,6 +1095,13 @@ class TestCurveCsv:
         assert lines[:4] == ["# seed=7", "# n=1000", "# config_sha=ff", "snr_db,value"]
         rows = [tuple(map(float, line.split(","))) for line in lines[4:]]
         assert rows == [(0.0, 0.25), (3.0, 0.125)]
+
+    def test_quadrature_header(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        write_curve_csv(path, Curve((0.0,), (0.5,), rule="gauss-hermite-24"), "ff")
+        lines = path.read_text().splitlines()
+        assert lines == ["# rule=gauss-hermite-24", "# config_sha=ff", "snr_db,value",
+                         "0.0,0.5"]
 
     def test_full_precision_values(self, tmp_path):
         value = 1 / 3 + 1e-12

@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.special
+from numpy.polynomial.hermite_e import hermegauss
 
 from ucsk import cli, linksim
 from ucsk.channel import attenuation_coefficient, path_loss
@@ -22,9 +24,13 @@ from ucsk.linksim import (
     NoiseLevelError,
     build_hypotheses,
     detect_ml,
+    GH_ORDER,
+    QUADRATURE_RULE,
     mutual_information,
     noise_sigma,
     ook_hypotheses,
+    quadrature_information,
+    quadrature_rate_curve,
     rate_curve,
     ser_curves,
     simulate_ser,
@@ -34,8 +40,11 @@ from ucsk.linksim import (
     _CHUNK,
     _Buffers,
     _information,
+    _hermite_rule,
     _map_shared_draws,
+    _rule_information,
     _symbol_errors,
+    _tensor_rule,
     _uniform_blocks,
 )
 from ucsk.optimizer import _GAMUT_MARGIN, OptimizerConfig, design_constellation
@@ -709,12 +718,161 @@ class TestReproduceCurves:
             assert curve.values[0] == alone.values[0]
 
     def test_first_rate_row_is_the_first_point_alone(self, reproduce_sets):
-        settings = cli._FIGURES["4b"]
-        grid = cli.parse_snr_grid(settings["snr"])
-        n, seed = settings["samples"], cli.REPRODUCE_SIM_SEED
+        # The Monte Carlo rate engine over the 4b grid, at the count and
+        # seed that 4b drew before it moved to the quadrature.
+        grid = cli.parse_snr_grid(cli._FIGURES["4b"]["snr"])
+        n, seed = 50_000, cli.REPRODUCE_SIM_SEED
         for h, curve in zip(reproduce_sets, rate_curve(reproduce_sets, grid, n, seed)):
             sigma = noise_sigma(h.transmit_vectors(), grid[0])
             assert curve.values[0] == BANDWIDTH_HZ * mi_alone(h, sigma, n, seed)
+
+
+@pytest.fixture(scope="module")
+def figure_4b_sigmas(reproduce_sets):
+    """Per set of ``reproduce_sets``, its transmit-referenced sigma at
+    each point of the 4b grid."""
+    grid = cli.parse_snr_grid(cli._FIGURES["4b"]["snr"])
+    return [
+        [noise_sigma(h.transmit_vectors(), snr) for snr in grid] for h in reproduce_sets
+    ]
+
+
+def draw_variance(h: HypothesisSet, sigma: float, n: int = 32) -> float:
+    """The variance of one Monte Carlo draw's term log2(M p(y|s) /
+    sum_j p(y|s_j)) of ``mutual_information``, over the symbol and the
+    noise: a two-pass mean and variance on numpy's full n-point
+    Gauss-Hermite tensor rule.  Unlike the sample variance of the draws,
+    it counts the rare draws that carry the loss at high SNR."""
+    x, w = hermegauss(n)
+    w = w / w.sum()
+    nodes = np.stack([g.ravel() for g in np.meshgrid(*[x] * h.bands, indexing="ij")])
+    weights = np.ones(1)
+    for _ in range(h.bands):
+        weights = np.multiply.outer(weights, w).ravel()
+    terms = []
+    for s in range(h.m):
+        delta = np.delete(h.vectors, s, axis=0) - h.vectors[s]
+        half = 0.5 * np.sum(delta * delta, axis=1)[:, None]
+        d = np.maximum((delta @ nodes - half / sigma) / sigma, -700.0)
+        terms.append(math.log2(h.m) - np.log1p(np.exp(d).sum(axis=0)) / math.log(2.0))
+    terms = np.array(terms)
+    mean = float(np.sum(terms * weights)) / h.m
+    return float(np.sum((terms - mean) ** 2 * weights)) / h.m
+
+
+def assert_within_three_standard_errors(hs, sigmas_per_set, n: int, seed: int):
+    """Each quadrature value lies within 3 combined standard errors of an
+    n-draw ``mutual_information``: the Monte Carlo's sqrt(variance / n)
+    combined with the quadrature's own error, taken as its distance from
+    the 48-point rule, plus 1e-12 for the two engines' rounding."""
+    sigma_grid = list(zip(*sigmas_per_set))
+    estimates = list(zip(*mutual_information(hs, sigma_grid, n, seed)))
+    values = list(zip(*quadrature_information(hs, sigma_grid)))
+    for h, sigmas, mc, quad in zip(hs, sigmas_per_set, estimates, values):
+        fine = _rule_information(h, sigmas, 48)
+        for sigma, m, q, f in zip(sigmas, mc, quad, fine):
+            error = math.hypot(math.sqrt(draw_variance(h, sigma) / n), q - f)
+            assert abs(q - m) <= 3.0 * error + 1e-12, (sigma, q, m, error)
+
+
+class TestQuadrature:
+    """``quadrature_information``: the pruned 24-point Gauss-Hermite rule
+    that ``reproduce 4b`` takes its rates from."""
+
+    @pytest.mark.parametrize("n", [24, 48, 200])
+    def test_rule_matches_hermegauss(self, n):
+        nodes, weights = _hermite_rule(n)
+        x, w = hermegauss(n)
+        np.testing.assert_allclose(nodes, x, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(weights, w / w.sum(), rtol=1e-12, atol=0.0)
+
+    def test_pruned_rule(self):
+        # 4,560 of the 13,824 nodes on three bands, 20 of 24 on one.
+        for bands, count in ((3, 4560), (1, 20)):
+            nodes, weights = _tensor_rule(GH_ORDER, bands)
+            assert nodes.shape == (bands, count)
+            assert weights.min() >= 1e-10 * weights.max()
+            assert math.fsum(weights) == pytest.approx(1.0, abs=1e-15)
+
+    def test_agrees_with_the_48_point_rule(self, reproduce_sets, figure_4b_sigmas):
+        # 5.7e-5 bits at worst was measured.
+        values = quadrature_information(reproduce_sets, list(zip(*figure_4b_sigmas)))
+        for h, sigmas, quad in zip(reproduce_sets, figure_4b_sigmas, zip(*values)):
+            fine = _rule_information(h, sigmas, 48)
+            assert max(abs(q - f) for q, f in zip(quad, fine)) <= 1e-4
+
+    def test_one_band_agrees_with_the_200_point_rule(
+        self, reproduce_sets, figure_4b_sigmas
+    ):
+        # The OOK sets; 6.2e-5 bits at worst was measured.
+        for h, sigmas in zip(reproduce_sets[3:], figure_4b_sigmas[3:]):
+            assert h.bands == 1
+            quad = _rule_information(h, sigmas)
+            fine = _rule_information(h, sigmas, 200)
+            assert max(abs(q - f) for q, f in zip(quad, fine)) <= 1e-4
+
+    def test_within_three_standard_errors_of_a_million_draws(
+        self, reproduce_sets, figure_4b_sigmas
+    ):
+        assert_within_three_standard_errors(
+            reproduce_sets, figure_4b_sigmas, 10**6, cli.REPRODUCE_SIM_SEED
+        )
+
+    def test_coincident_rows(self):
+        hs = twin_sets()
+        sigmas = [
+            [noise_sigma(h.transmit_vectors(), snr) for snr in (0.0, 15.0, 30.0)]
+            for h in hs
+        ]
+        for h, column in zip(hs, zip(*quadrature_information(hs, list(zip(*sigmas))))):
+            for mi in column:
+                assert math.isfinite(mi)
+                assert 0.0 <= mi <= math.log2(h.m)
+        assert_within_three_standard_errors(hs, sigmas, 200_000, 11)
+
+    @pytest.mark.parametrize("snr_db", [-300.0, 0.0, 45.0, 300.0])
+    def test_finite_and_in_range(self, reproduce_sets, snr_db):
+        hs = [*reproduce_sets, near_pair(1e-9), near_pair(1e-12)]
+        sigmas = [noise_sigma(h.transmit_vectors(), snr_db) for h in hs]
+        (mis,) = quadrature_information(hs, [sigmas])
+        for h, mi in zip(hs, mis):
+            assert math.isfinite(mi)
+            assert 0.0 <= mi <= math.log2(h.m)
+
+    def test_near_pair_limits(self):
+        # No information at 0 dB, up to rounding: the weights sum to 1.
+        for h in (near_pair(1e-9), near_pair(1e-12)):
+            for snr_db, expected in ((0.0, 0.0), (300.0, 1.0)):
+                sigma = noise_sigma(h.transmit_vectors(), snr_db)
+                ((mi,),) = quadrature_information([h], [[sigma]])
+                assert mi == pytest.approx(expected, rel=0.0, abs=1e-12)
+
+    def test_checks_as_mutual_information(self, mixed_batch):
+        sigmas = [0.1] * len(mixed_batch)
+        for hs, grid in (
+            ([], [[]]),
+            (mixed_batch, []),
+            (mixed_batch, [sigmas[1:]]),
+            (mixed_batch, [[0.0, *sigmas[1:]]]),
+            ([HypothesisSet(np.zeros((2, 4)), np.ones(4))], [[0.1]]),
+        ):
+            with pytest.raises(ValueError) as raised:
+                quadrature_information(hs, grid)
+            with pytest.raises(type(raised.value), match=re.escape(str(raised.value))):
+                mutual_information(hs, grid, 10_000, 0)
+
+    def test_rate_curve(self, mixed_batch):
+        grid = [0.0, 12.0, 24.0]
+        curves = quadrature_rate_curve(mixed_batch, grid)
+        sigma_grid = [
+            [noise_sigma(h.transmit_vectors(), snr) for h in mixed_batch]
+            for snr in grid
+        ]
+        expected = zip(*quadrature_information(mixed_batch, sigma_grid))
+        for curve, mis in zip(curves, expected):
+            assert (curve.seed, curve.n, curve.rule) == (None, None, QUADRATURE_RULE)
+            assert curve.snr_db == tuple(grid)
+            assert curve.values == tuple(BANDWIDTH_HZ * mi for mi in mis)
 
 
 FIGURE_4A_GRID = cli.parse_snr_grid(cli._FIGURES["4a"]["snr"])
