@@ -51,8 +51,9 @@ settings:
 - ``4b``: rate curves over ``0:3:45`` dB whose mutual information comes
   from the pruned 24-point Gauss-Hermite rule of
   ``linksim.quadrature_information``, recorded as ``mi`` =
-  ``gauss-hermite-24``.  4b draws nothing, so it records no sim seed or
-  sample count, and its manifest's ``seed`` is the design seed.
+  ``linksim.QUADRATURE_RULE`` (``gauss-hermite-24``).  4b draws nothing,
+  so it records no sim seed or sample count, and its manifest's ``seed``
+  is the design seed.
 
 Each is checked before it is written: it must not be a directory, and a
 file must be creatable in its directory; if one fails, the command exits
@@ -151,8 +152,8 @@ EXIT_IO = 3
 # Fixed seeds and per-figure settings of the reproduce bundles; a
 # bundle's manifest records the settings and its curve digests cover them.
 # 4a simulates from the sim seed.  4b draws nothing and records instead
-# its mutual-information rule, which must name ``linksim.QUADRATURE_RULE``
-# (a test checks it; this module does not import linksim at load).
+# its mutual-information rule as ``mi``, which ``_cmd_reproduce`` takes
+# from ``linksim.QUADRATURE_RULE`` when it runs.
 REPRODUCE_DESIGN_SEED = 2024
 REPRODUCE_SIM_SEED = 4242
 _FIGURES = {
@@ -160,7 +161,7 @@ _FIGURES = {
         "snr": "0:3:30", "symbols": 100_000, "distance_m": 10.0,
         "sim_seed": REPRODUCE_SIM_SEED,
     },
-    "4b": {"snr": "0:3:45", "mi": "gauss-hermite-24"},
+    "4b": {"snr": "0:3:45"},
 }
 
 # Most points one --snr grid may have.
@@ -205,6 +206,15 @@ def _failing(code: int, prefix: str, *errors: type[Exception]):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; usage errors are 1
         raise _usage(message)
+
+    def _parse_optional(self, arg_string):
+        # argparse takes "-10:5:10" or "-0.01,0.05" for an option, so that
+        # "--snr -10:5:10" would lack its value.  No option of this parser
+        # starts with a dash and a digit or a point, so such a string is a
+        # value.
+        if arg_string[:1] == "-" and arg_string[1:2] in set("0123456789."):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _rendering():
@@ -609,7 +619,7 @@ def _figure_4b(designs, water, params: dict) -> dict:
 
 
 def _cmd_reproduce(args) -> None:
-    from . import optimizer
+    from . import linksim, optimizer
 
     out_dir = Path(args.out)
     manifest = out_dir / "manifest.json"
@@ -631,6 +641,8 @@ def _cmd_reproduce(args) -> None:
         "water": "seawater",
         **_FIGURES[args.figure],
     }
+    if args.figure == "4b":
+        params["mi"] = linksim.QUADRATURE_RULE
     water, inputs = _load_water("seawater")
     figure = _figure_4a if args.figure == "4a" else _figure_4b
     curves = {out_dir / name: v for name, v in figure(designs, water, params).items()}

@@ -26,15 +26,21 @@ uniforms and the same standard noise everywhere, scaled by each point's
 sigma.  So a point's value depends on the seed, its SNR, the sample
 count and the hypotheses only, not on its index in the grid or on the
 other points and curves, and it is bit-identical for any chunking.  A
-set reads only the uniform and noise columns it would draw alone.  The
-Monte Carlo draws each chunk once, with one ``ndtri`` pass.  Per set it
-then forms the part of every draw that sigma does not change, once: for
-a draw of symbol s and each other hypothesis j, the projection
-a_j = z . (v_j - v_s) of its standard noise z and the half squared
-distance b_j = |v_j - v_s|**2 / 2.  Each grid point does only the part
+set reads only the uniform and noise columns it would draw alone.
+
+The Monte Carlo draws each chunk once, with one ``ndtri`` pass, and
+scores it per set one symbol s at a time.  The draws of s make one
+block: the (M - 1, n_s) projections a_j = z . (v_j - v_s) of their
+standard noise z on each other hypothesis j, the part of a draw that
+sigma does not change, formed once.  Beside it stands the (M - 1, 1)
+column b of half squared distances b_j = |v_j - v_s|**2 / 2 from
+``_pair_table``.  The quadrature takes its pair geometry from the same
+table and forms the same projections at its nodes, so both information
+engines reach the gap, its floor, exp, log1p and the clamp through one
+kernel (``_losses`` and ``_bits``).  Each grid point does only the part
 that depends on its sigma.
 
-Minimum-distance detection decodes that draw as j at sigma when
+Minimum-distance detection decodes a draw of s as j at sigma when
 sigma a_j - b_j > 0, or >= 0 for j < s, since ties go to the lower
 index.  So each draw has one critical value kappa, the largest a_j / b_j
 (taken one float up for j < s), and it is decoded wrong exactly when
@@ -42,11 +48,11 @@ kappa > 1 / sigma.  A decision that is right at one SNR stays right at
 every higher one, and a simulated SER curve is non-increasing.
 
 Every chunk-sized intermediate of the Monte Carlo (uniforms, noise,
-symbols, pair projections, critical values and mutual-information gaps)
+symbols and the blocks' noise, projections and mutual-information gaps)
 is written into one ``_Buffers``.  ``_map_shared_draws`` owns it: it
 allocates the arena once per engine call and hands it to each score it
-runs, across the chunks and sets.  The arithmetic is the one a fresh
-array would get, so the bytes do not depend on the buffers either.
+runs, across the chunks, sets and blocks.  The arithmetic is the one a
+fresh array would get, so the bytes do not depend on the buffers either.
 
 Of scipy the module uses two ufuncs, ``ndtri`` for the noise draws and
 ``erfc`` for the union bound, and binds them at import as the module
@@ -108,14 +114,14 @@ QUADRATURE_RULE = f"gauss-hermite-{GH_ORDER}"
 
 _CHUNK = 1 << 16
 # Doubles per chunk row that a ``_Buffers`` arena holds.  The draws of a
-# chunk take 9 of them on three bands: uniforms 4, noise 3, the symbol
-# scale 1 and symbols 1, plus 1 for a second alphabet size.  The pair
-# projections and half squared distances of a four-symbol set take 6, and
-# one band's terms of them, later the mutual-information gaps, 3.  SER
-# adds the lower-index mask 0.375, critical values 1 and the error mask
-# 0.125, 19.5 in all; rates add per-draw terms 1, 20 in all for a batch
-# with four- and two-symbol sets.
-_ARENA_COLUMNS = 21
+# chunk take 8.125 of them on three bands: uniforms 4, noise 3, symbols 1
+# and the mask of one symbol 0.125.  A block of one symbol holds at most
+# every draw of the chunk, so its roles are sized for that: its noise 3,
+# and for a four-symbol set its projections 3 and one band's terms of
+# them, later the mutual-information gaps, 3.  That is 17.125 in all,
+# for SER and rates alike, and for any batch of sets with at most four
+# symbols.
+_ARENA_COLUMNS = 18
 
 
 _ufuncs = load_extension("scipy.special._ufuncs")
@@ -350,61 +356,68 @@ def _pair_table(h: HypothesisSet) -> np.ndarray:
 
 def _map_shared_draws(hs, sigma_grid, seed: int, n: int, score):
     """Per hypothesis set, the list over the fixed ``_CHUNK``-symbol
-    chunks of the (seed, 0) draws of ``score(h, sigmas, symbols, a, b,
-    work)``, each a sequence with one value per grid point.
-    ``sigma_grid`` has one row per grid point and one sigma per set in
-    each row, and ``sigmas`` is the set's column of it; ``work`` is the
-    one ``_Buffers`` of the call.
+    chunks of the (seed, 0) draws, and within a chunk over the set's
+    symbols s, of ``score(sigmas, s, a, b, work)``, each a sequence with
+    one value per grid point.  ``sigma_grid`` has one row per grid point
+    and one sigma per set in each row, and ``sigmas`` is the set's column
+    of it; ``work`` is the one ``_Buffers`` of the call.
 
-    The loop runs chunk, then set, then (inside ``score``) grid point.  A
-    chunk's uniforms, Gaussian noise z and symbols are drawn once, into
+    The loop runs chunk, set, symbol, then (inside ``score``) grid point.
+    A chunk's uniforms and Gaussian noise z are drawn once, into
     ``work``.  Set h takes its symbols from the first uniform and its
     noise from the next ``h.bands`` ones, exactly as if it were drawn
-    alone.  Per set, the part of every draw that sigma does not change is
-    formed once: ``a`` and ``b`` are (M - 1, N) views whose column n holds, for the
-    other hypotheses j of draw n's symbol s in increasing order, the
-    projection a_j = z_n . (v_j - v_s) and b_j = |v_j - v_s|**2 / 2.  Each
-    row is contiguous, the fast layout of a reduction over j.  A score
-    may overwrite ``a`` and ``b``: the next set forms its own.
+    alone.  The n_s draws of symbol s in the chunk, in draw order, make
+    one block: ``a`` is the (M - 1, n_s) view whose row c holds, for the
+    c-th other hypothesis j in increasing order, the projections
+    a_j = z . (v_j - v_s) of the block's noise, and ``b`` is the
+    (M - 1, 1) column s of b_j = |v_j - v_s|**2 / 2 in ``_pair_table``.
+    Each row of ``a`` is contiguous, the fast layout of a reduction over
+    j.  A symbol with no draws in the chunk gives a block with n_s = 0.
+    A score may overwrite ``a``: the next block forms its own.
 
-    Within a chunk the sets run in decreasing alphabet size M, and the
-    first chunk is the largest, so each role of ``work`` is first asked
-    for at its largest shape.  A set's values do not depend on the sets
-    beside it, so the order changes no byte.
+    A block holds at most every draw of a chunk, and the first chunk is
+    the largest.  So each block role of ``work`` is asked for first at
+    that shape, for the most bands and hypotheses of any set, and no role
+    is carved twice whatever the order of the sets.  A block writes, and
+    so faults in, only the part of each role that its draws need.
     """
-    work = _Buffers(min(_CHUNK, n))
+    size = min(_CHUNK, n)
+    work = _Buffers(size)
     bands = max(h.bands for h in hs)
+    rows = max(h.m for h in hs) - 1
+    for role, shape in (
+        ("block_noise", (bands, size)), ("pairs", (rows, size)),
+        ("pair_terms", (rows, size)),
+    ):
+        work.get(role, shape)
     tables = [_pair_table(h) for h in hs]
     columns = list(zip(*sigma_grid))
     scores = [[] for _ in hs]
-    order = sorted(range(len(hs)), key=lambda i: -hs[i].m)
     for start in range(0, n, _CHUNK):
         count = min(_CHUNK, n - start)
         u = _uniform_blocks(seed, start, work.get("uniforms", (count, 4)))
         z = ndtri(u[:, 1 : 1 + bands], out=work.get("noise", (count, bands), order="F"))
-        symbols_of = {}
-        for m in {h.m for h in hs}:
-            # min(floor(u * m), m - 1), as ``astype`` would truncate it.
-            scaled = np.multiply(u[:, 0], m, out=work.get("scaled", (count,)))
-            symbols = symbols_of[m] = work.get(f"symbols{m}", (count,), np.int64)
-            np.copyto(symbols, scaled, casting="unsafe")
-            np.minimum(symbols, m - 1, out=symbols)
-        for i in order:
-            h, table, sigmas = hs[i], tables[i], columns[i]
-            symbols = symbols_of[h.m]
-            # Every index is in range; mode "clip" keeps ``take`` from
-            # buffering its output.
-            a, b = work.get("pairs", (2, h.m - 1, count))
-            np.take(table[-1], symbols, axis=1, out=b, mode="clip")
-            # a = sum over the bands of z_k (v_j - v_s)_k, in band order.
-            np.take(table[0], symbols, axis=1, out=a, mode="clip")
-            a *= z[:, 0]
-            for k in range(1, h.bands):
-                term = work.get("pair_terms", a.shape)
-                np.take(table[k], symbols, axis=1, out=term, mode="clip")
-                term *= z[:, k]
-                a += term
-            scores[i].append(score(h, sigmas, symbols, a, b, work))
+        for h, table, sigmas, values in zip(hs, tables, columns, scores):
+            # The symbols min(floor(u * m), m - 1).
+            symbols = np.multiply(u[:, 0], h.m, out=work.get("symbols", (count,)))
+            np.floor(symbols, out=symbols)
+            np.minimum(symbols, h.m - 1, out=symbols)
+            mask = work.get("mask", (count,), bool)
+            for s in range(h.m):
+                draws = np.flatnonzero(np.equal(symbols, s, out=mask))
+                block = work.get("block_noise", (draws.size, h.bands), order="F")
+                for k in range(h.bands):
+                    # Every index is in range; mode "clip" keeps ``take``
+                    # from buffering its output.
+                    np.take(z[:, k], draws, out=block[:, k], mode="clip")
+                # a = sum over the bands of (v_j - v_s)_k z_k, in band order.
+                a = work.get("pairs", (h.m - 1, draws.size))
+                np.multiply(table[0][:, s, None], block[:, 0], out=a)
+                for k in range(1, h.bands):
+                    term = work.get("pair_terms", a.shape)
+                    np.multiply(table[k][:, s, None], block[:, k], out=term)
+                    a += term
+                values.append(score(sigmas, s, a, table[-1][:, s, None], work))
     return scores
 
 
@@ -414,6 +427,8 @@ def _batch(hypothesis_sets) -> tuple[HypothesisSet, ...]:
         raise ValueError("no hypothesis sets given")
     if any(h.bands > 3 for h in hs):
         raise ValueError("a symbol draws noise for at most 3 bands")
+    if any(h.m < 2 for h in hs):
+        raise ValueError("a hypothesis set needs at least 2 symbols")
     return hs
 
 
@@ -427,10 +442,11 @@ def _grid(snr_db_grid) -> tuple[float, ...]:
     return grid
 
 
-def _symbol_errors(h, sigmas, symbols, a, b, work: _Buffers) -> list[int]:
-    """Per sigma, how many of the draws minimum-distance detection
-    decodes wrong at that sigma, from their pair projections a and half
-    squared distances b (see ``_map_shared_draws``); it overwrites a.
+def _symbol_errors(sigmas, s, a, b, work: _Buffers) -> list[int]:
+    """Per sigma, how many draws of a block of symbol s minimum-distance
+    detection decodes wrong at that sigma, from their pair projections a
+    and half squared distances b (see ``_map_shared_draws``); it
+    overwrites a.
 
     The detector decodes a received vector r = v_s + sigma z as the
     argmax over j of the discriminants r . v_j - |v_j|**2 / 2, ties to the
@@ -442,15 +458,14 @@ def _symbol_errors(h, sigmas, symbols, a, b, work: _Buffers) -> list[int]:
     That is the argmax rule in exact arithmetic; the two round
     differently, and the tests check that they agree on every draw they
     compare.  One kappa per draw and one count per sigma replace a
-    detection per sigma.  A pair with b_j = 0 (coincident rows) is a tie
-    at every sigma: a draw with such a j < s is wrong at every sigma, and
-    one with j > s is not.
+    detection per sigma.  Row c of the block is j = c below s and
+    j = c + 1 from s on, so j < s exactly in the rows c < s.  A pair with
+    b_j = 0 (coincident rows) is a tie at every sigma: every draw of a
+    block with such a j < s is wrong at every sigma, and a j > s changes
+    no decision.
     """
-    n = len(symbols)
-    # Column c of a draw of s holds j = c below s and j = c + 1 from s on,
-    # so j < s exactly when c < s.
-    columns = np.arange(h.m - 1)[:, None]
-    lower = np.greater(symbols, columns, out=work.get("lower", a.shape, bool))
+    if np.any(b[:s] == 0.0):
+        return [a.shape[1]] * len(sigmas)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.divide(a, b, out=a)
     # 1 / sigma is > 0 and below the largest double, so a ratio <= 0 or
@@ -460,18 +475,12 @@ def _symbol_errors(h, sigmas, symbols, a, b, work: _Buffers) -> list[int]:
     np.fmin(ratio, np.finfo(float).max, out=ratio)
     # On a double >= 0 below +inf, one more in its bit pattern is the
     # next float up, at a fraction of the cost of ``np.nextafter``.
-    bits = ratio.view(np.int64)
-    np.add(bits, lower, out=bits)
-    kappa = np.max(ratio, axis=0, initial=0.0, out=work.get("kappa", (n,)))
-    # A symbol with a coincident lower-index pair is wrong at every sigma.
-    tied = np.any((_pair_table(h)[-1] == 0.0) & (np.arange(h.m) > columns), axis=0)
-    if tied.any():
-        kappa[tied[symbols]] = np.inf
-    wrong = work.get("wrong", (n,), bool)
-    return [
-        int(np.count_nonzero(np.greater(kappa, 1.0 / sigma, out=wrong)))
-        for sigma in sigmas
-    ]
+    bits = ratio[:s].view(np.int64)
+    bits += 1
+    kappa = ratio[0]
+    for row in ratio[1:]:
+        np.maximum(kappa, row, out=kappa)
+    return [int(np.count_nonzero(kappa > 1.0 / sigma)) for sigma in sigmas]
 
 
 def simulate_ser(
@@ -534,8 +543,8 @@ def logsumexp(a: np.ndarray) -> np.ndarray:
     ``scipy.special.logsumexp(a, axis=1)``.  scipy.special is imported
     only when it is called, so importing this module does not load it.
 
-    No path in the package calls it: ``_information`` references each
-    draw to its own symbol and needs no row maximum.  It is a span that
+    No path in the package calls it: ``_losses`` references each draw to
+    its own symbol and needs no row maximum.  It is a span that
     ``bench/spans.py`` traces, and stays here until the benchmark retires
     that span.
     """
@@ -544,42 +553,57 @@ def logsumexp(a: np.ndarray) -> np.ndarray:
     return logsumexp(a, axis=1)
 
 
-def _information(h, sigmas, symbols, a, b, work: _Buffers) -> list[float]:
-    """Per sigma, the sum over the draws of log2(M p(y|s) / sum_j p(y|s_j)),
-    referenced to each draw's own symbol s, from their pair projections a
-    and half squared distances b (see ``_map_shared_draws``).
+def _losses(a, b, sigma: float, gaps: np.ndarray) -> np.ndarray:
+    """The information, in nats, that each draw or node loses at sigma,
+    log1p(sum_{j != s} exp(d_j)), from its pair projections a and the
+    half squared distances b of its symbol s, with the sum over the first
+    axis of a.  ``gaps`` has a's shape and the result is a view of it.
 
     With y = v_s + sigma z, the log-likelihood gap of hypothesis j is
-    d_j = (a_j - b_j / sigma) / sigma, with a_j = z . (v_j - v_s) and
-    b_j = |v_j - v_s|**2 / 2.  It is formed from the noise, not as a
-    difference of likelihoods, so hypotheses that nearly coincide keep
-    their gap at any SNR.  The own gap is 0, and a draw contributes
-    log2 M - log1p(sum_{j != s} exp(d_j)) / ln 2; the terms are summed
-    draw by draw, because N log2 M minus their sum cancels.
+    d_j = (a_j - b_j t) t, with t = 1 / sigma, a_j = z . (v_j - v_s) and
+    b_j = |v_j - v_s|**2 / 2; b_j t**2 would overflow before (b_j t) t
+    does.  It is formed from the noise, not as a difference of
+    likelihoods, so hypotheses that nearly coincide keep their gap at any
+    SNR.  The own gap is 0, and the draw carries
+    log2 M - loss / ln 2 bits.
 
-    The gap is at most |z|**2 / 2 (maximise over (v_j - v_s) / sigma).  A
-    noise sample is ndtri of a uniform in [2**-54, 1 - 2**-53] (see
-    ``_uniform_blocks``), so |z_k| <= 8.3 and d_j <= 104 on three bands:
-    no row maximum needs to come out before the exp.  d is floored at
-    -700, which keeps exp off its subnormal slow path; a term below
-    exp(-700) cannot change the rounded log2 M - log1p(...) / ln 2.
+    The gap is at most |z|**2 / 2 (maximise over (v_j - v_s) t).  A noise
+    sample is ndtri of a uniform in [2**-54, 1 - 2**-53] (see
+    ``_uniform_blocks``), so |z_k| <= 8.3 and d_j <= 104 on three bands,
+    and a node that the pruned rule keeps has |x|**2 / 2 < 24: no row
+    maximum needs to come out before the exp.  d is floored at -700, which keeps exp
+    off its subnormal slow path.  The floor lifts each of the M - 1
+    terms of a draw by less than exp(-700) < 1e-304, so it moves a mean
+    loss, and an information value before its last rounding, by less
+    than 1e-303.
     """
+    t = 1.0 / sigma
+    np.multiply(b, t, out=gaps)
+    np.subtract(a, gaps, out=gaps)
+    gaps *= t
+    np.maximum(gaps, -700.0, out=gaps)
+    np.exp(gaps, out=gaps)
+    losses = gaps[0]
+    for row in gaps[1:]:
+        losses += row
+    return np.log1p(losses, out=losses)
+
+
+def _bits(m: int, loss: float, count: int) -> float:
+    """The mutual information log2 m - loss / (count ln 2), in bits per
+    symbol, of ``count`` equally weighted draws or symbols that lose
+    ``loss`` nats in all, clamped to [0, log2 m]."""
+    top = math.log2(m)
+    return min(max(top - loss / (count * math.log(2.0)), 0.0), top)
+
+
+def _information(sigmas, s, a, b, work: _Buffers) -> list[float]:
+    """Per sigma, the information that the draws of a block lose, the sum
+    of their ``_losses``, from their pair projections a and half squared
+    distances b (see ``_map_shared_draws``); ``mutual_information`` adds
+    the blocks and converts the total to bits once, by ``_bits``."""
     gaps = work.get("pair_terms", a.shape)
-    terms = work.get("terms", (a.shape[1],))
-    sums = []
-    for sigma in sigmas:
-        np.divide(b, sigma, out=gaps)
-        np.subtract(a, gaps, out=gaps)
-        gaps /= sigma
-        np.maximum(gaps, -700.0, out=gaps)
-        np.exp(gaps, out=gaps)
-        np.sum(gaps, axis=0, out=terms)
-        # log2 M - log1p(others) / ln 2, in place.
-        np.log1p(terms, out=terms)
-        terms /= math.log(2.0)
-        np.subtract(math.log2(h.m), terms, out=terms)
-        sums.append(float(terms.sum()))
-    return sums
+    return [float(_losses(a, b, sigma, gaps).sum()) for sigma in sigmas]
 
 
 def _sigma_rows(hs, sigma_grid) -> list[tuple[float, ...]]:
@@ -617,10 +641,10 @@ def mutual_information(
     sigma_grid = _sigma_rows(hs, sigma_grid)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    sums = _map_shared_draws(hs, sigma_grid, seed, n_samples, _information)
+    losses = _map_shared_draws(hs, sigma_grid, seed, n_samples, _information)
     per_set = [
-        [min(max(math.fsum(p) / n_samples, 0.0), math.log2(h.m)) for p in zip(*chunks)]
-        for h, chunks in zip(hs, sums)
+        [_bits(h.m, math.fsum(p), n_samples) for p in zip(*blocks)]
+        for h, blocks in zip(hs, losses)
     ]
     return tuple(zip(*per_set))
 
@@ -708,14 +732,13 @@ def _tensor_rule(n: int, bands: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _rule_information(h: HypothesisSet, sigmas, order: int = GH_ORDER) -> list[float]:
     """Per sigma, the mutual information of h by the pruned ``order``-point
-    tensor rule (see ``quadrature_information``), clamped to [0, log2 M].
+    tensor rule (see ``quadrature_information``).
 
     Per set, the pair projections a_j = x . (v_j - v_s) of every node x
-    and symbol s are formed once, from ``_pair_table``; each sigma then
-    takes the gaps d_j = (a_j - b_j t) t with t = 1 / sigma, the floor at
-    -700, exp, the sum over j, log1p and the weighted sum over the nodes
-    and symbols, all in place.  The gap is formed as ``_information`` forms
-    it: b_j t**2 would overflow before (b_j t) t does.
+    and symbol s are formed once, from ``_pair_table``, as an
+    (M - 1, M, N) array beside the (M - 1, M, 1) half squared distances.
+    Each sigma then takes the ``_losses`` of the nodes, their weighted
+    sum over the nodes and symbols, and ``_bits`` of it.
     """
     x, w = _tensor_rule(order, h.bands)
     table = _pair_table(h)
@@ -724,21 +747,10 @@ def _rule_information(h: HypothesisSet, sigmas, order: int = GH_ORDER) -> list[f
         a += table[k][..., None] * x[k]
     b = table[-1][..., None]
     gaps = np.empty_like(a)
-    terms = np.empty(a.shape[1:])
-    top = math.log2(h.m)
-    mis = []
-    for sigma in sigmas:
-        t = 1.0 / sigma
-        np.subtract(a, b * t, out=gaps)
-        gaps *= t
-        np.maximum(gaps, -700.0, out=gaps)
-        np.exp(gaps, out=gaps)
-        np.sum(gaps, axis=0, out=terms)
-        np.log1p(terms, out=terms)
-        terms *= w
-        mi = top - float(terms.sum()) / (h.m * math.log(2.0))
-        mis.append(min(max(mi, 0.0), top))
-    return mis
+    return [
+        _bits(h.m, float((_losses(a, b, sigma, gaps) * w).sum()), h.m)
+        for sigma in sigmas
+    ]
 
 
 def quadrature_information(
@@ -750,14 +762,14 @@ def quadrature_information(
     no draws.
 
     Per symbol s, the information lost is the mean over the noise z of
-    log1p(sum_{j != s} exp(d_j)), with d_j = (z . (v_j - v_s) - b_j /
-    sigma) / sigma the gap of ``_information``.  The mean is taken by the
-    tensor product of the ``GH_ORDER``-point Gauss-Hermite rule over the
-    K noise axes, less the nodes whose weight is below ``_GH_PRUNE`` of the
-    largest (P. Jäckel, "A note on multivariate Gauss-Hermite quadrature",
-    2005): 4,560 nodes per symbol on three bands, and 20 on one.  The
-    tests check it within 1e-4 bits of the 48-point rule at every point
-    of ``reproduce 4b``.
+    log1p(sum_{j != s} exp(d_j)), with d_j = (z . (v_j - v_s) - b_j t) t
+    and t = 1 / sigma, the ``_losses`` of the Monte Carlo's draws.  The
+    mean is taken by the tensor product of the ``GH_ORDER``-point
+    Gauss-Hermite rule over the K noise axes, less the nodes whose weight
+    is below ``_GH_PRUNE`` of the largest (P. Jäckel, "A note on
+    multivariate Gauss-Hermite quadrature", 2005): 4,560 nodes per symbol
+    on three bands, and 20 on one.  The tests check it within 1e-4 bits
+    of the 48-point rule at every point of ``reproduce 4b``.
     """
     hs = _batch(hypothesis_sets)
     sigma_grid = _sigma_rows(hs, sigma_grid)

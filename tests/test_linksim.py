@@ -39,7 +39,7 @@ from ucsk.linksim import (
 from ucsk.linksim import (
     _CHUNK,
     _Buffers,
-    _information,
+    _bits,
     _hermite_rule,
     _map_shared_draws,
     _rule_information,
@@ -536,6 +536,9 @@ class TestBatch:
         four_bands = HypothesisSet(np.eye(4), np.ones(4))
         with pytest.raises(ValueError):
             simulate_ser([four_bands], [0.0], 20_000, 0)
+        one_symbol = HypothesisSet(np.ones((1, 3)), np.ones(3))
+        with pytest.raises(ValueError, match="at least 2 symbols"):
+            simulate_ser([one_symbol], [0.0], 20_000, 0)
 
 
 @pytest.fixture(scope="module")
@@ -611,15 +614,16 @@ class TestKernelOracles:
             assert mi == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
-def unclipped_information(h, sigmas, symbols, a, b, work) -> list[tuple[float, bool]]:
+def unclipped_information(sigmas, s, a, b, work) -> list[tuple[float, bool]]:
     """``_information`` without its floor on the log-likelihood gaps, and
     per sigma whether a gap fell below that floor; it leaves ``work``
     unused."""
     out = []
     for sigma in sigmas:
-        d = (a - b / sigma) / sigma
-        terms = math.log2(h.m) - np.log1p(np.exp(d).sum(axis=0)) / math.log(2.0)
-        out.append((float(terms.sum()), bool(np.any(d < -700.0))))
+        t = 1.0 / sigma
+        d = (a - b * t) * t
+        loss = np.log1p(np.exp(d).sum(axis=0))
+        out.append((float(loss.sum()), bool(np.any(d < -700.0))))
     return out
 
 
@@ -655,16 +659,20 @@ class TestInformationRange:
 
     def test_clip_changes_nothing_at_45_db(self, reproduce_sets):
         sigmas = [noise_sigma(h.transmit_vectors(), 45.0) for h in reproduce_sets]
-        args = (reproduce_sets, [sigmas], 4257, 70_000)
-        unclipped = _map_shared_draws(*args, unclipped_information)
+        n = 70_000
+        unclipped = _map_shared_draws(
+            reproduce_sets, [sigmas], 4257, n, unclipped_information
+        )
         # The floor is reached, so the comparison tests it.
         assert any(
-            below for chunks in unclipped for chunk in chunks for _, below in chunk
+            below for blocks in unclipped for block in blocks for _, below in block
         )
-        expected = [
-            [[total for total, _ in chunk] for chunk in chunks] for chunks in unclipped
-        ]
-        assert _map_shared_draws(*args, _information) == expected
+        expected = tuple(
+            _bits(h.m, math.fsum(loss for loss, _ in point), n)
+            for h, blocks in zip(reproduce_sets, unclipped)
+            for point in zip(*blocks)
+        )
+        assert mutual_information(reproduce_sets, [sigmas], n, 4257) == (expected,)
 
 
 class TestCommonDraws:
@@ -855,6 +863,7 @@ class TestQuadrature:
             (mixed_batch, [sigmas[1:]]),
             (mixed_batch, [[0.0, *sigmas[1:]]]),
             ([HypothesisSet(np.zeros((2, 4)), np.ones(4))], [[0.1]]),
+            ([HypothesisSet(np.ones((1, 3)), np.ones(3))], [[0.1]]),
         ):
             with pytest.raises(ValueError) as raised:
                 quadrature_information(hs, grid)
@@ -925,6 +934,22 @@ class TestCriticalValues:
         for curve, counts in zip(curves, expected):
             assert curve.values == tuple(int(c) / self.N for c in counts)
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_blocks_without_draws(self, reproduce_sets, mixed_batch, n):
+        # With fewer than eight draws some symbols have none, so their
+        # blocks are empty: below four draws a four-symbol set always has
+        # such a symbol.
+        for hs in (reproduce_sets[:1], mixed_batch):
+            expected = detected_error_counts(hs, FIGURE_4A_GRID, n, 3)
+            curves = simulate_ser(hs, FIGURE_4A_GRID, n, 3)
+            for curve, counts in zip(curves, expected):
+                assert curve.values == tuple(int(c) / n for c in counts)
+            sigmas = [noise_sigma(h.transmit_vectors(), 6.0) for h in hs]
+            (mis,) = mutual_information(hs, [sigmas], n, 3)
+            for h, sigma, mi in zip(hs, sigmas, mis):
+                expected = delta_form_information(h, sigma, n, 3)
+                assert mi == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("seed", [0, 7, 4242])
     def test_coincident_rows_tie_to_the_lower_index(self, seed):
         hs = twin_sets()
@@ -951,9 +976,11 @@ class TestCriticalValues:
             for sigma in sigmas
         ]
         assert detected == [0, 1, 2]
-        # a_j = z . (v_j - v_s) and b_j = |v_j - v_s|**2 / 2 of each draw.
-        a, b = np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]])
-        assert _symbol_errors(h, sigmas, symbols, a, b, _Buffers(2)) == detected
+        # One block per symbol: a_j = z . (v_j - v_s) of its draw, and
+        # b_j = |v_j - v_s|**2 / 2.
+        a, b = np.array([[0.5]]), np.array([[0.5]])
+        blocks = [_symbol_errors(sigmas, s, a.copy(), b, None) for s in symbols]
+        assert [sum(counts) for counts in zip(*blocks)] == detected
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
     def test_every_curve_is_non_increasing(self, mixed_batch, seed):
