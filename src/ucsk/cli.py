@@ -125,7 +125,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .channel import TableError, WaterProperties, load_water_csv, seawater
-from .colorimetry import ChromaticityPoint, spectral_locus, xy_distance
+from .colorimetry import ChromaticityPoint, xy_distance
 from .constellation import (
     BlueTarget,
     build_constellation,
@@ -136,6 +136,7 @@ from .constellation import (
 )
 from .presets import (
     DEFAULT_PRIMARY_WAVELENGTHS,
+    GAMUTS,
     TABLE1_FIXTURES,
     blue_target_preset,
     led_triangle_gamut,
@@ -398,13 +399,6 @@ def _write_outputs(
         manifest.write_text(json.dumps(document, sort_keys=True, indent=2) + "\n")
 
 
-_GAMUTS = ("horseshoe", "led-triangle")
-
-
-def _gamut_for(name: str):
-    return spectral_locus() if name == "horseshoe" else led_triangle_gamut()
-
-
 def _cmd_design(args) -> None:
     from . import optimizer
 
@@ -425,7 +419,7 @@ def _cmd_design(args) -> None:
     out = Path(args.out)
     manifest = _manifest_path(out)
     _check_writable([out, manifest])
-    gamut = _gamut_for(args.gamut)
+    gamut = GAMUTS[args.gamut]()
     with _designing():
         result = optimizer.design_constellation(target, cfg, gamut)
     provenance = (
@@ -479,7 +473,7 @@ def _cmd_validate(args) -> None:
     elif doc.get("target"):
         t = doc["target"]
         target = BlueTarget(ChromaticityPoint(*t["center"]), t["radius"])
-    gamut = _gamut_for(args.gamut)
+    gamut = GAMUTS[args.gamut]()
     stored_x = ChromaticityPoint(*doc["points"]["X"])
     centroid_offset = xy_distance(stored_x, c.x)
     print(f"d_min: {c.d_min:.4f} attained by pair {c.d_min_pair}")
@@ -685,7 +679,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument(
         "--gamut",
-        choices=_GAMUTS,
+        choices=GAMUTS,
         default="horseshoe",
         help="design inside the full visible gamut or the LED source "
         "triangle; ser and rate can simulate only LED-triangle designs "
@@ -704,7 +698,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--preset", type=int, choices=(1, 2, 3))
     p.add_argument(
         "--gamut",
-        choices=_GAMUTS,
+        choices=GAMUTS,
         default="horseshoe",
         help="check membership in the full visible gamut or the LED source "
         "triangle",

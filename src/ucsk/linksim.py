@@ -28,17 +28,18 @@ count and the hypotheses only, not on its index in the grid or on the
 other points and curves, and it is bit-identical for any chunking.  A
 set reads only the uniform and noise columns it would draw alone.
 
-The Monte Carlo draws each chunk once, with one ``ndtri`` pass, and
-scores it per set one symbol s at a time.  The draws of s make one
-block: the (M - 1, n_s) projections a_j = z . (v_j - v_s) of their
-standard noise z on each other hypothesis j, the part of a draw that
-sigma does not change, formed once.  Beside it stands the (M - 1, 1)
-column b of half squared distances b_j = |v_j - v_s|**2 / 2 from
-``_pair_table``.  The quadrature takes its pair geometry from the same
-table and forms the same projections at its nodes, so both information
-engines reach the gap, its floor, exp, log1p and the clamp through one
-kernel (``_losses`` and ``_bits``).  Each grid point does only the part
-that depends on its sigma.
+The Monte Carlo draws each chunk once, with one ``ndtri`` pass, puts it
+in symbol order once per alphabet size M by one stable sort, and scores
+it per set one symbol s at a time.  The draws of s make one block: the
+(M - 1, n_s) projections a_j = z . (v_j - v_s) of their standard noise
+z on each other hypothesis j, the part of a draw that sigma does not
+change, formed once.  Beside it stands the (M - 1, 1) column b of half
+squared distances b_j = |v_j - v_s|**2 / 2 from ``_pair_table``.  The
+quadrature takes its pair geometry from the same table and forms the
+same projections at its nodes, so both information engines reach the
+gap, its floor, exp, log1p and the clamp through one kernel (``_losses``
+and ``_bits``).  Each grid point does only the part that depends on its
+sigma.
 
 Minimum-distance detection decodes a draw of s as j at sigma when
 sigma a_j - b_j > 0, or >= 0 for j < s, since ties go to the lower
@@ -49,10 +50,10 @@ every higher one, and a simulated SER curve is non-increasing.
 
 Every chunk-sized intermediate of the Monte Carlo (uniforms, noise,
 symbols and the blocks' noise, projections and mutual-information gaps)
-is written into one ``_Buffers``.  ``_map_shared_draws`` owns it: it
-allocates the arena once per engine call and hands it to each score it
-runs, across the chunks, sets and blocks.  The arithmetic is the one a
-fresh array would get, so the bytes do not depend on the buffers either.
+is a prefix of one float64 scratch block that ``_map_shared_draws``
+allocates once per engine call and sizes for the batch's most bands and
+hypotheses, so no M or band count needs more.  The arithmetic is the one
+a fresh array would get, so the bytes do not depend on the scratch either.
 
 Of scipy the module uses two ufuncs, ``ndtri`` for the noise draws and
 ``erfc`` for the union bound, and binds them at import as the module
@@ -113,15 +114,6 @@ _GH_PRUNE = 1e-10
 QUADRATURE_RULE = f"gauss-hermite-{GH_ORDER}"
 
 _CHUNK = 1 << 16
-# Doubles per chunk row that a ``_Buffers`` arena holds.  The draws of a
-# chunk take 8.125 of them on three bands: uniforms 4, noise 3, symbols 1
-# and the mask of one symbol 0.125.  A block of one symbol holds at most
-# every draw of the chunk, so its roles are sized for that: its noise 3,
-# and for a four-symbol set its projections 3 and one band's terms of
-# them, later the mutual-information gaps, 3.  That is 17.125 in all,
-# for SER and rates alike, and for any batch of sets with at most four
-# symbols.
-_ARENA_COLUMNS = 18
 
 
 _ufuncs = load_extension("scipy.special._ufuncs")
@@ -267,45 +259,6 @@ def noise_sigma(vectors: np.ndarray, snr_db: float) -> float:
     return _checked_sigma(sigma, f"at {snr_db} dB")
 
 
-class _Buffers:
-    """Scratch arrays of one engine call, one per role, carved from one
-    allocation of ``_ARENA_COLUMNS`` doubles per row of a ``rows``-row
-    chunk.
-
-    ``get(role, shape)`` returns a view of the role's memory with that
-    shape, contiguous in ``order`` as a fresh array would be, so the
-    arithmetic on it is the same.  A role is carved at its first use, and
-    again when a larger shape is asked for; once the arena is full, a role
-    gets an array of its own.  ``_map_shared_draws`` asks for each role's
-    largest shape first, so no role is carved twice.  A caller is done
-    with a view before its role is asked for again; no public function
-    returns one.
-
-    One allocation per engine call, not one per role or per chunk: once
-    glibc has freed one arena, it serves the next one from its heap and
-    keeps that memory mapped, so later engine calls in the same process
-    fault in no new pages.
-    """
-
-    def __init__(self, rows: int):
-        self._arena = np.empty(_ARENA_COLUMNS * max(rows, 1) * 8, np.uint8)
-        self._top = 0
-        self._flat: dict[str, np.ndarray] = {}
-
-    def get(self, role: str, shape, dtype=float, order: str = "C") -> np.ndarray:
-        size = math.prod(shape)
-        flat = self._flat.get(role)
-        if flat is None or flat.size < size:
-            nbytes = size * np.dtype(dtype).itemsize
-            if self._top + nbytes <= self._arena.size:
-                flat = self._arena[self._top : self._top + nbytes].view(dtype)
-                self._top += -(-nbytes // 64) * 64
-            else:
-                flat = np.empty(size, dtype)
-            self._flat[role] = flat
-        return flat[:size].reshape(shape, order=order)
-
-
 def detect_ml(received: np.ndarray, h: HypothesisSet) -> np.ndarray:
     """Minimum-distance detection of an (N, K) batch of received vectors,
     one symbol index per row: the argmax over m of the linear
@@ -357,67 +310,81 @@ def _pair_table(h: HypothesisSet) -> np.ndarray:
 def _map_shared_draws(hs, sigma_grid, seed: int, n: int, score):
     """Per hypothesis set, the list over the fixed ``_CHUNK``-symbol
     chunks of the (seed, 0) draws, and within a chunk over the set's
-    symbols s, of ``score(sigmas, s, a, b, work)``, each a sequence with
+    symbols s, of ``score(sigmas, s, a, b, gaps)``, each a sequence with
     one value per grid point.  ``sigma_grid`` has one row per grid point
     and one sigma per set in each row, and ``sigmas`` is the set's column
-    of it; ``work`` is the one ``_Buffers`` of the call.
+    of it.
 
-    The loop runs chunk, set, symbol, then (inside ``score``) grid point.
-    A chunk's uniforms and Gaussian noise z are drawn once, into
-    ``work``.  Set h takes its symbols from the first uniform and its
+    The loop runs chunk, alphabet size, symbol, set, then (inside
+    ``score``) grid point.  A chunk's uniforms and Gaussian noise z are
+    drawn once.  Set h takes its symbols from the first uniform and its
     noise from the next ``h.bands`` ones, exactly as if it were drawn
-    alone.  The n_s draws of symbol s in the chunk, in draw order, make
-    one block: ``a`` is the (M - 1, n_s) view whose row c holds, for the
-    c-th other hypothesis j in increasing order, the projections
-    a_j = z . (v_j - v_s) of the block's noise, and ``b`` is the
-    (M - 1, 1) column s of b_j = |v_j - v_s|**2 / 2 in ``_pair_table``.
-    Each row of ``a`` is contiguous, the fast layout of a reduction over
-    j.  A symbol with no draws in the chunk gives a block with n_s = 0.
-    A score may overwrite ``a``: the next block forms its own.
+    alone.  The symbols of each alphabet size M are formed once per chunk
+    and put in symbol order by one stable sort, so the n_s draws of symbol
+    s are one run of that order, in draw order; their noise is gathered
+    once, for every set of size M.  Per set they make one block: ``a`` is
+    the (M - 1, n_s) array whose row c holds, for the c-th other
+    hypothesis j in increasing order, the projections a_j = z . (v_j - v_s)
+    of the block's noise, and ``b`` is the (M - 1, 1) column s of
+    b_j = |v_j - v_s|**2 / 2 in ``_pair_table``.  Each row of ``a`` is
+    contiguous, the fast layout of a reduction over j.  A symbol with no
+    draws in the chunk gives a block with n_s = 0.  A score may overwrite
+    ``a`` and ``gaps``, scratch of a's shape: the next block forms its
+    own.
 
-    A block holds at most every draw of a chunk, and the first chunk is
-    the largest.  So each block role of ``work`` is asked for first at
-    that shape, for the most bands and hypotheses of any set, and no role
-    is carved twice whatever the order of the sets.  A block writes, and
-    so faults in, only the part of each role that its draws need.
+    The scratch is one float64 allocation per call, split into flat
+    segments of ``min(_CHUNK, n)`` rows times the widths a chunk or block
+    can need: uniforms 4, noise and the block's gathered noise the most
+    bands of any set, projections and their band terms (later the
+    information gaps) the most hypotheses less one, and symbols 1.  Each
+    chunk and block takes a contiguous prefix of its segment, so the
+    arithmetic, and the bytes, are those of a fresh array, and a block
+    writes, and so faults in, only the part its draws need.  One
+    allocation per call, not one per chunk or block: once glibc has freed
+    it, it serves the next one from its heap and keeps that memory mapped,
+    so later engine calls in the same process fault in no new pages.
     """
     size = min(_CHUNK, n)
-    work = _Buffers(size)
     bands = max(h.bands for h in hs)
     rows = max(h.m for h in hs) - 1
-    for role, shape in (
-        ("block_noise", (bands, size)), ("pairs", (rows, size)),
-        ("pair_terms", (rows, size)),
-    ):
-        work.get(role, shape)
+    edges = np.cumsum([4, bands, bands, rows, rows]) * size
+    uniforms, noise, gathered, pairs, terms, codes = np.split(
+        np.empty(edges[-1] + size), edges
+    )
     tables = [_pair_table(h) for h in hs]
     columns = list(zip(*sigma_grid))
     scores = [[] for _ in hs]
     for start in range(0, n, _CHUNK):
         count = min(_CHUNK, n - start)
-        u = _uniform_blocks(seed, start, work.get("uniforms", (count, 4)))
-        z = ndtri(u[:, 1 : 1 + bands], out=work.get("noise", (count, bands), order="F"))
-        for h, table, sigmas, values in zip(hs, tables, columns, scores):
-            # The symbols min(floor(u * m), m - 1).
-            symbols = np.multiply(u[:, 0], h.m, out=work.get("symbols", (count,)))
-            np.floor(symbols, out=symbols)
-            np.minimum(symbols, h.m - 1, out=symbols)
-            mask = work.get("mask", (count,), bool)
-            for s in range(h.m):
-                draws = np.flatnonzero(np.equal(symbols, s, out=mask))
-                block = work.get("block_noise", (draws.size, h.bands), order="F")
-                for k in range(h.bands):
+        u = _uniform_blocks(seed, start, uniforms[: 4 * count].reshape(count, 4))
+        z = noise[: bands * count].reshape(bands, count)
+        ndtri(u[:, 1 : 1 + bands], out=z.T)
+        for m in dict.fromkeys(h.m for h in hs):
+            # The symbols min(floor(u * m), m - 1), truncated into the
+            # least unsigned type that holds m, which u * m can round up
+            # to.  Up to 16 bits a stable sort is a radix sort.
+            symbols = codes.view(np.min_scalar_type(m))[:count]
+            np.multiply(u[:, 0], m, out=symbols, casting="unsafe")
+            np.minimum(symbols, m - 1, out=symbols)
+            order = np.argsort(symbols, kind="stable")
+            ends = np.searchsorted(symbols[order], np.arange(1, m, dtype=symbols.dtype))
+            for s, draws in enumerate(np.split(order, ends)):
+                block = gathered[: bands * draws.size].reshape(bands, -1)
+                for k in range(bands):
                     # Every index is in range; mode "clip" keeps ``take``
                     # from buffering its output.
-                    np.take(z[:, k], draws, out=block[:, k], mode="clip")
-                # a = sum over the bands of (v_j - v_s)_k z_k, in band order.
-                a = work.get("pairs", (h.m - 1, draws.size))
-                np.multiply(table[0][:, s, None], block[:, 0], out=a)
-                for k in range(1, h.bands):
-                    term = work.get("pair_terms", a.shape)
-                    np.multiply(table[k][:, s, None], block[:, k], out=term)
-                    a += term
-                values.append(score(sigmas, s, a, table[-1][:, s, None], work))
+                    np.take(z[k], draws, out=block[k], mode="clip")
+                for h, table, sigmas, values in zip(hs, tables, columns, scores):
+                    if h.m != m:
+                        continue
+                    # a = sum over the bands of (v_j - v_s)_k z_k, in band order.
+                    a = pairs[: (m - 1) * draws.size].reshape(m - 1, -1)
+                    gaps = terms[: a.size].reshape(a.shape)
+                    np.multiply(table[0][:, s, None], block[0], out=a)
+                    for k in range(1, h.bands):
+                        np.multiply(table[k][:, s, None], block[k], out=gaps)
+                        a += gaps
+                    values.append(score(sigmas, s, a, table[-1][:, s, None], gaps))
     return scores
 
 
@@ -442,11 +409,11 @@ def _grid(snr_db_grid) -> tuple[float, ...]:
     return grid
 
 
-def _symbol_errors(sigmas, s, a, b, work: _Buffers) -> list[int]:
+def _symbol_errors(sigmas, s, a, b, gaps) -> list[int]:
     """Per sigma, how many draws of a block of symbol s minimum-distance
     detection decodes wrong at that sigma, from their pair projections a
     and half squared distances b (see ``_map_shared_draws``); it
-    overwrites a.
+    overwrites a and leaves ``gaps`` unused.
 
     The detector decodes a received vector r = v_s + sigma z as the
     argmax over j of the discriminants r . v_j - |v_j|**2 / 2, ties to the
@@ -597,12 +564,12 @@ def _bits(m: int, loss: float, count: int) -> float:
     return min(max(top - loss / (count * math.log(2.0)), 0.0), top)
 
 
-def _information(sigmas, s, a, b, work: _Buffers) -> list[float]:
+def _information(sigmas, s, a, b, gaps) -> list[float]:
     """Per sigma, the information that the draws of a block lose, the sum
     of their ``_losses``, from their pair projections a and half squared
-    distances b (see ``_map_shared_draws``); ``mutual_information`` adds
-    the blocks and converts the total to bits once, by ``_bits``."""
-    gaps = work.get("pair_terms", a.shape)
+    distances b (see ``_map_shared_draws``), formed in ``gaps``, scratch of
+    a's shape; ``mutual_information`` adds the blocks and converts the
+    total to bits once, by ``_bits``."""
     return [float(_losses(a, b, sigma, gaps).sum()) for sigma in sigmas]
 
 

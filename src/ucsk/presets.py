@@ -12,6 +12,7 @@ analytic cap does not certify.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .colorimetry import ChromaticityPoint, GamutPolygon, spectral_locus
 from .constellation import FIXED_BLUE, BlueTarget
@@ -24,6 +25,7 @@ __all__ = [
     "DEFAULT_PRIMARY_WAVELENGTHS",
     "DEFAULT_PRIMARY_CHROMATICITIES",
     "led_triangle_gamut",
+    "GAMUTS",
     "certified_dmin_bound",
 ]
 
@@ -97,14 +99,20 @@ DEFAULT_PRIMARY_CHROMATICITIES = (
 )
 
 
+@lru_cache(maxsize=1)
 def led_triangle_gamut() -> GamutPolygon:
-    """Source triangle spanned by the LED primaries.
+    """Source triangle spanned by the LED primaries, built once, as
+    ``spectral_locus`` is.
 
     Designs produced inside this gamut are renderable by the default link
     primaries (every symbol solves to nonnegative fluxes), unlike designs
     that roam the full spectral-locus horseshoe.
     """
     return GamutPolygon(DEFAULT_PRIMARY_CHROMATICITIES)
+
+
+# The gamuts by the names that ``--gamut`` lists, in that order.
+GAMUTS = {"horseshoe": spectral_locus, "led-triangle": led_triangle_gamut}
 
 
 # (gamut, preset) -> an upper bound on the d_min of every point of the
@@ -123,17 +131,11 @@ DMIN_BOUNDS: dict[tuple[str, int], float] = {
 }
 
 
-def _gamut_vertices(name: str) -> tuple[ChromaticityPoint, ...]:
-    if name == "led-triangle":
-        return DEFAULT_PRIMARY_CHROMATICITIES
-    return spectral_locus().vertices
-
-
 def certified_dmin_bound(target: BlueTarget, gamut: GamutPolygon) -> float | None:
     """The ``DMIN_BOUNDS`` entry whose preset disk equals ``target`` and
     whose gamut has ``gamut``'s vertices, by value; None when no entry
     does."""
     for (name, preset), bound in DMIN_BOUNDS.items():
-        if target == BLUE_TARGETS[preset] and gamut.vertices == _gamut_vertices(name):
+        if target == BLUE_TARGETS[preset] and gamut.vertices == GAMUTS[name]().vertices:
             return bound
     return None

@@ -28,18 +28,17 @@ import numpy as np
 import pytest
 
 from ucsk import optimizer
-from ucsk.colorimetry import ChromaticityPoint, GamutPolygon, spectral_locus
+from ucsk.colorimetry import ChromaticityPoint, GamutPolygon
 from ucsk.constellation import FIXED_BLUE, BlueTarget
 from ucsk.optimizer import OptimizerConfig, design_constellation, dmin_upper_bound
 from ucsk.presets import (
     DEFAULT_PRIMARY_CHROMATICITIES,
     DMIN_BOUNDS,
+    GAMUTS,
     blue_target_preset,
     certified_dmin_bound,
     led_triangle_gamut,
 )
-
-GAMUTS = {"horseshoe": spectral_locus, "led-triangle": led_triangle_gamut}
 
 # Each difference of the points (R, G, B, X) as coefficients of (R, G, B);
 # X = (R + G + B) / 3.  The last row is X - B.

@@ -38,7 +38,6 @@ from ucsk.linksim import (
 )
 from ucsk.linksim import (
     _CHUNK,
-    _Buffers,
     _bits,
     _hermite_rule,
     _map_shared_draws,
@@ -467,10 +466,10 @@ class TestBatch:
         for h, curve in zip(mixed_batch, batch):
             assert rate_curve([h], grid, 20_000, 5) == (curve,)
 
-    def test_batch_past_the_arena_equals_each_alone(self, monkeypatch):
-        # Five to six symbols on one to three bands: the batch asks for
-        # more scratch than the arena holds, so some roles get arrays of
-        # their own.
+    def test_mixed_alphabets_and_bands_batch_equals_each_alone(self):
+        # Two to six symbols on one to three bands, two sets of six: the
+        # batch's scratch is sized for five other hypotheses and three
+        # bands, more than a set of fewer symbols or bands fills.
         rng = np.random.default_rng(29)
         batch = [
             HypothesisSet(rng.uniform(0.0, 1e-3, (m, k)), np.ones(k))
@@ -480,29 +479,14 @@ class TestBatch:
         sigmas = [noise_sigma(h.transmit_vectors(), 6.0) for h in batch]
         alone_ser = tuple(ser_alone(h, grid, self.N, 3) for h in batch)
         alone_mi = tuple(mi_alone(h, s, self.N, 3) for h, s in zip(batch, sigmas))
-
-        own = []
-
-        class Recording(_Buffers):
-            def get(self, role, shape, dtype=float, order="C"):
-                view = super().get(role, shape, dtype, order)
-                if not np.shares_memory(view, self._arena):
-                    own.append(role)
-                return view
-
-        monkeypatch.setattr(linksim, "_Buffers", Recording)
         assert simulate_ser(batch, grid, self.N, 3) == alone_ser
-        assert own
-        own.clear()
         (batch_mi,) = mutual_information(batch, [sigmas], self.N, 3)
         assert batch_mi == alone_mi
-        assert own
 
-    def test_rising_alphabet_batch_stays_in_the_arena(self, monkeypatch):
+    def test_rising_alphabet_batch_equals_each_alone(self):
         # OOK (two symbols, one band) before a four-symbol set on three
-        # bands: the scratch of the two fits the arena, so no role may
-        # get an array of its own, as none would if the roles were carved
-        # at the four-symbol shapes first.
+        # bands: the first set's blocks take the scratch before the
+        # larger set does.
         rng = np.random.default_rng(31)
         batch = [
             HypothesisSet(rng.uniform(0.0, 1e-3, (m, k)), np.ones(k))
@@ -512,21 +496,9 @@ class TestBatch:
         sigmas = [noise_sigma(h.transmit_vectors(), 6.0) for h in batch]
         alone_ser = tuple(ser_alone(h, grid, self.N, 3) for h in batch)
         alone_mi = tuple(mi_alone(h, s, self.N, 3) for h, s in zip(batch, sigmas))
-
-        own = []
-
-        class Recording(_Buffers):
-            def get(self, role, shape, dtype=float, order="C"):
-                view = super().get(role, shape, dtype, order)
-                if not np.shares_memory(view, self._arena):
-                    own.append(role)
-                return view
-
-        monkeypatch.setattr(linksim, "_Buffers", Recording)
         assert simulate_ser(batch, grid, self.N, 3) == alone_ser
         (batch_mi,) = mutual_information(batch, [sigmas], self.N, 3)
         assert batch_mi == alone_mi
-        assert own == []
 
     def test_batch_validation(self, mixed_batch):
         with pytest.raises(ValueError):
@@ -614,9 +586,9 @@ class TestKernelOracles:
             assert mi == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
-def unclipped_information(sigmas, s, a, b, work) -> list[tuple[float, bool]]:
+def unclipped_information(sigmas, s, a, b, gaps) -> list[tuple[float, bool]]:
     """``_information`` without its floor on the log-likelihood gaps, and
-    per sigma whether a gap fell below that floor; it leaves ``work``
+    per sigma whether a gap fell below that floor; it leaves ``gaps``
     unused."""
     out = []
     for sigma in sigmas:
@@ -949,6 +921,19 @@ class TestCriticalValues:
             for h, sigma, mi in zip(hs, sigmas, mis):
                 expected = delta_form_information(h, sigma, n, 3)
                 assert mi == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_large_alphabet(self):
+        # 300 symbols on one band: more than one byte holds, and more
+        # hypotheses than bands by far.
+        h = HypothesisSet(np.linspace(0.0, 1e-3, 300)[:, None], np.ones(1))
+        grid = [0.0, 20.0, 40.0]
+        n = 3000
+        (curve,) = simulate_ser([h], grid, n, 3)
+        (counts,) = detected_error_counts([h], grid, n, 3)
+        assert curve.values == tuple(int(c) / n for c in counts)
+        sigma = noise_sigma(h.transmit_vectors(), 20.0)
+        expected = delta_form_information(h, sigma, n, 3)
+        assert mi_alone(h, sigma, n, 3) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("seed", [0, 7, 4242])
     def test_coincident_rows_tie_to_the_lower_index(self, seed):

@@ -12,7 +12,6 @@ from ucsk.colorimetry import (
     ChromaticityPoint,
     GamutPolygon,
     centroid,
-    spectral_locus,
     xy_distance,
 )
 from ucsk.constellation import (
@@ -29,7 +28,12 @@ from ucsk.optimizer import (
     design_constellation,
     dmin_upper_bound,
 )
-from ucsk.presets import TABLE1_FIXTURES, blue_target_preset, led_triangle_gamut
+from ucsk.presets import (
+    GAMUTS,
+    TABLE1_FIXTURES,
+    blue_target_preset,
+    led_triangle_gamut,
+)
 
 FAST = OptimizerConfig(multistart_count=8, rng_seed=0)
 
@@ -270,9 +274,6 @@ class TestConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             OptimizerConfig(multistart_count=0)
-
-
-GAMUTS = {"horseshoe": spectral_locus, "led-triangle": led_triangle_gamut}
 
 
 class TestCap:
