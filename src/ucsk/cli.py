@@ -100,6 +100,17 @@ Every count has a ceiling: ``--symbols`` and ``--samples`` at most
 points.  A count past its ceiling is a usage error (exit 1), found
 before any work runs.
 
+``main(argv)`` may be called many times in one process, from several
+threads at once, and returns the exit code for every argv: after ``-h``
+and ``--version`` too, which print their text and return 0.  The
+parser is built at the first call and reused by every later one; its
+help text is laid out at print time, for the terminal width then.  The
+reused parser holds the ``_cmd_*`` handlers, so a ``_cmd_*`` name patched
+after the first call is never called: a test or tracer that replaces an
+engine patches it in ``optimizer`` or ``linksim``.  The digest of the
+bundled water table is read once per process, as ``channel.seawater``
+reads the table.
+
 Importing this module loads no scipy module.  ``design`` and
 ``reproduce`` import ``optimizer``, and ``ser``, ``rate`` and
 ``reproduce`` import ``linksim``, only when they run, and call into both
@@ -112,6 +123,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import hashlib
 import json
 import math
@@ -184,7 +196,8 @@ _FILE_OPTIONS = ("constellation", "water", "out")
 
 
 class _Failure(Exception):
-    """A failed run: ``main`` prints the message and exits with the code."""
+    """An early end of a run: ``main`` prints the message, if there is
+    one, and returns the code."""
 
     def __init__(self, code: int, message: str):
         super().__init__(message)
@@ -207,6 +220,11 @@ def _failing(code: int, prefix: str, *errors: type[Exception]):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; usage errors are 1
         raise _usage(message)
+
+    def exit(self, status=0, message=None):
+        # argparse's one exit path, taken after -h and --version have
+        # printed their text: end the run so that main returns the status.
+        raise _Failure(status, (message or "").rstrip("\n"))
 
     def _parse_optional(self, arg_string):
         # argparse takes "-10:5:10" or "-0.01,0.05" for an option, so that
@@ -312,6 +330,7 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+@functools.cache
 def _bundled_digest(name: str) -> str:
     ref = resources.files("ucsk.data").joinpath(name)
     with resources.as_file(ref) as path:
@@ -658,6 +677,7 @@ def _cmd_reproduce(args) -> None:
     print(f"wrote bundle to {out_dir}")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ucsk", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
@@ -741,7 +761,8 @@ def main(argv=None) -> int:
         # A closed pipe shows up here rather than in the flush at exit.
         sys.stdout.flush()
     except _Failure as exc:
-        print(exc, file=sys.stderr)
+        if str(exc):
+            print(exc, file=sys.stderr)
         return exc.code
     except BrokenPipeError:
         # The reader of standard output went away.  Point the descriptor

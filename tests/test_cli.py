@@ -8,18 +8,21 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import types
 from pathlib import Path
 
 import pytest
 import scipy
 
-from ucsk import cli, linksim, optimizer
+from ucsk import __version__, cli, linksim, optimizer
 from ucsk.cli import (
     EXIT_INFEASIBLE,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    REPRODUCE_DESIGN_SEED,
+    _manifest_path,
     main,
     write_curve_csv,
 )
@@ -170,11 +173,14 @@ def _manifest(out):
     return json.loads(Path(f"{out}.manifest.json").read_text())
 
 
+def _subparser(parser, subcommand):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[subcommand]
+
+
 def _option_dests(subcommand):
     """The dests of a subcommand's options, as its parser defines them."""
-    parser = cli._build_parser()
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return {a.dest for a in sub.choices[subcommand]._actions} - {"help"}
+    return {a.dest for a in _subparser(cli._build_parser(), subcommand)._actions} - {"help"}
 
 
 def _reproduce(out, figure):
@@ -826,6 +832,27 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert proc.stderr == "cannot write output: standard output was closed\n"
 
+    @pytest.mark.parametrize(
+        "argv, head",
+        [(["--version"], f"{__version__}\n"), (["-h"], "usage: ucsk [-h]"),
+         (["design", "-h"], "usage: ucsk design [-h]")],
+        ids=["version", "help", "design-help"],
+    )
+    def test_help_and_version_return_0(self, monkeypatch, capsys, argv, head):
+        # main returns argparse's exit status in place of raising
+        # SystemExit; the console run prints the same text and exits 0.
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out.startswith(head)
+        assert captured.err == ""
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ucsk", *argv], capture_output=True, text=True,
+            env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, captured.out, "")
+
 
 class TestReproducibility:
     def test_design_reruns_are_byte_identical(self, tmp_path):
@@ -912,6 +939,99 @@ class TestReproducibility:
             rows.append([r for r in lines if r.startswith("21.0,")])
         assert len(rows[0]) == 1
         assert rows[0] == rows[1]
+
+
+def _led_design(out, preset):
+    return main(["design", "--preset", str(preset), "--gamut", "led-triangle",
+                 "--seed", str(REPRODUCE_DESIGN_SEED), "--out", str(out)])
+
+
+def _as_reproduced(path, preset):
+    """SHA-256 of design document ``path`` under the provenance that
+    ``reproduce`` writes for ``preset``."""
+    doc = json.loads(path.read_text())
+    doc["provenance"] = (
+        f"ucsk reproduce preset {preset} seed={REPRODUCE_DESIGN_SEED} "
+        "gamut=led-triangle"
+    )
+    write_constellation_json(path, doc)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestOneProcess:
+    def test_one_call_does_not_affect_the_next(self, tmp_path):
+        assert main(["design", "--preset", "1", "--bogus", "x"]) == EXIT_USAGE
+        assert main(["--version"]) == EXIT_OK
+        missed = ["design", "--target-center", "0.9,0.9", "--target-radius", "0.01",
+                  "--gamut", "led-triangle", "--out", str(tmp_path / "m.json")]
+        assert main(missed) == EXIT_INFEASIBLE
+        assert _led_design(tmp_path / "absent" / "d.json", 1) == EXIT_IO
+        ook = ["rate", "--scheme", "ook", "--wavelength", "460", *_LINK, "--out"]
+        assert main([*ook, str(tmp_path / "a.csv"), "--samples", "20000"]) == EXIT_OK
+        assert main([*ook, str(tmp_path / "b.csv")]) == EXIT_OK
+        assert _manifest(tmp_path / "a.csv")["parameters"]["samples"] == 20_000
+        assert _manifest(tmp_path / "b.csv")["parameters"]["samples"] == 50_000
+        assert _reproduce(tmp_path / "4a", "4a") == REPRODUCE_SHA256["4a"]
+        for preset in (1, 2, 3):
+            out = tmp_path / f"design-target{preset}.json"
+            assert _led_design(out, preset) == EXIT_OK
+            assert _as_reproduced(out, preset) == _DESIGN_SHA256[out.name]
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_fresh_import_fills_no_cache(self):
+        code = (
+            "import ucsk.cli as cli; "
+            "assert cli._build_parser.cache_info().currsize == 0; "
+            "assert cli._bundled_digest.cache_info().currsize == 0"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+    def test_help_follows_the_terminal_at_print_time(self, monkeypatch, capsys):
+        # The reused parser is built at a third width, so that help laid
+        # out when the parser is built would show.
+        monkeypatch.setenv("COLUMNS", "200")
+        cli._build_parser.cache_clear()
+        cli._build_parser()
+        helps = []
+        for columns in ("60", "120"):
+            monkeypatch.setenv("COLUMNS", columns)
+            assert main(["design", "-h"]) == EXIT_OK
+            helps.append(capsys.readouterr().out)
+            fresh = _subparser(cli._build_parser.__wrapped__(), "design")
+            assert helps[-1] == fresh.format_help()
+        assert helps[0] != helps[1]
+
+    def test_two_threads_write_the_serial_bytes(self, tmp_path):
+        # The threads share the parser and the OpenBLAS pin of the SLSQP
+        # kernel; a short switch interval interleaves them finely.
+        def files(run):
+            out = tmp_path / run / "d.json"
+            return out.read_bytes(), _manifest_path(out).read_bytes()
+
+        for run in ("serial", "0", "1"):
+            (tmp_path / run).mkdir()
+        assert _led_design(tmp_path / "serial" / "d.json", 1) == EXIT_OK
+        start = threading.Barrier(2, timeout=60)
+        codes = {}
+
+        def run(name):
+            start.wait()
+            codes[name] = _led_design(tmp_path / name / "d.json", 1)
+
+        threads = [threading.Thread(target=run, args=(n,)) for n in ("0", "1")]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert codes == {"0": EXIT_OK, "1": EXIT_OK}
+        assert files("0") == files("1") == files("serial")
 
 
 class TestReports:
